@@ -174,7 +174,7 @@ def cmd_theorem_probe(args) -> int:
     if args.seed is not None:
         cfg.raw.set("ensemble", "seed", str(args.seed))
     os.makedirs(args.out, exist_ok=True)
-    worst, table, _ = run_theorem_probe(cfg, args.out, threads=args.threads)
+    worst, table, _ = run_theorem_probe(cfg, args.out)
     print(f"worst growth factor {worst:.4f} over {len(table)} variants "
           f"(cap {cfg.growth_cap})")
     return 0 if worst <= cfg.growth_cap else 1
@@ -191,7 +191,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="INI-style config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("suite", help="run named acceptance suites (all if none)")
     p.add_argument("names", nargs="*", default=[])

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -389,11 +391,28 @@ def save_gridfunction(path, f: GridFunction) -> None:
 
 def load_gridfunction(path) -> GridFunction:
     with open(path, "rb") as fh:
-        d, L, J, count = _HEADER.unpack(fh.read(_HEADER.size))
+        head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ValueError(f"header has {len(head)} bytes, expected {_HEADER.size}")
+        d, L, J, count = _HEADER.unpack(head)
         root = RootBox(d=int(d), L=int(L), J=int(J))
         if count != root.n_cells:
             raise ValueError(f"sample count {count} does not match box {root.shape}")
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
+        need = 8 * count
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - _HEADER.size < need:
+            raise ValueError(f"header implies a payload of {need} bytes, "
+                             f"the file holds {st.st_size - _HEADER.size}")
+        # a pipe has no size to check, so read it in bounded chunks and
+        # allocate only what arrives
+        payload = bytearray()
+        while len(payload) < need:
+            chunk = fh.read(min(need - len(payload), 1 << 20))
+            if not chunk:
+                raise ValueError(f"header implies a payload of {need} bytes, "
+                                 f"the stream holds {len(payload)}")
+            payload += chunk
+        data = np.frombuffer(payload, dtype="<f8", count=count)
     return GridFunction(root, data.reshape(root.shape).copy())
 
 

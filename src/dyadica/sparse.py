@@ -199,19 +199,23 @@ def _stopped_square_max(q0: DyadicCube, coeffs, root: RootBox,
 
 
 def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
-                 dictionary: TestDictionary) -> SparseCollection:
+                 dictionary: TestDictionary,
+                 coeff_b=None, coeff_g=None) -> SparseCollection:
     """Recursive stopping-time construction with global threshold doubling.
 
     ``inputs``: for mode 'intest' keys b, g, fs; for mode 'mainiter' keys
     f1, n.  Square functions and thresholds re-anchor at every new root.
+    In mode 'intest', ``coeff_b``/``coeff_g`` are the coefficient arrays of
+    b and g when the caller already has them.
     """
     root = dictionary.root
     theta = cfg.theta
     max_depth = cfg.max_depth if cfg.max_depth is not None else root.depth + 1
-    coeff_b = coeff_g = None
     if cfg.mode == "intest":
-        coeff_b = dictionary.coeff_arrays(inputs["b"])
-        coeff_g = dictionary.coeff_arrays(inputs["g"])
+        if coeff_b is None:
+            coeff_b = dictionary.coeff_arrays(inputs["b"])
+        if coeff_g is None:
+            coeff_g = dictionary.coeff_arrays(inputs["g"])
     while True:
         coll = SparseCollection(root_cube=q0, theta=theta)
         frontier = [q0]
@@ -311,7 +315,8 @@ def verify_domination(q0: DyadicCube, cfg: StoppingConfig,
         coeff_g = dictionary.coeff_arrays(g)
         lhs = intrinsic_form(q0, b, [g] + list(fs), dictionary,
                              coeff_f=coeff_b, coeff_f1=coeff_g)
-        coll = build_sparse(q0, {"b": b, "g": g, "fs": list(fs)}, cfg, dictionary)
+        coll = build_sparse(q0, {"b": b, "g": g, "fs": list(fs)}, cfg, dictionary,
+                            coeff_b, coeff_g)
         rhs_sparse = sparse_form_eval(coll, b, g, fs, dictionary, coeff_b, coeff_g)
         holder = q0.measure * q0.side ** (-theta_power) \
             * tl_norm(b, NormSpec(0.0, -float(theta_power), p, 2.0), dictionary, coeff_b) \

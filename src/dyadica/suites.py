@@ -12,7 +12,6 @@ import csv
 import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -703,7 +702,7 @@ def _adjoint_exponent(split, exps, j, sign, kappa):
     return val if val > 1.0 else None
 
 
-def run_theorem_probe(cfg: ExperimentConfig, outdir=None, threads: int = 1):
+def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
     """Criterion-7 sweep: ratio tables per variant per refinement level."""
     fam_n = cfg.probe_order
     members = cfg.probe_members

@@ -10,7 +10,6 @@ matching the exactness of the canonical atoms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -19,7 +18,7 @@ from scipy.interpolate import BSpline
 
 from .dyadic import DyadicCube, RootBox
 from .funcspace import GridFunction, block_max, block_mean, expand_blocks
-from .wavelet import AtomBasis
+from .wavelet import AtomBasis, clipped_outer, strided_pairings
 
 
 @dataclass(frozen=True)
@@ -124,17 +123,18 @@ class TestDictionary:
         self._ref_constants = [
             max(_class_constant(u_ref, prof(u_ref), rho), 1e-300)
             for prof in recipes]
-        # per-scale 1-d cancellative value templates, moment-corrected on the
-        # full window; boundary cubes get clip-corrected variants (cached)
-        self._templates: dict[int, list[np.ndarray]] = {}
+        # per-scale 1-d cancellative value templates on the w-window, stacked
+        # into one bank per scale and moment-corrected on the full window;
+        # boundary cubes get clip-corrected variants
+        self._templates: dict[int, np.ndarray] = {}
         self._clip_cache: dict = {}
+        self._operators: dict = {}
         for scale in range(self.root.J, self.root.L + 1):
-            temps = []
-            for prof, cref in zip(recipes, self._ref_constants):
-                t = self._sampled_template(prof, cref, scale)
-                if t is not None:
-                    temps.append(t)
-            self._templates[scale] = temps
+            rows = [t for t in (self._sampled_template(prof, cref, scale)
+                                for prof, cref in zip(recipes, self._ref_constants))
+                    if t is not None]
+            width = self.family.w << (scale - self.root.J)
+            self._templates[scale] = np.array(rows).reshape(len(rows), width)
         # noncancellative bumps for weak-boundedness style tests
         self._bump_recipes = [_bump_profile(degree, w * f, o * w)
                               for f, o in [(0.9, 0.0), (0.6, 0.1), (0.45, -0.12)]]
@@ -172,26 +172,33 @@ class TestDictionary:
         side = 2.0 ** scale
         return vals / ref_constant / side  # L^1-normalized per axis
 
+    def _canonical_row(self, scale: int) -> np.ndarray:
+        """Per-axis factor of the canonical wavelet on the w-window of its
+        cube; w = 2N - 1, so the wavelet starts where the window does."""
+        t = scale - self.root.J
+        wav = self.basis._wav[t] * 2.0 ** (-(self.root.J + scale) / 2.0)
+        return np.pad(wav, (0, (self.family.w << t) - len(wav)))
+
     def _clipped_template(self, scale: int, member_idx: int, lo_cut: int, hi_cut: int):
         """Boundary variant: re-corrected on the surviving cells so clipped
-        atoms still annihilate sampled polynomials exactly."""
+        atoms still annihilate sampled polynomials exactly (cached)."""
         key = (scale, member_idx, lo_cut, hi_cut)
         cached = self._clip_cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._clip_cache[key] = self._clip_correct(*key)
+        return cached
+
+    def _clip_correct(self, scale: int, member_idx: int, lo_cut: int, hi_cut: int):
         full = self._templates[scale][member_idx]
         u = self._cube_offsets(scale)
         piece = full[lo_cut:len(full) - hi_cut]
         up = u[lo_cut:len(u) - hi_cut]
         vals = self._moment_correct(up, piece, self.family.k)
         if np.max(np.abs(vals), initial=0.0) < 1e-14:
-            out = np.zeros_like(piece)
-        else:
-            side = 2.0 ** scale
-            const = _class_constant(up, vals * side, self._rho)
-            out = vals / const
-        self._clip_cache[key] = out
-        return out
+            return np.zeros_like(piece)
+        side = 2.0 ** scale
+        const = _class_constant(up, vals * side, self._rho)
+        return vals / const
 
     def _bump_template(self, member: int, scale: int) -> np.ndarray:
         idx = member % len(self._bump_recipes)
@@ -240,51 +247,27 @@ class TestDictionary:
     def _member_window(self, cube: DyadicCube, idx: int):
         """Per-axis windows: clip-corrected cancellative factor on the first
         axis, normalized bump factors on the rest."""
-        root = self.root
-        m = 1 << (cube.scale - root.J)
+        m = 1 << (cube.scale - self.root.J)
         half = (self.family.w - 1) // 2
-        n = root.cells_per_side
+        n = self.root.cells_per_side
+        starts = [(p - half) * m for p in cube.pos]
         template = self._templates[cube.scale][idx]
-        bump = self._bump_template(0, cube.scale) if root.d > 1 else None
-        slices, pieces = [], []
-        for axis, p in enumerate(cube.pos):
-            s0 = (p - half) * m
-            a, b = max(s0, 0), min(s0 + len(template), n)
-            if a >= b:
-                return None, None
-            lo_cut, hi_cut = a - s0, s0 + len(template) - b
-            if axis == 0:
-                if lo_cut or hi_cut:
-                    pieces.append(self._clipped_template(cube.scale, idx, lo_cut, hi_cut))
-                else:
-                    pieces.append(template)
-            else:
-                pieces.append(bump[lo_cut:len(bump) - hi_cut])
-            slices.append(slice(a, b))
-        vals = pieces[0]
-        for piece in pieces[1:]:
-            vals = np.multiply.outer(vals, piece)
-        return tuple(slices), vals
+        width = len(template)
+        lo_cut, hi_cut = max(-starts[0], 0), max(starts[0] + width - n, 0)
+        if (lo_cut or hi_cut) and lo_cut + hi_cut < width:
+            template = np.zeros(width)
+            template[lo_cut:width - hi_cut] = self._clipped_template(
+                cube.scale, idx, lo_cut, hi_cut)
+        bump = [self._bump_template(0, cube.scale)] if self.root.d > 1 else []
+        return clipped_outer(starts, [template] + bump * (self.root.d - 1), n)
 
     def bump_values(self, cube: DyadicCube, member: int = 0):
         """Noncancellative normalized bump adapted to the cube."""
-        root = self.root
-        template = self._bump_template(member, cube.scale)
-        m = 1 << (cube.scale - root.J)
+        m = 1 << (cube.scale - self.root.J)
         half = (self.family.w - 1) // 2
-        n = root.cells_per_side
-        slices, pieces = [], []
-        for p in cube.pos:
-            s0 = (p - half) * m
-            a, b = max(s0, 0), min(s0 + len(template), n)
-            if a >= b:
-                return None, None
-            slices.append(slice(a, b))
-            pieces.append(template[a - s0:b - s0])
-        vals = pieces[0]
-        for piece in pieces[1:]:
-            vals = np.multiply.outer(vals, piece)
-        return tuple(slices), vals
+        template = self._bump_template(member, cube.scale)
+        return clipped_outer([(p - half) * m for p in cube.pos],
+                             [template] * self.root.d, self.root.cells_per_side)
 
     # -- intrinsic coefficients ----------------------------------------------
 
@@ -302,49 +285,75 @@ class TestDictionary:
             mask = np.logical_and.outer(mask, band)
         return mask
 
-    def coeff_arrays(self, f: GridFunction) -> dict[int, np.ndarray]:
-        """Per-scale arrays of the intrinsic coefficient at every position."""
-        root = self.root
-        out = {}
-        canonical = self.basis.analyze(f.samples)
-        for scale in range(root.J, root.L + 1):
-            npos = root.positions_per_side(scale)
-            best = np.zeros((npos,) * root.d)
-            if scale > root.J:
-                can = np.abs(canonical.data[scale]) / self.family.class_constant
-                best = np.where(self._canonical_mask(scale), can, 0.0)
-            for idx in range(len(self._templates[scale])):
-                best = np.maximum(best, self._member_pairings(f, scale, idx))
-            out[scale] = best
+    def _boundary(self, scale: int, bank: np.ndarray):
+        """Clip-corrected axis-0 rows of the sampled members ``bank`` at the
+        positions whose w-window leaves the box, as the ``boundary`` blocks
+        of ``strided_pairings``.
+
+        The low positions only reach cells below 2 half 2^t and the high ones
+        only cells above n - 2 half 2^t, so each block is trimmed to that.
+        """
+        m = 1 << (scale - self.root.J)
+        half = (self.family.w - 1) // 2
+        n = self.root.cells_per_side
+        npos = n // m
+        width = bank.shape[1]
+        r = min(half, npos)
+        if not r:
+            return []
+        ncols = min(2 * half * m, n)
+        out = []
+        for p0, c0 in ((0, 0), (npos - r, n - ncols)):
+            block = np.zeros((ncols, r, len(bank)))
+            for i in range(r):
+                s0 = (p0 + i - half) * m
+                a, b = max(s0, 0), min(s0 + width, n)
+                for k in range(len(bank)):
+                    block[a - c0:b - c0, i, k] = self._clip_correct(
+                        scale, k, a - s0, s0 + width - b)
+            out.append((np.arange(p0, p0 + r), c0, block.reshape(ncols, -1)))
         return out
 
-    def _member_pairings(self, f: GridFunction, scale: int, idx: int) -> np.ndarray:
-        """|pairing| of sampled member ``idx`` at every position of a scale."""
+    def _scale_operator(self, scale: int):
+        """(groups, canonical mask) of a scale, built on first use.
+
+        A group is (axis-0 bank, template on the other axes, boundary
+        blocks).  The canonical row is its own group with the wavelet factor
+        on the other axes; zero extension clips it, and the mask drops the
+        positions where that clip cuts its support."""
+        op = self._operators.get(scale)
+        if op is not None:
+            return op
+        members = self._templates[scale]
+        groups = [(members, self._bump_template(0, scale), self._boundary(scale, members))] \
+            if len(members) else []
+        mask = None
+        if scale > self.root.J:
+            row = self._canonical_row(scale)
+            groups.insert(0, (row[None] / self.family.class_constant, row, []))
+            mask = self._canonical_mask(scale)
+        op = self._operators[scale] = (groups, mask)
+        return op
+
+    def coeff_arrays(self, f: GridFunction) -> dict[int, np.ndarray]:
+        """Per-scale arrays of the intrinsic coefficient at every position:
+        max over the bank of |pairing|, the canonical row masked where its
+        atom is clipped.  O(w n) per scale through ``strided_pairings``."""
         root = self.root
-        template = self._templates[scale][idx]
-        m = 1 << (scale - root.J)
         half = (self.family.w - 1) // 2
-        npos = root.positions_per_side(scale)
-        interior = range(npos)
-        if root.d == 1:
-            corr = np.correlate(f.samples, template, mode="full")
-            pidx = len(template) - 1 + (np.arange(npos) - half) * m
-            vals = np.abs(corr[pidx]) * root.cell_measure
-            # boundary positions need the clip-corrected variant
-            for p in range(npos):
-                s0 = (p - half) * m
-                if s0 >= 0 and s0 + len(template) <= root.cells_per_side:
-                    continue
-                slices, wvals = self._member_window(DyadicCube(scale, (p,)), idx)
-                vals[p] = 0.0 if slices is None else abs(
-                    np.sum(f.samples[slices] * wvals) * root.cell_measure)
-            return vals
-        out = np.zeros((npos,) * root.d)
-        for pos in itertools.product(interior, repeat=root.d):
-            slices, wvals = self._member_window(DyadicCube(scale, pos), idx)
-            if slices is None:
+        out = {}
+        for scale in range(root.J, root.L + 1):
+            m = 1 << (scale - root.J)
+            groups, mask = self._scale_operator(scale)
+            vals = [np.abs(strided_pairings(f.samples, bank, tail, -half * m, m, boundary))
+                    for bank, tail, boundary in groups]
+            if not vals:
+                out[scale] = np.zeros((root.positions_per_side(scale),) * root.d)
                 continue
-            out[pos] = abs(np.sum(f.samples[slices] * wvals) * root.cell_measure)
+            vals = np.concatenate(vals, axis=-1)
+            if mask is not None:
+                vals[..., 0] *= mask
+            out[scale] = vals.max(axis=-1) * root.cell_measure
         return out
 
 

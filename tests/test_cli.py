@@ -113,6 +113,11 @@ def test_cli_unknown_suite_usage_error(tmp_path):
         main(["suite", "nonsense", "--out", str(tmp_path)])
 
 
+def test_cli_rejects_removed_threads_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["theorem-probe", "--threads", "2", "--out", str(tmp_path)])
+
+
 def test_cli_suite_reproducible_csv(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("[ensemble]\ncount = 10\n", encoding="utf-8")

@@ -1,4 +1,7 @@
 import os
+import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +212,69 @@ def test_gridfunction_io_roundtrip(tmp_path, root8, rng):
     save_gridfunction_csv(tmp_path / "f.csv", f)
     lines = (tmp_path / "f.csv").read_text().strip().splitlines()
     assert len(lines) == root8.n_cells + 1
+
+
+def test_gridfunction_load_rejects_truncated_payload(tmp_path, root8, rng):
+    path = tmp_path / "f.gfn"
+    save_gridfunction(path, GridFunction(root8, rng.standard_normal(root8.shape)))
+    data = path.read_bytes()
+    path.write_bytes(data[:-8])
+    with pytest.raises(ValueError, match=f"{8 * root8.n_cells} bytes.*{8 * root8.n_cells - 8}"):
+        load_gridfunction(path)
+    path.write_bytes(data[:20])
+    with pytest.raises(ValueError, match="header"):
+        load_gridfunction(path)
+
+
+def test_gridfunction_load_ignores_trailing_bytes(tmp_path, root8, rng):
+    f = GridFunction(root8, rng.standard_normal(root8.shape))
+    path = tmp_path / "f.gfn"
+    save_gridfunction(path, f)
+    with open(path, "ab") as fh:
+        fh.write(b"trailer")
+    assert np.array_equal(load_gridfunction(path).samples, f.samples)
+
+
+def _load_through_fifo(path, data: bytes):
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return load_gridfunction(path)
+    finally:
+        writer.join()
+
+
+def test_gridfunction_load_from_pipe(tmp_path, root8, rng):
+    # a pipe reports size 0, so the payload is checked as it arrives
+    f = GridFunction(root8, rng.standard_normal(root8.shape))
+    save_gridfunction(tmp_path / "f.gfn", f)
+    data = (tmp_path / "f.gfn").read_bytes()
+    g = _load_through_fifo(tmp_path / "whole.gfn", data)
+    assert np.array_equal(g.samples, f.samples)
+    with pytest.raises(ValueError, match=f"{8 * root8.n_cells} bytes.*stream holds "
+                                         f"{8 * root8.n_cells - 8}"):
+        _load_through_fifo(tmp_path / "short.gfn", data[:-8])
+
+
+def test_gridfunction_load_rejects_huge_header_without_allocating(tmp_path):
+    # a self-consistent header for 2^60 cells and no payload
+    root = RootBox(d=3, L=0, J=-20)
+    path = tmp_path / "huge.gfn"
+    path.write_bytes(struct.pack("<qqqq", 3, 0, -20, root.n_cells))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{8 * root.n_cells} bytes.* 0$"):
+            load_gridfunction(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gridfunction_io_rejects_complex(tmp_path, root8):

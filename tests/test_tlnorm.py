@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadica import AtomBasis, DyadicCube, RootBox, build_family
 from dyadica.funcspace import GridFunction, local_average
@@ -192,3 +194,65 @@ def test_d2_dictionary_cancellation(family3):
     d2 = TestDictionary(basis, size=3)
     poly = GridFunction.from_callable(root, lambda x, y: 1 + x - 2 * y + x * y)
     assert bmo_norm(poly, d2) < 1e-8
+
+
+_FAMILIES = {}
+
+
+def _family(N):
+    if N not in _FAMILIES:
+        _FAMILIES[N] = build_family(N)
+    return _FAMILIES[N]
+
+
+@pytest.mark.parametrize("d, J, N, size", [
+    (1, -5, 1, 4), (1, -6, 2, 6), (1, -6, 3, 8), (1, -2, 3, 8),
+    (2, -4, 2, 4), (2, -4, 3, 3), (3, -3, 2, 3)])
+def test_coeff_arrays_match_intrinsic_coeff(d, J, N, size):
+    # the strided bank against the per-cube member windows, boundary
+    # cubes (clip-corrected members, masked canonical atom) included
+    root = RootBox(d=d, L=0, J=J)
+    dictionary = TestDictionary(AtomBasis(_family(N), root), size=size)
+    f = GridFunction(root, np.random.default_rng([d, -J, N]).standard_normal(root.shape))
+    fast = dictionary.coeff_arrays(f)
+    assert sorted(fast) == list(range(root.J, root.L + 1))
+    for scale, arr in fast.items():
+        assert arr.shape == (root.positions_per_side(scale),) * d
+        slow = np.zeros_like(arr)
+        for cube in root.cubes_at_scale(scale):
+            slow[cube.pos] = intrinsic_coeff(f, cube, dictionary)
+        np.testing.assert_allclose(arr, slow, rtol=1e-12, atol=1e-300)
+
+
+def test_coeff_arrays_complex_samples(dict_small, rng):
+    root = dict_small.root
+    re, im = rng.standard_normal((2,) + root.shape)
+    fast = dict_small.coeff_arrays(GridFunction(root, re + 1j * im))
+    for cube in [DyadicCube(-6, (0,)), DyadicCube(-4, (7,)), DyadicCube(-2, (3,))]:
+        slow = intrinsic_coeff(GridFunction(root, re + 1j * im), cube, dict_small)
+        assert fast[cube.scale][cube.pos] == pytest.approx(slow, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(3, 7),
+       d=st.sampled_from([1, 2]), N=st.integers(1, 4))
+def test_coeff_arrays_annihilate_polynomials(seed, depth, d, N):
+    # every member, clipped boundary variants included, kills sampled
+    # polynomials of degree <= k at every position of every scale
+    fam = _family(N)
+    root = RootBox(d=d, L=0, J=-depth)
+    dictionary = TestDictionary(AtomBasis(fam, root), size=5)
+    rng = np.random.default_rng(seed)
+    x = root.midpoints_1d()
+    grids = np.meshgrid(*([x] * d), indexing="ij")
+    samples = np.zeros(root.shape)
+    for alpha in itertools.product(range(fam.k + 1), repeat=d):
+        if sum(alpha) <= fam.k:
+            term = rng.uniform(-1.0, 1.0)
+            for g, a in zip(grids, alpha):
+                term = term * g ** a
+            samples = samples + term
+    f = GridFunction(root, samples)
+    size = max(1.0, float(np.max(np.abs(samples))))
+    for scale, arr in dictionary.coeff_arrays(f).items():
+        assert np.max(arr) < 1e-10 * size, (scale, np.max(arr))

@@ -177,3 +177,20 @@ def test_coefficient_tree_ops(root8):
         t1[DyadicCube(-9, (0,))] = 1.0
     with pytest.raises(ValueError):
         t1[DyadicCube(-3, (900,))] = 1.0
+
+
+@pytest.mark.parametrize("d, J, N", [(1, -6, 1), (1, -7, 3), (1, -3, 4),
+                                     (2, -4, 2), (2, -5, 3), (3, -3, 2)])
+def test_analyze_matches_per_cube_pair(d, J, N, rng):
+    # the strided filter bank against the clipped per-cube atom windows
+    root = RootBox(d=d, L=0, J=J)
+    basis = AtomBasis(build_family(N), root)
+    f = rng.standard_normal(root.shape)
+    tree = basis.analyze(f)
+    assert sorted(tree.data) == list(range(root.J + 1, root.L + 1))
+    for scale, arr in tree.data.items():
+        slow = np.zeros_like(arr)
+        for cube in root.cubes_at_scale(scale):
+            slow[cube.pos] = basis.pair(f, cube, "wavelet")
+        np.testing.assert_allclose(arr, slow, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(slow)))
