@@ -27,7 +27,7 @@ from .funcspace import (GridFunction, load_gridfunction, lp_norm,
 from .paraproduct import ParaproductSpec, apply_paraproduct
 from .sparse import StoppingConfig, build_sparse, verify_domination
 from .suites import run_suite, run_theorem_probe, suite_testbench, workspace, write_csv
-from .tlnorm import NormSpec, tl_norm
+from .tlnorm import NormSpec, tl_norms
 from .wavelet import CoefficientTree
 
 
@@ -49,12 +49,17 @@ def load_symbol_csv(path, root: RootBox) -> CoefficientTree:
     tree = CoefficientTree(root, dtype=complex)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:1] != ["cube"]:
-            raise ValueError("symbol CSV needs columns cube,re,im")
+        header = next(reader, None)
+        if header is None or header[:1] != ["cube"]:
+            raise ValueError(f"{path}, line 1: symbol CSV needs columns cube,re,im")
         for row in reader:
-            cube = DyadicCube.from_token(row[0])
-            tree[cube] = float(row[1]) + 1j * float(row[2])
+            try:
+                if len(row) < 3:
+                    raise ValueError(f"expected cube,re,im, got {len(row)} field(s)")
+                cube = DyadicCube.from_token(row[0])
+                tree[cube] = float(row[1]) + 1j * float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if all(np.allclose(a.imag, 0.0) for a in tree.data.values()):
         real = CoefficientTree(root)
         real.data = {s: a.real.copy() for s, a in tree.data.items()}
@@ -80,22 +85,24 @@ def _parse_norm_specs(text: str) -> list[NormSpec]:
     return out
 
 
-def cmd_suite(args) -> int:
+def _seeded_config(args) -> ExperimentConfig:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.raw.set("ensemble", "seed", str(args.seed))
-    return run_suite(args.names, cfg, args.out)
+    return cfg
+
+
+def cmd_suite(args) -> int:
+    return run_suite(args.names, _seeded_config(args), args.out)
 
 
 def cmd_norms(args) -> int:
     cfg = _load_config(args.config)
     f = load_gridfunction(args.input)
     ws = _workspace_for(cfg, f.root)
-    coeffs = ws.dictionary.coeff_arrays(f)
-    rows = []
-    for spec in _parse_norm_specs(args.specs):
-        val = tl_norm(f, spec, ws.dictionary, coeffs)
-        rows.append([spec.n, spec.m, spec.p, spec.q, repr(val), cfg.config_hash])
+    specs = _parse_norm_specs(args.specs)
+    rows = [[spec.n, spec.m, spec.p, spec.q, repr(val), cfg.config_hash]
+            for spec, val in zip(specs, tl_norms(f, specs, ws.dictionary).tolist())]
     write_csv(os.path.join(args.out, "norms.csv"),
               ["n", "m", "p", "q", "value", "config_hash"], rows)
     for row in rows:
@@ -160,7 +167,7 @@ def cmd_sparse(args) -> int:
 
 
 def cmd_testbench(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _seeded_config(args)
     os.makedirs(args.out, exist_ok=True)
     rows = suite_testbench(cfg, args.out)
     bad = [r for r in rows if not r.passed]
@@ -170,9 +177,7 @@ def cmd_testbench(args) -> int:
 
 
 def cmd_theorem_probe(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.raw.set("ensemble", "seed", str(args.seed))
+    cfg = _seeded_config(args)
     os.makedirs(args.out, exist_ok=True)
     worst, table, _ = run_theorem_probe(cfg, args.out)
     print(f"worst growth factor {worst:.4f} over {len(table)} variants "
@@ -187,14 +192,15 @@ def main(argv=None) -> int:
                     "domination, testing benches")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--config", default=None, help="INI-style config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:  # only the commands that draw seeded ensembles
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("suite", help="run named acceptance suites (all if none)")
     p.add_argument("names", nargs="*", default=[])
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("norms", help="evaluate symbol norms of a function file")
@@ -217,11 +223,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_sparse)
 
     p = sub.add_parser("testbench", help="kernel registry bench")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_testbench)
 
     p = sub.add_parser("theorem-probe", help="boundedness ratio sweep")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(fn=cmd_theorem_probe)
 
     args = parser.parse_args(argv)

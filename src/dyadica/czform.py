@@ -9,6 +9,7 @@ excluded mass estimated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -33,6 +34,24 @@ def _common_support_nonempty(fs) -> bool:
     return bool(np.any(mask))
 
 
+@functools.lru_cache(maxsize=4)
+def _kernel_matrix(kernel, root: RootBox, eps_trunc: float):
+    """Bilinear kernel on the midpoint grid, d = 1: the matrix with cells
+    within ``eps_trunc`` of the diagonal zeroed, and the (rows, cols, kernel
+    values) of those excluded off-diagonal cells.  Cached on the kernel
+    callable, so a kernel must not change after its first use."""
+    x = root.midpoints_1d()
+    xx0, xx1 = np.meshgrid(x, x, indexing="ij")
+    keep = np.abs(xx0 - xx1) > eps_trunc
+    K = np.where(keep, kernel(xx0, xx1), 0.0)
+    near = ~keep & (np.abs(xx0 - xx1) > 0)
+    rows, cols = np.nonzero(near)
+    near_vals = np.array(kernel(xx0[near], xx1[near]))
+    for arr in (K, rows, cols, near_vals):
+        arr.flags.writeable = False
+    return K, rows, cols, near_vals
+
+
 def form_quadrature(kernel, root: RootBox, fs, eps_trunc: float) -> dict:
     """Tensor-grid quadrature of an (n+1)-linear kernel form, d = 1.
 
@@ -46,22 +65,18 @@ def form_quadrature(kernel, root: RootBox, fs, eps_trunc: float) -> dict:
     if eps_trunc <= 0.0 and _common_support_nonempty(fs):
         raise SingularConfigurationError(
             "inputs share support and the kernel carries no truncation radius")
-    x = root.midpoints_1d()
     h = root.cell_width
     if n == 1:
-        xx0, xx1 = np.meshgrid(x, x, indexing="ij")
-        keep = np.abs(xx0 - xx1) > eps_trunc
-        K = np.where(keep, kernel(xx0, xx1), 0.0)
+        K, rows, cols, near_vals = _kernel_matrix(kernel, root, eps_trunc)
         value = float(fs[0].samples @ K @ fs[1].samples) * h ** 2
-        near = ~keep & (np.abs(xx0 - xx1) > 0)
-        excluded = float(np.sum(np.abs(kernel(xx0[near], xx1[near])
-                                       * fs[0].samples[np.nonzero(near)[0]]
-                                       * fs[1].samples[np.nonzero(near)[1]]))) * h ** 2 \
-            if np.any(near) else 0.0
+        excluded = float(np.sum(np.abs(near_vals * fs[0].samples[rows]
+                                       * fs[1].samples[cols]))) * h ** 2 \
+            if len(rows) else 0.0
         return {"value": value, "excluded_mass": excluded}
     if n == 2:
         value = 0.0
         excluded = 0.0
+        x = root.midpoints_1d()
         xx1, xx2 = np.meshgrid(x, x, indexing="ij")
         for a, x0 in enumerate(x):
             w0 = fs[0].samples[a]
@@ -84,7 +99,10 @@ def form_quadrature(kernel, root: RootBox, fs, eps_trunc: float) -> dict:
 @dataclass
 class KernelSpec:
     """A registered (n+1)-linear form: closed-form kernel, tabulated grid
-    kernel, a planted paraproduct form, or zero."""
+    kernel, a planted paraproduct form, or zero.
+
+    The kernel callable is built once, at construction, and its n = 1 matrix
+    is cached on that callable, so a spec must not be mutated afterwards."""
 
     root: RootBox
     n: int
@@ -105,6 +123,9 @@ class KernelSpec:
             self.n = self.planted.arity
         if self.kind == "tabulated" and self.table is None:
             raise ValueError("tabulated kernels need a value table")
+        self._kernel = (self._convolution_kernel() if self.kind == "convolution"
+                        else self._tabulated_kernel() if self.kind == "tabulated"
+                        else None)
 
     # -- kernel callables ---------------------------------------------------
 
@@ -148,9 +169,7 @@ class KernelSpec:
             return 0.0
         if self.kind == "planted":
             return pairing(apply_paraproduct(self.planted, list(fs[1:])), fs[0])
-        kernel = (self._convolution_kernel() if self.kind == "convolution"
-                  else self._tabulated_kernel())
-        return form_quadrature(kernel, self.root, fs, self.eps_trunc)["value"]
+        return form_quadrature(self._kernel, self.root, fs, self.eps_trunc)["value"]
 
     def evaluate_adjoint(self, j: int, fs) -> float:
         """j-th adjoint: exchange slot 0 with slot j."""
@@ -170,19 +189,15 @@ class KernelSpec:
             raise NotImplementedError("kernel application is d = 1")
         x = self.root.midpoints_1d()
         h = self.root.cell_width
-        kernel = (self._convolution_kernel() if self.kind == "convolution"
-                  else self._tabulated_kernel())
         if self.n == 1:
-            xx0, xx1 = np.meshgrid(x, x, indexing="ij")
-            keep = np.abs(xx0 - xx1) > self.eps_trunc
-            K = np.where(keep, kernel(xx0, xx1), 0.0)
+            K = _kernel_matrix(self._kernel, self.root, self.eps_trunc)[0]
             return GridFunction(self.root, (K @ fs[0].samples) * h)
         if self.n == 2:
             out = np.zeros_like(x)
             xx1, xx2 = np.meshgrid(x, x, indexing="ij")
             for a, x0 in enumerate(x):
                 dist = np.maximum(np.abs(x0 - xx1), np.abs(x0 - xx2))
-                K = np.where(dist > self.eps_trunc, kernel(x0, xx1, xx2), 0.0)
+                K = np.where(dist > self.eps_trunc, self._kernel(x0, xx1, xx2), 0.0)
                 out[a] = fs[0].samples @ K @ fs[1].samples
             return GridFunction(self.root, out * h ** 2)
         raise NotImplementedError(f"kernel arity n = {self.n} not supported")
@@ -275,6 +290,7 @@ def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
         out.trees[gamma] = CoefficientTree(root)
     for j in range(1, spec.n + 1):
         out.star[j] = CoefficientTree(root)
+    monomials = {g: _monomial(root, g).samples for g in multi_indices_upto(root.d, k)}
     for cube in cubes:
         slices, vals = basis.atom_values(cube, "wavelet")
         if slices is None:
@@ -283,20 +299,19 @@ def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
         phi.samples[slices] = vals
         scale_k = cube.side ** k
         center = cube.center()
+        # nested cutoffs; the innermost truncates the monomials
+        cuts = [_radial_bump(root, center, mult * A * cube.side)
+                for mult in (1.0, 2.0, 4.0)]
         for gamma in gammas:
-            fs = [phi]
-            for gamma_j in gamma:
-                mono = _monomial(root, gamma_j)
-                bump = _radial_bump(root, center, A * cube.side)
-                fs.append(GridFunction(root, mono.samples * bump.samples))
+            fs = [phi] + [GridFunction(root, monomials[g] * cuts[0].samples)
+                          for g in gamma]
             out.trees[gamma][cube] = scale_k * spec.evaluate(fs)
         # adjoint symbols against nested cutoffs with stabilization check;
         # values below the weak-boundedness unit count as stabilized at zero
         floor = 1e-10 * cube.measure ** (-spec.n)
         for j in range(1, spec.n + 1):
             vals_by_radius = []
-            for mult in (1.0, 2.0, 4.0):
-                cut = _radial_bump(root, center, mult * A * cube.side)
+            for cut in cuts:
                 fs = [phi] + [cut.copy() for _ in range(spec.n)]
                 vals_by_radius.append(spec.evaluate_adjoint(j, fs))
             v2, v4 = vals_by_radius[1], vals_by_radius[2]

@@ -30,7 +30,7 @@ from .paraproduct import (ParaproductSpec, adjoint_apply, apply_paraproduct,
 from .sparse import (SparseCollection, StoppingConfig, build_sparse,
                      sparse_form_eval, taylor_pair_ratio,
                      taylor_telescoping_ratio, verify_domination)
-from .tlnorm import NormSpec, TestDictionary, bmo_norm, tl_norm
+from .tlnorm import NormSpec, TestDictionary, bmo_norm, tl_norm, tl_norms
 from .wavelet import AtomBasis, CoefficientTree, build_family, l2_norm
 
 SUITE_NAMES = ("wavelet", "norms", "paraproduct", "sparse", "testbench", "theorem")
@@ -181,18 +181,19 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
                for u in (0, 1)
                for pr in ((1.0, 2.0), (2.0, 4.0))
                for qs in ((np.inf, 2.0), (2.0, 1.0))]
+    # per lattice instance the pair (a, b) with a <= b expected, then the
+    # John-Nirenberg exponents
+    specs = [spec for u, (p, r), (q, s) in lattice
+             for spec in (NormSpec(0.0, 0.0, p, q), NormSpec(0.0 + u, 0.0 - u, r, s))]
+    specs += [NormSpec(0.0, 0.0, p, 2.0) for p in (1.0, 2.0, 4.0)]
     worst_gap = -np.inf
     jn_worst = 0.0
     jn_values = []
     for i in range(cfg.ensemble_count):
         f = mixed_function(rng, ws.basis, kind=i)
-        coeffs = ws.dictionary.coeff_arrays(f)
-        for u, (p, r), (q, s) in lattice:
-            a = tl_norm(f, NormSpec(0.0, 0.0, p, q), ws.dictionary, coeffs)
-            b = tl_norm(f, NormSpec(0.0 + u, 0.0 - u, r, s), ws.dictionary, coeffs)
-            worst_gap = max(worst_gap, a - b)
-        vals = [tl_norm(f, NormSpec(0.0, 0.0, p, 2.0), ws.dictionary, coeffs)
-                for p in (1.0, 2.0, 4.0)]
+        values = tl_norms(f, specs, ws.dictionary).tolist()
+        pairs, vals = values[:2 * len(lattice)], values[2 * len(lattice):]
+        worst_gap = max(worst_gap, *(a - b for a, b in zip(pairs[::2], pairs[1::2])))
         if min(vals) > 1e-13:
             ratio = max(vals) / min(vals)
             jn_values.append(ratio)
@@ -652,13 +653,6 @@ def _member_wnorm(ws, mem, which, kappa, r):
     return mem["wcache"][key]
 
 
-def _member_tl(ws, mem, spec: NormSpec):
-    if spec not in mem["tlcache"]:
-        mem["tlcache"][spec] = tl_norm(mem["bfunc"], spec, ws.dictionary,
-                                       _member_coeffs(ws, mem))
-    return mem["tlcache"][spec]
-
-
 def probe_variants(cfg: ExperimentConfig):
     """(label, kappa, split, exponents, adjoint) tuples for the probe sweep."""
     for kappa in cfg.probe_kappas:
@@ -702,11 +696,29 @@ def _adjoint_exponent(split, exps, j, sign, kappa):
     return val if val > 1.0 else None
 
 
+def _variant_norm(cfg: ExperimentConfig, kappa, split, exps, adjoint):
+    """(symbol NormSpec, output, output smoothness) of a probe variant; the
+    output is "out" or ("adj", j).  None when the adjoint exponent is
+    degenerate."""
+    n = sum(split)
+    eps = cfg.probe_epsilon
+    if adjoint is None:
+        pi = ExperimentConfig.probe_pi(split, exps)
+        return NormSpec(float(kappa), -float(n), min(pi + eps, np.inf), 2.0), "out", kappa
+    j, sign = adjoint
+    pij = _adjoint_exponent(split, exps, j, sign, kappa)
+    if pij is None:
+        return None
+    n_j = split[j - 1]
+    if sign == "pos":
+        return NormSpec(float(kappa - n_j), float(n_j - n), pij + eps, 2.0), ("adj", j), kappa
+    return NormSpec(-float(n_j), float(n_j - n - kappa), pij + eps, 2.0), ("adj", j), -kappa
+
+
 def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
     """Criterion-7 sweep: ratio tables per variant per refinement level."""
     fam_n = cfg.probe_order
     members = cfg.probe_members
-    eps = cfg.probe_epsilon
     sweep = cfg.probe_j_sweep
     # scales pinned at the coarsest sweep root so draws match across levels;
     # symbols stay two refinement levels above the coarsest grid so their
@@ -718,6 +730,10 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
     symbol_scales = [s for s in default_atom_scales(ws0.basis)
                      if s >= max(sweep) + 2]
     input_scales = symbol_scales
+    variants = [(label, split, exps, norm)
+                for label, kappa, split, exps, adjoint in probe_variants(cfg)
+                if (norm := _variant_norm(cfg, kappa, split, exps, adjoint))]
+    norm_specs = list(dict.fromkeys(norm[0] for *_, norm in variants))
     table = {}
     detail_rows = []
     for J in sweep:
@@ -727,47 +743,23 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
                               input_scales=input_scales,
                               atom_source=atom_source)
                 for i in range(members)]
-        for label, kappa, split, exps, adjoint in probe_variants(cfg):
-            n = sum(split)
+        for mem in mems:
+            values = tl_norms(mem["bfunc"], norm_specs, ws.dictionary,
+                              _member_coeffs(ws, mem))
+            mem["tlcache"] = dict(zip(norm_specs, map(float, values)))
+        for label, split, exps, (norm_spec, which, target) in variants:
             r = ExperimentConfig.holder_r(exps)
             ratios = []
             skipped = 0
-            if adjoint is None:
-                pi = ExperimentConfig.probe_pi(split, exps)
-                norm_spec = NormSpec(float(kappa), -float(n),
-                                     min(pi + eps, np.inf), 2.0)
-                for mem in mems:
-                    rhs = _member_tl(ws, mem, norm_spec)
-                    for nj, (idx, p) in zip(split, enumerate(exps)):
-                        rhs *= _member_wnorm(ws, mem, idx, nj, p)
-                    if rhs < 1e-12:
-                        skipped += 1
-                        continue
-                    lhs = _member_wnorm(ws, mem, "out", kappa, r)
-                    ratios.append(lhs / rhs)
-            else:
-                j, sign = adjoint
-                pij = _adjoint_exponent(split, exps, j, sign, kappa)
-                if pij is None:
+            for mem in mems:
+                rhs = mem["tlcache"][norm_spec]
+                for nj, (idx, p) in zip(split, enumerate(exps)):
+                    rhs *= _member_wnorm(ws, mem, idx, nj, p)
+                if rhs < 1e-12:
+                    skipped += 1
                     continue
-                n_j = split[j - 1]
-                if sign == "pos":
-                    norm_spec = NormSpec(float(kappa - n_j), float(n_j - n),
-                                         pij + eps, 2.0)
-                    target = kappa
-                else:
-                    norm_spec = NormSpec(-float(n_j), float(n_j - n - kappa),
-                                         pij + eps, 2.0)
-                    target = -kappa
-                for mem in mems:
-                    rhs = _member_tl(ws, mem, norm_spec)
-                    for nj, (idx, p) in zip(split, enumerate(exps)):
-                        rhs *= _member_wnorm(ws, mem, idx, nj, p)
-                    if rhs < 1e-12:
-                        skipped += 1
-                        continue
-                    lhs = _member_wnorm(ws, mem, ("adj", j), target, r)
-                    ratios.append(lhs / rhs)
+                lhs = _member_wnorm(ws, mem, which, target, r)
+                ratios.append(lhs / rhs)
             if ratios:
                 table.setdefault(label, {})[J] = max(ratios)
                 detail_rows.append([label, J, max(ratios), float(np.median(ratios)),

@@ -128,6 +128,7 @@ class TestDictionary:
         # boundary cubes get clip-corrected variants
         self._templates: dict[int, np.ndarray] = {}
         self._clip_cache: dict = {}
+        self._bump_cache: dict = {}
         self._operators: dict = {}
         for scale in range(self.root.J, self.root.L + 1):
             rows = [t for t in (self._sampled_template(prof, cref, scale)
@@ -201,10 +202,14 @@ class TestDictionary:
         return vals / const
 
     def _bump_template(self, member: int, scale: int) -> np.ndarray:
+        """Normalized bump on the w-window (cached, read-only)."""
         idx = member % len(self._bump_recipes)
-        u = self._cube_offsets(scale)
-        vals = self._bump_recipes[idx](u)
-        return vals / self._bump_constants[idx] / 2.0 ** scale
+        cached = self._bump_cache.get((idx, scale))
+        if cached is None:
+            vals = self._bump_recipes[idx](self._cube_offsets(scale))
+            cached = self._bump_cache[idx, scale] = vals / self._bump_constants[idx] / 2.0 ** scale
+            cached.flags.writeable = False
+        return cached
 
     def n_members(self, scale: int) -> int:
         extra = 1 if scale > self.root.J else 0
@@ -397,31 +402,50 @@ def square_function(f: GridFunction, region: DyadicCube, n: float, q: float,
     return out
 
 
-def tl_norm(f: GridFunction, spec: NormSpec, dictionary: TestDictionary,
-            coeffs: dict[int, np.ndarray] | None = None) -> float:
-    """sup over admissible cubes of side^{-m} <S^n_{q,Q} f>_{p,Q}."""
+def tl_norms(f: GridFunction, specs, dictionary: TestDictionary,
+             coeffs: dict[int, np.ndarray] | None = None) -> np.ndarray:
+    """sup over admissible cubes of side^{-m} <S^n_{q,Q} f>_{p,Q}, for each
+    spec: the scale accumulation runs once per distinct (n, q), the block
+    means once per distinct (n, q, p), and the weight 2^{-m scale} last."""
+    specs = list(specs)
     fam = dictionary.family
-    if spec.n > fam.k or spec.m > fam.k:
-        raise ValueError(f"norm indices ({spec.n}, {spec.m}) exceed budget {fam.k}")
+    for spec in specs:
+        if spec.n > fam.k or spec.m > fam.k:
+            raise ValueError(f"norm indices ({spec.n}, {spec.m}) exceed budget {fam.k}")
     root = f.root
     if coeffs is None:
         coeffs = dictionary.coeff_arrays(f)
-    finite_q = not np.isinf(spec.q)
-    finite_p = not np.isinf(spec.p)
-    best = 0.0
-    acc = np.zeros(root.shape)
-    for scale in range(root.J, root.L + 1):
-        factor = 1 << (scale - root.J)
-        term = expand_blocks(coeffs[scale] / 2.0 ** (scale * spec.n), factor)
-        acc = acc + term ** spec.q if finite_q else np.maximum(acc, term)
-        s_vals = acc ** (1.0 / spec.q) if finite_q else acc
-        if finite_p:
-            local = block_mean(s_vals ** spec.p, factor) ** (1.0 / spec.p)
-        else:
-            local = block_max(s_vals, factor)
-        weight = 2.0 ** (-spec.m * scale)
-        best = max(best, weight * float(np.max(local)))
-    return best
+    scales = range(root.J, root.L + 1)
+    groups: dict = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.n, spec.q), {}).setdefault(spec.p, []).append(i)
+    out = np.zeros(len(specs))
+    for (n, q), by_p in groups.items():
+        finite_q = not np.isinf(q)
+        peaks = {p: [] for p in by_p}
+        acc = np.zeros(root.shape)
+        for scale in scales:
+            factor = 1 << (scale - root.J)
+            term = expand_blocks(coeffs[scale] / 2.0 ** (scale * n), factor)
+            acc = acc + term ** q if finite_q else np.maximum(acc, term)
+            s_vals = acc ** (1.0 / q) if finite_q else acc
+            for p in by_p:
+                if np.isinf(p):
+                    local = block_max(s_vals, factor)
+                else:
+                    local = block_mean(s_vals ** p, factor) ** (1.0 / p)
+                peaks[p].append(float(np.max(local)))
+        for p, idx in by_p.items():
+            for i in idx:
+                out[i] = max([0.0] + [2.0 ** (-specs[i].m * scale) * peak
+                                      for scale, peak in zip(scales, peaks[p])])
+    return out
+
+
+def tl_norm(f: GridFunction, spec: NormSpec, dictionary: TestDictionary,
+            coeffs: dict[int, np.ndarray] | None = None) -> float:
+    """sup over admissible cubes of side^{-m} <S^n_{q,Q} f>_{p,Q}."""
+    return float(tl_norms(f, [spec], dictionary, coeffs)[0])
 
 
 def bmo_norm(f: GridFunction, dictionary: TestDictionary,

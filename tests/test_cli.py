@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dyadica import DyadicCube, RootBox
+from dyadica import cli
 from dyadica.cli import load_symbol_csv, main, save_symbol_csv
 from dyadica.config import ExperimentConfig
 from dyadica.funcspace import GridFunction, save_gridfunction
@@ -127,3 +128,34 @@ def test_cli_suite_reproducible_csv(tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
     text = (out1 / "summary.csv").read_text()
     assert ExperimentConfig.from_file(cfg).config_hash in text
+
+
+@pytest.mark.parametrize("seed, expect", [(["--seed", "3"], 3), ([], 20240817)])
+def test_cli_testbench_applies_seed(tmp_path, monkeypatch, seed, expect):
+    seen = []
+    monkeypatch.setattr(cli, "suite_testbench",
+                        lambda cfg, out: seen.append(cfg.seed) or [])
+    assert main(["testbench", "--out", str(tmp_path)] + seed) == 0
+    assert seen == [expect]
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--input", "f.gfn"],
+    ["paraproduct", "--symbol", "sym.csv", "--inputs", "f.gfn"],
+    ["sparse", "--inputs", "f.gfn"]])
+def test_cli_unseeded_commands_reject_seed(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("", 1, "cube,re,im"),
+    ("cube,re,im\n1:-3:2,1.5,0.0\n1:-5:9,0.5\n", 3, "got 2 field"),
+    ("cube,re,im\n1:-3:2,1.5,0.0\n1:-5:9,abc,0.0\n", 3, "abc")])
+def test_symbol_csv_malformed_input(tmp_path, root8, text, line, what):
+    path = tmp_path / "sym.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"sym.csv, line {line}: .*{what}"):
+        load_symbol_csv(path, root8)

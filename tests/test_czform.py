@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from dyadica import AtomBasis, DyadicCube, RootBox, build_family
-from dyadica.czform import (KernelSpec, SingularConfigurationError,
+from dyadica.czform import (KernelSpec, SingularConfigurationError, _kernel_matrix,
                             form_quadrature, input_orders, sobolev_bound_bench,
                             wbp_check)
 from dyadica.czform import testing_norm as compute_testing_norm
@@ -89,6 +89,51 @@ def test_form_quadrature_reports_excluded_mass():
     rep = form_quadrature(lambda x, y: 1.0 / np.where(x == y, np.inf, x - y),
                           root, [f, f], eps_trunc=4 * root.cell_width)
     assert rep["excluded_mass"] > 0.0
+
+
+@pytest.mark.parametrize("kind", ["convolution", "tabulated"])
+def test_form_quadrature_cached_kernel_matches_fresh(kind):
+    root = RootBox(d=1, L=0, J=-6)
+    table = np.random.default_rng(3).standard_normal(root.shape * 2)
+    spec = KernelSpec(root, n=1, kind=kind, eps_trunc=3 * root.cell_width,
+                      strength=1.5, table=table)
+    fresh = (spec._convolution_kernel() if kind == "convolution"
+             else spec._tabulated_kernel())
+    f0 = GridFunction.from_callable(root, smooth_bump(0.45, 0.2))
+    f1 = GridFunction.from_callable(root, smooth_bump(0.55, 0.25))
+    expect = form_quadrature(fresh, root, [f0, f1], spec.eps_trunc)
+    assert expect["excluded_mass"] > 0.0
+    hits = _kernel_matrix.cache_info().hits
+    for _ in range(2):
+        got = form_quadrature(spec._kernel, root, [f0, f1], spec.eps_trunc)
+        assert got == expect
+    assert _kernel_matrix.cache_info().hits >= hits + 1
+    assert spec.evaluate([f0, f1]) == expect["value"]
+    # the truncation radius is part of the key
+    wider = form_quadrature(spec._kernel, root, [f0, f1], 2 * spec.eps_trunc)
+    assert wider == form_quadrature(fresh, root, [f0, f1], 2 * spec.eps_trunc)
+    assert wider["excluded_mass"] > expect["excluded_mass"]
+
+
+def test_apply_slot0_bilinear_matches_hand_matrix(rng):
+    root = RootBox(d=1, L=0, J=-6)
+    eps = 2 * root.cell_width
+    spec = KernelSpec(root, n=1, kind="convolution", eps_trunc=eps, strength=2.0)
+    x = root.midpoints_1d()
+    h = root.cell_width
+    diff = x[:, None] - x[None, :]
+    with np.errstate(divide="ignore"):
+        K = np.where(np.abs(diff) > eps, 2.0 / diff, 0.0)
+    f, g = (GridFunction(root, rng.standard_normal(root.shape)) for _ in range(2))
+    out = spec.apply_slot0([f])
+    np.testing.assert_allclose(out.samples, K @ f.samples * h, rtol=1e-14, atol=0.0)
+    # the form shares the matrix; its excluded mass sums the dropped cells
+    rep = form_quadrature(spec._kernel, root, [g, f], eps)
+    assert rep["value"] == pytest.approx(g.samples @ K @ f.samples * h ** 2, rel=1e-13)
+    near = (np.abs(diff) <= eps) & (diff != 0)
+    mass = np.sum(np.abs(2.0 / diff[near] * np.outer(g.samples, f.samples)[near])) * h ** 2
+    assert rep["excluded_mass"] == pytest.approx(mass, rel=1e-13)
+    assert pairing(out, g) == pytest.approx(rep["value"], rel=1e-12)
 
 
 def test_wbp_zero_and_homogeneity(bench):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dyadica import AtomBasis, DyadicCube, RootBox, build_family
 from dyadica.funcspace import GridFunction, local_average
 from dyadica.tlnorm import (NormSpec, TestDictionary, bmo_norm, intrinsic_coeff,
-                            square_function, tl_norm)
+                            square_function, tl_norm, tl_norms)
 from dyadica.wavelet import CoefficientTree
 
 
@@ -256,3 +256,63 @@ def test_coeff_arrays_annihilate_polynomials(seed, depth, d, N):
     size = max(1.0, float(np.max(np.abs(samples))))
     for scale, arr in dictionary.coeff_arrays(f).items():
         assert np.max(arr) < 1e-10 * size, (scale, np.max(arr))
+
+
+_NORM_DICTS = {}
+
+
+def _norm_dictionary(d):
+    # d = 1 at 16 cells, d = 2 at 8 x 8: small enough for the brute force
+    if d not in _NORM_DICTS:
+        root = RootBox(d=d, L=0, J=-4 if d == 1 else -3)
+        _NORM_DICTS[d] = TestDictionary(AtomBasis(_family(2), root), size=4 if d == 1 else 3)
+    return _NORM_DICTS[d]
+
+
+_SPEC = st.builds(NormSpec, n=st.sampled_from([-1.0, -0.5, 0.0, 1.0]),
+                  m=st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                  p=st.sampled_from([1.0, 2.0, 4.0, np.inf]),
+                  q=st.sampled_from([1.0, 2.0, np.inf]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+       specs=st.lists(_SPEC, min_size=1, max_size=6).map(lambda xs: xs + xs[:1]))
+def test_tl_norms_match_tl_norm_and_brute_force(seed, d, specs):
+    # shared accumulation over a spec list with a duplicate, mixed p, q = inf
+    # and negative n, m: the same numbers as one spec at a time
+    dictionary = _norm_dictionary(d)
+    root = dictionary.root
+    f = GridFunction(root, np.random.default_rng(seed).standard_normal(root.shape))
+    values = tl_norms(f, specs, dictionary)
+    assert values.shape == (len(specs),)
+    assert values[0] == values[-1]
+    np.testing.assert_array_equal(values, [tl_norm(f, s, dictionary) for s in specs])
+    slow = [brute_force_tl_norm(f, s, dictionary) for s in dict.fromkeys(specs)]
+    fast = dict(zip(specs, values))
+    np.testing.assert_allclose([fast[s] for s in dict.fromkeys(specs)], slow,
+                               rtol=1e-14, atol=0.0)
+
+
+def test_tl_norms_reuses_coeffs_and_checks_budget(dict8, rng):
+    f = GridFunction(dict8.root, rng.standard_normal(dict8.root.shape))
+    coeffs = dict8.coeff_arrays(f)
+    specs = [NormSpec(0, 0, 2, 2), NormSpec(1, -1, 4, 2)]
+    np.testing.assert_array_equal(tl_norms(f, specs, dict8, coeffs),
+                                  tl_norms(f, specs, dict8))
+    with pytest.raises(ValueError):
+        tl_norms(f, specs + [NormSpec(0.0, 5.0, 2, 2)], dict8)
+
+
+def test_bump_template_is_cached(dict8):
+    count = len(dict8._bump_recipes)
+    for scale in range(dict8.root.J, dict8.root.L + 1):
+        for member in range(count):
+            first = dict8._bump_template(member, scale)
+            assert dict8._bump_template(member, scale) is first
+            # members wrap around the bump recipes
+            assert dict8._bump_template(member + count, scale) is first
+            assert not first.flags.writeable
+            fresh = (dict8._bump_recipes[member](dict8._cube_offsets(scale))
+                     / dict8._bump_constants[member] / 2.0 ** scale)
+            np.testing.assert_array_equal(first, fresh)
