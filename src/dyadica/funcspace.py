@@ -13,7 +13,7 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,25 +90,13 @@ def local_average(f: GridFunction, cube: DyadicCube, p: float,
     return float((mass / measure) ** (1.0 / p)) if mass > 0 else 0.0
 
 
-def block_mean(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Mean over aligned blocks of side ``factor`` along every axis."""
+def block_reduce(arr: np.ndarray, factor: int, reduce=np.mean) -> np.ndarray:
+    """``reduce`` (np.mean, np.max or np.min) over aligned blocks of side
+    ``factor`` along every axis."""
     if factor == 1:
         return arr
-    d = arr.ndim
-    shape = []
-    for n in arr.shape:
-        shape.extend([n // factor, factor])
-    return arr.reshape(shape).mean(axis=tuple(range(1, 2 * d, 2)))
-
-
-def block_max(arr: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return arr
-    d = arr.ndim
-    shape = []
-    for n in arr.shape:
-        shape.extend([n // factor, factor])
-    return arr.reshape(shape).max(axis=tuple(range(1, 2 * d, 2)))
+    shape = [m for n in arr.shape for m in (n // factor, factor)]
+    return reduce(arr.reshape(shape), axis=tuple(range(1, 2 * arr.ndim, 2)))
 
 
 def expand_blocks(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -124,8 +112,8 @@ def scale_averages(f: GridFunction, scale: int, p: float) -> np.ndarray:
     factor = 1 << (scale - f.root.J)
     a = np.abs(f.samples)
     if np.isinf(p):
-        return block_max(a, factor)
-    return block_mean(a ** p, factor) ** (1.0 / p)
+        return block_reduce(a, factor, np.max)
+    return block_reduce(a ** p, factor) ** (1.0 / p)
 
 
 def dilated_scale_averages(f: GridFunction, scale: int, p: float,
@@ -135,9 +123,9 @@ def dilated_scale_averages(f: GridFunction, scale: int, p: float,
     factor = 1 << (scale - f.root.J)
     a = np.abs(f.samples)
     if np.isinf(p):
-        block = block_max(a, factor)
+        block = block_reduce(a, factor, np.max)
         return ndimage.maximum_filter(block, size=dilation, mode="constant", cval=0.0)
-    block = block_mean(a ** p, factor)
+    block = block_reduce(a ** p, factor)
     summed = ndimage.uniform_filter(block, size=dilation, mode="constant", cval=0.0)
     return summed ** (1.0 / p)
 
@@ -371,6 +359,12 @@ def sobolev_norm(f: GridFunction, kappa: int, r: float,
         return total
     if basis is None:
         raise ValueError("negative smoothness needs an atom basis")
+    return wavelet_sobolev_norm(f, kappa, r, basis)
+
+
+def wavelet_sobolev_norm(f: GridFunction, kappa: int, r: float, basis: AtomBasis) -> float:
+    """Wavelet square-function surrogate of the W^{kappa, r} norm, any kappa:
+    the L^r norm of (sum_Q |side(Q)^{-kappa} phi_Q(f)|^2 1_Q)^{1/2}."""
     tree = basis.analyze(f.samples)
     acc = np.zeros(f.root.shape)
     for scale in range(f.root.J + 1, f.root.L + 1):

@@ -13,51 +13,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicCube, RootBox
-from .funcspace import GridFunction, dilated_scale_averages, local_average, pairing
+from .dyadic import DyadicCube
+from .funcspace import GridFunction, dilated_scale_averages
 from .tlnorm import TestDictionary
-from .wavelet import AtomBasis, CoefficientTree
+from .wavelet import AtomBasis, AtomFamily, CoefficientTree
 
 
 class ArityError(ValueError):
     """Number of input functions does not match the spec arity."""
 
 
-def canonical_family(basis: AtomBasis, kind: str):
-    """Cube -> (slices, values) map for the canonical discrete atoms."""
-    def values(cube: DyadicCube):
-        return basis.atom_values(cube, kind)
-    return values
+def canonical_family(basis: AtomBasis, kind: str) -> AtomFamily:
+    """The canonical discrete atoms of ``kind`` ("wavelet" or "scaling")."""
+    return basis.atoms(kind)
 
 
-def dictionary_family(dictionary: TestDictionary, member: int, cancellative: bool):
-    def values(cube: DyadicCube):
-        if cancellative:
-            return dictionary.member_values(cube, member)
-        return dictionary.bump_values(cube, member)
-    return values
+def dictionary_family(dictionary: TestDictionary, member: int,
+                      cancellative: bool) -> AtomFamily:
+    """A dictionary member at every cube: cancellative (``member_family``)
+    or a normalized bump (``bump_values``)."""
+    if cancellative:
+        return dictionary.member_family(member)
+    return dictionary.bump_family(member)
 
 
-def unit_bump_family(dictionary: TestDictionary, member: int = 0):
+def unit_bump_family(dictionary: TestDictionary, member: int = 0) -> AtomFamily:
     """Smooth averaging family renormalized to exact unit discrete integral."""
-    cell = dictionary.root.cell_measure
-
-    def values(cube: DyadicCube):
-        slices, vals = dictionary.bump_values(cube, member)
-        if slices is None:
-            return None, None
-        mass = float(np.sum(vals)) * cell
-        if mass <= 0:
-            return None, None
-        return slices, vals / mass
-    return values
-
-
-def _pair(values_fn, cube: DyadicCube, f: GridFunction):
-    slices, vals = values_fn(cube)
-    if slices is None:
-        return 0.0
-    return np.sum(f.samples[slices] * vals) * f.root.cell_measure
+    return dictionary.bump_family(member, unit=True)
 
 
 @dataclass
@@ -69,8 +51,8 @@ class ParaproductSpec:
     basis: AtomBasis
     symbol: CoefficientTree
     arity: int
-    beta: object = None
-    chi: object = None
+    beta: AtomFamily = None
+    chi: AtomFamily = None
 
     def __post_init__(self):
         if self.arity < 1:
@@ -80,28 +62,35 @@ class ParaproductSpec:
         if self.chi is None:
             self.chi = canonical_family(self.basis, "scaling")
 
-    def zeta(self, cube: DyadicCube, fs) -> float:
+    def zeta(self, scale: int, fs) -> np.ndarray:
+        """zeta_Q(f) at every position of ``scale``."""
         out = 1.0
         for f in fs:
-            out *= _pair(self.chi, cube, f)
+            out = out * self.chi.pair(f.samples, scale)
         return out
 
 
-def apply_paraproduct(spec: ParaproductSpec, fs) -> GridFunction:
-    """Sum over the symbol support of |Q| b_Q zeta_Q(f) beta_Q."""
+def _symbol_scales(symbol: CoefficientTree):
+    """(scale, |Q|, coefficients) of the scales with a nonzero coefficient."""
+    d = symbol.root.d
+    return [(scale, 2.0 ** (scale * d), arr) for scale, arr in symbol.data.items()
+            if arr.any()]
+
+
+def _output(spec: ParaproductSpec, fs) -> GridFunction:
+    """Zero output whose dtype holds the symbol and the inputs."""
     if len(fs) != spec.arity:
         raise ArityError(f"expected {spec.arity} inputs, got {len(fs)}")
-    root = spec.basis.root
-    dtype = complex if any(np.iscomplexobj(a) for a in spec.symbol.data.values()) else float
-    out = GridFunction.zeros(root, dtype=dtype)
-    for cube, b in spec.symbol.items():
-        z = spec.zeta(cube, fs)
-        if z == 0.0:
-            continue
-        slices, vals = spec.beta(cube)
-        if slices is None:
-            continue
-        out.samples[slices] += (cube.measure * b * z) * vals
+    return GridFunction.zeros(spec.basis.root, dtype=np.result_type(
+        float, *spec.symbol.data.values(), *(f.samples for f in fs)))
+
+
+def apply_paraproduct(spec: ParaproductSpec, fs) -> GridFunction:
+    """Sum over the symbol support of |Q| b_Q zeta_Q(f) beta_Q: per scale,
+    Pi_b f = S^T(|Q| b zeta(f)) with one spread of beta."""
+    out = _output(spec, fs)
+    for scale, measure, b in _symbol_scales(spec.symbol):
+        out.samples += spec.beta.spread(measure * b * spec.zeta(scale, fs), scale)
     return out
 
 
@@ -110,21 +99,11 @@ def adjoint_apply(spec: ParaproductSpec, j: int, fs) -> GridFunction:
     rides on the averaging atom."""
     if not (1 <= j <= spec.arity):
         raise ValueError(f"slot index {j} outside 1..{spec.arity}")
-    if len(fs) != spec.arity:
-        raise ArityError(f"expected {spec.arity} inputs, got {len(fs)}")
-    root = spec.basis.root
-    out = GridFunction.zeros(root)
+    out = _output(spec, fs)
     others = [f for i, f in enumerate(fs, start=1) if i != j]
-    for cube, b in spec.symbol.items():
-        coeff = b * _pair(spec.beta, cube, fs[j - 1])
-        for f in others:
-            coeff *= _pair(spec.chi, cube, f)
-        if coeff == 0.0:
-            continue
-        slices, vals = spec.chi(cube)
-        if slices is None:
-            continue
-        out.samples[slices] += (cube.measure * coeff) * vals
+    for scale, measure, b in _symbol_scales(spec.symbol):
+        coeff = measure * b * spec.beta.pair(fs[j - 1].samples, scale)
+        out.samples += spec.chi.spread(coeff * spec.zeta(scale, others), scale)
     return out
 
 
@@ -135,10 +114,10 @@ class WaveletFormSpec:
 
     basis: AtomBasis
     arity: int  # number of trailing slots m; the form is (m+1)-linear
-    phi: object = None
+    phi: AtomFamily = None
     slots: list = field(default_factory=list)
     localization: DyadicCube | None = None
-    support: list | None = None  # optional explicit cube list
+    support: list | CoefficientTree | None = None  # cubes, or a tree's nonzero ones
 
     def __post_init__(self):
         if self.phi is None:
@@ -148,14 +127,27 @@ class WaveletFormSpec:
         if len(self.slots) != self.arity:
             raise ArityError("one atom family per trailing slot")
 
-    def cubes(self):
+    def scale_positions(self):
+        """(scale, index) of the form's cubes, one index per scale: position
+        arrays for an explicit support, else the block of the localization
+        (or the box) at every scale above J."""
+        if isinstance(self.support, CoefficientTree):
+            return [(scale, np.nonzero(arr)) for scale, arr in self.support.data.items()
+                    if arr.any()]
         if self.support is not None:
-            return self.support
+            by_scale: dict = {}
+            for cube in self.support:
+                by_scale.setdefault(cube.scale, []).append(cube.pos)
+            return [(scale, tuple(np.array(pos).T)) for scale, pos in by_scale.items()]
         root = self.basis.root
-        if self.localization is not None:
-            return [c for c in root.descendants(self.localization)
-                    if c.scale > root.J]
-        return [c for c in root.all_cubes() if c.scale > root.J]
+        top = root.root_cube if self.localization is None else self.localization
+        return [(scale, _block(top, scale)) for scale in range(top.scale, root.J, -1)]
+
+
+def _block(q0: DyadicCube, scale: int):
+    """Position slices of the scale-``scale`` subcubes of ``q0``."""
+    shift = q0.scale - scale
+    return tuple(slice(p << shift, (p + 1) << shift) for p in q0.pos)
 
 
 def duality_form(spec: ParaproductSpec) -> WaveletFormSpec:
@@ -163,37 +155,31 @@ def duality_form(spec: ParaproductSpec) -> WaveletFormSpec:
     realizing <Pi_b(f), g> = V(b, g, f) for the symbol's function avatar."""
     return WaveletFormSpec(
         basis=spec.basis, arity=spec.arity + 1,
-        slots=[spec.beta] + [spec.chi] * spec.arity,
-        support=spec.symbol.support())
+        slots=[spec.beta] + [spec.chi] * spec.arity, support=spec.symbol)
+
+
+def _form_terms(form: WaveletFormSpec, f: GridFunction, fs, modulus):
+    if len(fs) != form.arity:
+        raise ArityError(f"expected {form.arity} trailing inputs, got {len(fs)}")
+    d = form.basis.root.d
+    total = 0.0
+    for scale, index in form.scale_positions():
+        term = modulus(form.phi.pair(f.samples, scale)[index])
+        for slot, g in zip(form.slots, fs):
+            term = term * modulus(slot.pair(g.samples, scale)[index])
+        total += 2.0 ** (scale * d) * np.sum(term)
+    return total
 
 
 def form_eval(form: WaveletFormSpec, f: GridFunction, fs) -> float:
-    """Sum over cubes of |Q| phi_Q(f) prod_j slot_j(f_j)."""
-    if len(fs) != form.arity:
-        raise ArityError(f"expected {form.arity} trailing inputs, got {len(fs)}")
-    total = 0.0
-    for cube in form.cubes():
-        term = cube.measure * _pair(form.phi, cube, f)
-        if term == 0.0:
-            continue
-        for slot_fn, g in zip(form.slots, fs):
-            term *= _pair(slot_fn, cube, g)
-            if term == 0.0:
-                break
-        total += term
-    return total
+    """Sum over cubes of |Q| phi_Q(f) prod_j slot_j(f_j), a scale at a time."""
+    return _form_terms(form, f, fs, lambda x: x)
 
 
 def form_mass(form: WaveletFormSpec, f: GridFunction, fs) -> float:
     """Triangle-inequality majorant of form_eval: the scale against which a
     cancellation-dominated value counts as degenerate."""
-    total = 0.0
-    for cube in form.cubes():
-        term = cube.measure * abs(_pair(form.phi, cube, f))
-        for slot_fn, g in zip(form.slots, fs):
-            term *= abs(_pair(slot_fn, cube, g))
-        total += term
-    return total
+    return _form_terms(form, f, fs, np.abs)
 
 
 def intrinsic_form(q0: DyadicCube, f: GridFunction, fs,
@@ -209,8 +195,7 @@ def intrinsic_form(q0: DyadicCube, f: GridFunction, fs,
         coeff_f1 = dictionary.coeff_arrays(fs[0])
     total = 0.0
     for scale in range(root.J, q0.scale + 1):
-        pos_slices = tuple(slice(p << (q0.scale - scale), (p + 1) << (q0.scale - scale))
-                           for p in q0.pos)
+        pos_slices = _block(q0, scale)
         prod = coeff_f[scale][pos_slices] * coeff_f1[scale][pos_slices]
         for f_j in fs[1:]:
             prod = prod * dilated_scale_averages(f_j, scale, 1.0, w)[pos_slices]
@@ -221,16 +206,13 @@ def intrinsic_form(q0: DyadicCube, f: GridFunction, fs,
 def localized_form(symbol: CoefficientTree, q0: DyadicCube, g: GridFunction,
                    fs, spec: ParaproductSpec) -> float:
     """V_Q: the paraproduct form restricted to subcubes of Q."""
-    root = spec.basis.root
     total = 0.0
-    for scale, arr in symbol.data.items():
-        for pos in zip(*np.nonzero(arr)):
-            cube = DyadicCube(scale, tuple(int(p) for p in pos))
-            if not q0.contains(cube):
-                continue
-            term = cube.measure * arr[tuple(pos)] * _pair(spec.beta, cube, g)
-            if term == 0.0:
-                continue
-            term *= spec.zeta(cube, fs)
-            total += term
+    for scale, measure, arr in _symbol_scales(symbol):
+        if scale > q0.scale:
+            continue
+        block = _block(q0, scale)
+        b = arr[block]
+        if b.any():
+            term = b * spec.beta.pair(g.samples, scale)[block] * spec.zeta(scale, fs)[block]
+            total += measure * np.sum(term)
     return total

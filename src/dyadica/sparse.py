@@ -14,8 +14,8 @@ import numpy as np
 from scipy import ndimage
 
 from .dyadic import DyadicCube, RootBox
-from .funcspace import (GridFunction, dilated_scale_averages, grad_norm,
-                        local_average, maximal, taylor_poly)
+from .funcspace import (GridFunction, block_reduce, dilated_scale_averages,
+                        grad_norm, local_average, maximal, taylor_poly)
 from .paraproduct import ParaproductSpec, intrinsic_form, localized_form
 from .tlnorm import NormSpec, TestDictionary, square_function, tl_norm
 from .wavelet import CoefficientTree
@@ -64,16 +64,6 @@ class SparseCollection:
 
     def total_measure(self) -> float:
         return sum(c.measure for c in self.cubes())
-
-
-def _block_min(arr: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return arr
-    d = arr.ndim
-    shape = []
-    for n in arr.shape:
-        shape.extend([n // factor, factor])
-    return arr.reshape(shape).min(axis=tuple(range(1, 2 * d, 2)))
 
 
 def _select_maximal(root: RootBox, q0: DyadicCube, predicate) -> list[DyadicCube]:
@@ -133,10 +123,10 @@ def stopping_children(q0: DyadicCube, b: GridFunction, g: GridFunction, fs,
     def predicate(scale):
         factor = 1 << (scale - root.J)
         sl = _position_slices(q0, scale)
-        pred = _block_min(sb, factor)[sl] > thr_b
-        pred |= _block_min(sg, factor)[sl] > thr_g
+        pred = block_reduce(sb, factor, np.min)[sl] > thr_b
+        pred |= block_reduce(sg, factor, np.min)[sl] > thr_g
         for mm, thr in zip(masked_max, thresholds):
-            pred |= _block_min(mm, factor)[sl] > thr
+            pred |= block_reduce(mm, factor, np.min)[sl] > thr
         return pred
 
     return _select_maximal(root, q0, predicate)
@@ -158,7 +148,7 @@ def gradient_stopping_children(q0: DyadicCube, f1: GridFunction, n: int,
 
     def predicate(scale):
         factor = 1 << (scale - root.J)
-        block = _block_min(mm, factor)
+        block = block_reduce(mm, factor, np.min)
         # containment of the whole dilated cube: min over the w-window of
         # per-cube minima; cells outside the box fail the containment
         dil = ndimage.minimum_filter(block, size=w, mode="constant", cval=-np.inf)
@@ -363,7 +353,7 @@ def taylor_telescoping_ratio(q0: DyadicCube, f1: GridFunction, n: int,
         factor = 1 << (scale - root.J)
         sl = _position_slices(q0, scale)
         lhs = dilated_scale_averages(resid, scale, 1.0, w)[sl]
-        rhs = scale_factor * _block_min(mm, factor)[sl]
+        rhs = scale_factor * block_reduce(mm, factor, np.min)[sl]
         mask = rhs > 1e-14
         if np.any(mask):
             best = max(best, float(np.max(lhs[mask] / rhs[mask])))

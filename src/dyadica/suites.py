@@ -9,10 +9,9 @@ are byte-stable for a fixed configuration.
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +22,14 @@ from .dyadic import DyadicCube, RootBox
 from .ensembles import (atom_function, atom_tree, default_atom_scales,
                         lacunary_tower, mixed_function, plateau_function,
                         random_interior_function, wave_function)
-from .funcspace import (GridFunction, derivative, grad_norm, local_average,
-                        lp_norm, maximal, multi_indices, pairing, sobolev_norm)
+from .funcspace import (GridFunction, derivative, lp_norm, maximal, multi_indices,
+                        pairing, sobolev_norm, wavelet_sobolev_norm)
 from .paraproduct import (ParaproductSpec, adjoint_apply, apply_paraproduct,
-                          duality_form, form_eval, form_mass, intrinsic_form)
-from .sparse import (SparseCollection, StoppingConfig, build_sparse,
-                     sparse_form_eval, taylor_pair_ratio,
+                          duality_form, form_eval)
+from .sparse import (StoppingConfig, build_sparse, taylor_pair_ratio,
                      taylor_telescoping_ratio, verify_domination)
 from .tlnorm import NormSpec, TestDictionary, bmo_norm, tl_norm, tl_norms
-from .wavelet import AtomBasis, CoefficientTree, build_family, l2_norm
+from .wavelet import AtomBasis, build_family, l2_norm
 
 SUITE_NAMES = ("wavelet", "norms", "paraproduct", "sparse", "testbench", "theorem")
 
@@ -233,7 +231,7 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
                          plateau_function(rng, ws.root).samples
                          + wave_function(rng, ws.root).samples)
         fd = sobolev_norm(f, 0, 2.0)
-        surro = _surrogate_norm(f, 0, 2.0, ws.basis)
+        surro = wavelet_sobolev_norm(f, 0, 2.0, ws.basis)
         if fd > 1e-12:
             factors.append(surro / fd)
     rows.append(CriterionRow.check(
@@ -246,17 +244,6 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         write_plotdata(os.path.join(outdir, "norms_jn_ratio.dat"),
                        range(len(jn_values)), jn_values)
     return rows
-
-
-def _surrogate_norm(f: GridFunction, kappa: int, r: float, basis: AtomBasis) -> float:
-    """Wavelet square-function norm evaluated at kappa >= 0 for comparison."""
-    from .funcspace import expand_blocks
-    tree = basis.analyze(f.samples)
-    acc = np.zeros(f.root.shape)
-    for scale in range(f.root.J + 1, f.root.L + 1):
-        coeffs = np.abs(tree.data[scale]) * (2.0 ** (-kappa * scale))
-        acc += expand_blocks(coeffs, 1 << (scale - f.root.J)) ** 2
-    return lp_norm(GridFunction(f.root, np.sqrt(acc)), r)
 
 
 def tl_region_average(f: GridFunction, region: DyadicCube, n: float,

@@ -16,9 +16,9 @@ from math import comb
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .dyadic import DyadicCube, RootBox
-from .funcspace import GridFunction, block_max, block_mean, expand_blocks
-from .wavelet import AtomBasis, clipped_outer, strided_pairings
+from .dyadic import DyadicCube
+from .funcspace import GridFunction, block_reduce, expand_blocks
+from .wavelet import AtomBasis, AtomFamily, clipped_outer, strided_pairings
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,9 @@ class TestDictionary:
         # into one bank per scale and moment-corrected on the full window;
         # boundary cubes get clip-corrected variants
         self._templates: dict[int, np.ndarray] = {}
-        self._clip_cache: dict = {}
         self._bump_cache: dict = {}
         self._operators: dict = {}
+        self._families: dict = {}
         for scale in range(self.root.J, self.root.L + 1):
             rows = [t for t in (self._sampled_template(prof, cref, scale)
                                 for prof, cref in zip(recipes, self._ref_constants))
@@ -180,16 +180,9 @@ class TestDictionary:
         wav = self.basis._wav[t] * 2.0 ** (-(self.root.J + scale) / 2.0)
         return np.pad(wav, (0, (self.family.w << t) - len(wav)))
 
-    def _clipped_template(self, scale: int, member_idx: int, lo_cut: int, hi_cut: int):
-        """Boundary variant: re-corrected on the surviving cells so clipped
-        atoms still annihilate sampled polynomials exactly (cached)."""
-        key = (scale, member_idx, lo_cut, hi_cut)
-        cached = self._clip_cache.get(key)
-        if cached is None:
-            cached = self._clip_cache[key] = self._clip_correct(*key)
-        return cached
-
     def _clip_correct(self, scale: int, member_idx: int, lo_cut: int, hi_cut: int):
+        """Boundary variant: re-corrected on the surviving cells so clipped
+        atoms still annihilate sampled polynomials exactly."""
         full = self._templates[scale][member_idx]
         u = self._cube_offsets(scale)
         piece = full[lo_cut:len(full) - hi_cut]
@@ -217,55 +210,6 @@ class TestDictionary:
 
     # -- atom realizations --------------------------------------------------
 
-    def canonical_admissible(self, cube: DyadicCube) -> bool:
-        """Canonical wavelet counts as a dictionary member only when its
-        support is not clipped by the box (else it is not cancellative)."""
-        root = self.root
-        if cube.scale <= root.J:
-            return False
-        t = cube.scale - root.J
-        m = 1 << t
-        length = (2 * self.family.N - 1) * (m - 1) + 1
-        sh = self.family.N - 1
-        n = root.cells_per_side
-        return all(0 <= (p - sh) * m and (p - sh) * m + length <= n
-                   for p in cube.pos)
-
-    def member_values(self, cube: DyadicCube, member: int):
-        """Window slices and values of a cancellative member at a cube.
-
-        Member 0 is the canonical discrete wavelet where available; sampled
-        members at boundary cubes are clip-corrected.
-        """
-        root = self.root
-        if member == 0 and cube.scale > root.J:
-            if not self.canonical_admissible(cube):
-                return None, None
-            slices, vals = self.basis.atom_values(cube, "wavelet")
-            return slices, vals / self.family.class_constant
-        idx = member - (1 if cube.scale > root.J else 0)
-        temps = self._templates[cube.scale]
-        if not (0 <= idx < len(temps)):
-            raise IndexError(f"no dictionary member {member} at scale {cube.scale}")
-        return self._member_window(cube, idx)
-
-    def _member_window(self, cube: DyadicCube, idx: int):
-        """Per-axis windows: clip-corrected cancellative factor on the first
-        axis, normalized bump factors on the rest."""
-        m = 1 << (cube.scale - self.root.J)
-        half = (self.family.w - 1) // 2
-        n = self.root.cells_per_side
-        starts = [(p - half) * m for p in cube.pos]
-        template = self._templates[cube.scale][idx]
-        width = len(template)
-        lo_cut, hi_cut = max(-starts[0], 0), max(starts[0] + width - n, 0)
-        if (lo_cut or hi_cut) and lo_cut + hi_cut < width:
-            template = np.zeros(width)
-            template[lo_cut:width - hi_cut] = self._clipped_template(
-                cube.scale, idx, lo_cut, hi_cut)
-        bump = [self._bump_template(0, cube.scale)] if self.root.d > 1 else []
-        return clipped_outer(starts, [template] + bump * (self.root.d - 1), n)
-
     def bump_values(self, cube: DyadicCube, member: int = 0):
         """Noncancellative normalized bump adapted to the cube."""
         m = 1 << (cube.scale - self.root.J)
@@ -273,6 +217,54 @@ class TestDictionary:
         template = self._bump_template(member, cube.scale)
         return clipped_outer([(p - half) * m for p in cube.pos],
                              [template] * self.root.d, self.root.cells_per_side)
+
+    # -- atom families ------------------------------------------------------
+
+    def member_family(self, member: int) -> AtomFamily:
+        """Cancellative member ``member`` at every cube, a scale at a time
+        (cached).  Member 0 is the canonical discrete wavelet where one
+        refinement level is available, zero where the box clips its support;
+        the others are the sampled members, clip-corrected at boundary cubes."""
+        return self._family(("member", member),
+                            lambda scale: self._member_layout(scale, member))
+
+    def bump_family(self, member: int = 0, unit: bool = False) -> AtomFamily:
+        """``bump_values`` at every cube, a scale at a time; with ``unit``
+        each atom is divided by its discrete integral (cached)."""
+        return self._family(("bump", member, unit),
+                            lambda scale: self._bump_layout(scale, member, unit))
+
+    def _family(self, key, layout) -> AtomFamily:
+        if key not in self._families:
+            self._families[key] = AtomFamily(self.root, layout)
+        return self._families[key]
+
+    def _member_layout(self, scale: int, member: int):
+        """The canonical wavelet, masked where the box clips it, or a sampled
+        member with its clip-corrected rows from the scale operator."""
+        root = self.root
+        if member == 0 and scale > root.J:
+            bank, tail, first, _, factor = self.basis.atoms("wavelet").layout(scale)
+            weight = self._canonical_mask(scale) * (factor / self.family.class_constant)
+            return bank, tail, first, (), weight
+        idx = member - (1 if scale > root.J else 0)
+        if not (0 <= idx < len(self._templates[scale])):
+            raise IndexError(f"no dictionary member {member} at scale {scale}")
+        members, tail, boundary = self._scale_operator(scale)[0][-1]  # the sampled group
+        rows = [(pos, c0, block.reshape(len(block), len(pos), -1)[:, :, idx])
+                for pos, c0, block in boundary]
+        half = (self.family.w - 1) // 2
+        return members[idx:idx + 1], tail, -half * (1 << (scale - root.J)), rows, 1.0
+
+    def _bump_layout(self, scale: int, member: int, unit: bool):
+        m = 1 << (scale - self.root.J)
+        first = -((self.family.w - 1) // 2) * m
+        template = self._bump_template(member, scale)
+        weight = 1.0
+        if unit:
+            mass = self.bump_family(member).pair(np.ones(self.root.shape), scale)
+            weight = np.divide(1.0, mass, out=np.zeros_like(mass), where=mass > 0)
+        return template[None], template, first, (), weight
 
     # -- intrinsic coefficients ----------------------------------------------
 
@@ -362,18 +354,6 @@ class TestDictionary:
         return out
 
 
-def intrinsic_coeff(f: GridFunction, cube: DyadicCube, dictionary: TestDictionary) -> float:
-    """Max over dictionary atoms at the cube of |atom(f)|."""
-    best = 0.0
-    for member in range(dictionary.n_members(cube.scale)):
-        slices, vals = dictionary.member_values(cube, member)
-        if slices is None:
-            continue
-        val = abs(np.sum(f.samples[slices] * vals) * f.root.cell_measure)
-        best = max(best, float(val))
-    return best
-
-
 def square_function(f: GridFunction, region: DyadicCube, n: float, q: float,
                     dictionary: TestDictionary,
                     coeffs: dict[int, np.ndarray] | None = None) -> GridFunction:
@@ -431,9 +411,9 @@ def tl_norms(f: GridFunction, specs, dictionary: TestDictionary,
             s_vals = acc ** (1.0 / q) if finite_q else acc
             for p in by_p:
                 if np.isinf(p):
-                    local = block_max(s_vals, factor)
+                    local = block_reduce(s_vals, factor, np.max)
                 else:
-                    local = block_mean(s_vals ** p, factor) ** (1.0 / p)
+                    local = block_reduce(s_vals ** p, factor) ** (1.0 / p)
                 peaks[p].append(float(np.max(local)))
         for p, idx in by_p.items():
             for i in idx:

@@ -16,11 +16,10 @@ measurements, template seeds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .dyadic import DyadicCube, RootBox
 
@@ -273,7 +272,8 @@ class AtomBasis:
     def __init__(self, family: WaveletFamily, root: RootBox):
         self.family = family
         self.root = root
-        self._clip_cache: dict = {}
+        self._tail_cache: dict = {}
+        self._families: dict = {}
         self._wav: dict[int, np.ndarray] = {}
         self._scal: dict[int, np.ndarray] = {0: np.array([1.0])}
         h, g = family.lowpass, family.highpass
@@ -287,9 +287,11 @@ class AtomBasis:
 
     @staticmethod
     def _refine(c: np.ndarray, filt: np.ndarray) -> np.ndarray:
-        out = np.zeros(2 * (len(c) - 1) + len(filt))
+        """One filter refinement of the last axis of ``c``."""
+        width = c.shape[-1]
+        out = np.zeros(c.shape[:-1] + (2 * (width - 1) + len(filt),))
         for n, fn in enumerate(filt):
-            out[n:n + 2 * len(c) - 1:2] += fn * c
+            out[..., n:n + 2 * width - 1:2] += fn * c
         return out
 
     # -- geometry ---------------------------------------------------------
@@ -306,28 +308,16 @@ class AtomBasis:
             return self._wav[t]
         return self._scal[t]
 
-    def levels(self, cube: DyadicCube) -> int:
-        return cube.scale - self.root.J
-
-    def value_scale(self, cube: DyadicCube) -> float:
-        """Coefficient-to-value factor giving the L^1-normalized atom."""
-        d = self.root.d
-        return 2.0 ** (-(self.root.J + cube.scale) * d / 2.0)
-
-    def atom_start(self, cube: DyadicCube, kind: str) -> tuple[int, ...]:
-        t = self.levels(cube)
-        m = 1 << t
-        sh = self._shift(t, kind)
-        return tuple((p - sh) * m for p in cube.pos)
-
     def atom_values(self, cube: DyadicCube, kind: str = "wavelet"):
-        """Clipped window slices plus the L^1-normalized values on them."""
-        coeffs = self._template(self.levels(cube), kind)
-        slices, vals = clipped_outer(self.atom_start(cube, kind),
-                                     [coeffs] * self.root.d, self.root.cells_per_side)
+        """Clipped window slices plus the L^1-normalized values on them: the
+        layout of ``atoms(kind)`` at one cube."""
+        _, template, first, _, factor = self.atoms(kind).layout(cube.scale)
+        m = 1 << (cube.scale - self.root.J)
+        slices, vals = clipped_outer([first + p * m for p in cube.pos],
+                                     [template] * self.root.d, self.root.cells_per_side)
         if slices is None:
             return None, None
-        return slices, vals * self.value_scale(cube)
+        return slices, vals * factor
 
     def atom_grid(self, cube: DyadicCube, kind: str = "wavelet") -> np.ndarray:
         out = np.zeros(self.root.shape)
@@ -335,13 +325,6 @@ class AtomBasis:
         if slices is not None:
             out[slices] = vals
         return out
-
-    def pair(self, samples: np.ndarray, cube: DyadicCube, kind: str = "wavelet"):
-        """L^1-normalized pairing atom(f) by the grid quadrature."""
-        slices, vals = self.atom_values(cube, kind)
-        if slices is None:
-            return samples.dtype.type(0)
-        return np.sum(samples[slices] * vals) * self.root.cell_measure
 
     def interior_cubes(self, smin: int | None = None, smax: int | None = None):
         smin = self.root.J + 1 if smin is None else smin
@@ -355,114 +338,86 @@ class AtomBasis:
 
     # -- transforms -------------------------------------------------------
 
+    def atoms(self, kind: str) -> "AtomFamily":
+        """The canonical atoms of ``kind`` ("wavelet" or "scaling") as an
+        ``AtomFamily``, shared by every caller of this basis."""
+        if kind not in self._families:
+            self._families[kind] = AtomFamily(self.root, lambda s: self._layout(s, kind))
+        return self._families[kind]
+
+    def _layout(self, scale: int, kind: str):
+        t = scale - self.root.J
+        template = self._template(t, kind)
+        factor = 2.0 ** (-(self.root.J + scale) * self.root.d / 2.0)  # L^1-normalized
+        return template[None], template, -self._shift(t, kind) * (1 << t), (), factor
+
     def analyze(self, samples: np.ndarray) -> CoefficientTree:
         """Cancellative coefficients phi_Q(f) for every admissible cube."""
         samples = np.asarray(samples)
         tree = CoefficientTree(self.root, dtype=samples.dtype.type)
+        wavelets = self.atoms("wavelet")
         for scale in range(self.root.J + 1, self.root.L + 1):
-            tree.data[scale] = self._scale_coefficients(samples, scale)
+            tree.data[scale] = wavelets.pair(samples, scale)
         return tree
 
-    def _scale_coefficients(self, samples: np.ndarray, scale: int) -> np.ndarray:
-        t = scale - self.root.J
-        m = 1 << t
-        wav = self._wav[t]
-        vals = strided_pairings(samples, wav[None], wav, -(self.family.N - 1) * m, m)
-        factor = self.value_scale(DyadicCube(scale, (0,) * self.root.d))
-        return vals[..., 0] * (factor * self.root.cell_measure)
-
     def synthesize(self, tree: CoefficientTree) -> np.ndarray:
-        """Sum over cubes of |Q| t(Q) phi_Q sampled on the grid."""
-        dtype = complex if any(np.iscomplexobj(a) for a in tree.data.values()) else float
-        out = np.zeros(self.root.shape, dtype=dtype)
-        for cube, value in tree.items():
-            slices, vals = self.atom_values(cube, "wavelet")
-            if slices is not None:
-                out[slices] += (cube.measure * value) * vals
+        """Sum over cubes of |Q| t(Q) phi_Q sampled on the grid: one
+        overlap-add per scale that has a nonzero coefficient."""
+        out = np.zeros(self.root.shape, dtype=np.result_type(float, *tree.data.values()))
+        wavelets = self.atoms("wavelet")
+        for scale, arr in tree.data.items():
+            if arr.any():
+                out += wavelets.spread(2.0 ** (scale * self.root.d) * arr, scale)
         return out
 
     # -- multiresolution identities ----------------------------------------
 
-    def _positions_overlapping(self, scale: int, kind: str):
-        """1-d position range whose atom window meets the box (may leave it)."""
-        t = scale - self.root.J
-        if kind == "wavelet":
-            length = len(self._wav[t]) if t in self._wav else (
-                (2 * self.family.N - 1) * ((1 << t) - 1) + 1)
-        else:
-            length = len(self._scal[t]) if t in self._scal else (
-                (2 * self.family.N - 1) * ((1 << t) - 1) + 1)
-        m = 1 << t
-        sh = self._shift(t, kind)
-        n = self.root.cells_per_side
-        k_lo = sh - (length + m - 1) // m
-        k_hi = sh + (n + m - 1) // m
-        return range(k_lo, k_hi + 1)
-
-    def _clipped_coeffs(self, scale: int, k: int, kind: str):
-        """Atom coefficients on box cells for scales above the root scale.
-
-        Top-down refinement clipping each level to a margin (in that level's
-        position units) around the box, so arbitrarily coarse scales stay
-        O(box) work.  Results are cached per (scale, position, kind).
-        """
-        key = (scale, k, kind)
-        cached = self._clip_cache.get(key)
-        if cached is not None:
-            return cached
-        t = scale - self.root.J
-        sh = self._shift(t, kind)
-        start = k - sh
-        coeffs = np.array([1.0])
-        level = scale
-        margin = 2 * self.family.N
-        while level > self.root.J:
+    def _tail_rows(self, scale: int, kind: str) -> np.ndarray:
+        """Rows on the box of the atoms of a scale above the root that meet
+        it, as orthonormal vectors up to h^{-1/2}.  All positions are refined
+        top down at once, each level clipped to a margin around the box, so
+        coarse scales stay O(box) work.  Cached per (scale, kind)."""
+        key = (scale, kind)
+        if key in self._tail_cache:
+            return self._tail_cache[key]
+        root, N = self.root, self.family.N
+        n = root.cells_per_side
+        m = 1 << (scale - root.J)
+        # position k's atom starts at level-``scale`` index k - (N - 1)
+        start = -(((2 * N - 1) * (m - 1) + m) // m)
+        coeffs = np.eye((n + m - 1) // m - start + 1)
+        for level in range(scale, root.J, -1):
             filt = self.family.highpass if (kind == "wavelet" and level == scale) \
                 else self.family.lowpass
-            nxt_start = 2 * start
-            nxt = self._refine(coeffs, filt)
-            level -= 1
-            t_now = level - self.root.J
-            npos_level = 1 << max(self.root.depth - t_now, 0)
-            a = max(nxt_start, -margin)
-            b = min(nxt_start + len(nxt), npos_level + margin)
-            if a >= b:
-                self._clip_cache[key] = (0, np.zeros(0))
-                return self._clip_cache[key]
-            coeffs = nxt[a - nxt_start:b - nxt_start]
-            start = a
-        self._clip_cache[key] = (start, coeffs)
-        return self._clip_cache[key]
+            nxt, nxt_start = self._refine(coeffs, filt), 2 * start
+            npos_level = 1 << max(root.depth - (level - 1 - root.J), 0)
+            a = max(nxt_start, -2 * N)
+            b = min(nxt_start + nxt.shape[-1], npos_level + 2 * N)
+            coeffs, start = nxt[:, a - nxt_start:max(a, b) - nxt_start], a
+        rows = np.zeros((len(coeffs), n))
+        a, b = max(start, 0), min(start + coeffs.shape[1], n)
+        rows[:, a:max(a, b)] = coeffs[:, a - start:max(a, b) - start]
+        # positions whose atom the clipping left off the box
+        rows = self._tail_cache[key] = rows[np.any(rows, axis=1)]
+        return rows
 
     def _projection_1d(self, samples: np.ndarray, scale: int, kind: str) -> np.ndarray:
-        """Sum of |Q| atom_Q(f) atom_Q over all scale-``scale`` positions, d=1."""
+        """Sum of |Q| atom_Q(f) atom_Q over all scale-``scale`` positions
+        whose atom meets the box, d=1: a pairing and its overlap-add at
+        scales up to the root, two products with the cached tail rows above."""
         n = self.root.cells_per_side
-        out = np.zeros(n, dtype=samples.dtype)
         t = scale - self.root.J
-        sh = self._shift(t, kind)
-        if t <= self.root.depth:
-            coeffs = self._template(t, kind)
-            vals = coeffs  # orthonormal-vector values up to the global h^{-1/2}
-            corr = np.correlate(samples, vals, mode="full")
-            m = 1 << t
-            for k in self._positions_overlapping(scale, kind):
-                o = (k - sh) * m
-                c = corr[len(vals) - 1 + o] if 0 <= len(vals) - 1 + o < len(corr) else 0.0
-                if c == 0.0:
-                    continue
-                a, b = max(o, 0), min(o + len(vals), n)
-                out[a:b] += c * vals[a - o:b - o]
-            return out
-        for k in self._positions_overlapping(scale, kind):
-            start, coeffs = self._clipped_coeffs(scale, k, kind)
-            a, b = max(start, 0), min(start + len(coeffs), n)
-            if a >= b:
-                continue
-            window = coeffs[a - start:b - start]
-            c = np.sum(samples[a:b] * window)
-            if c != 0.0:
-                out[a:b] += c * window
-        return out
+        if t > self.root.depth:
+            rows = self._tail_rows(scale, kind)
+            # einsum keeps these small products off the threaded BLAS (see below)
+            return np.einsum("pc,p->c", rows, np.einsum("pc,c->p", rows, samples))
+        template = self._template(t, kind)
+        m = 1 << t
+        # positions below the box whose atom still reaches into it
+        first = -((len(template) - 1) // m) * m
+        npos = (n - first) // m
+        coeffs = strided_pairings(samples, template[None], template, first, m, npos=npos)
+        return strided_spread(coeffs, template[None], template, first, m, n)
 
     def high_low_residual(self, samples: np.ndarray, ell: int,
                           tail_levels: int = 64, tail_tol: float = 1e-9) -> float:
@@ -525,9 +480,11 @@ def _pair_last_axis(x: np.ndarray, templates: np.ndarray, first: int,
     hi = max(first + (npos - 1) * stride + width - n, 0)
     padded = np.zeros(x.shape[:-1] + (lo + n + hi,), dtype=x.dtype)
     padded[..., lo:lo + n] = x
-    step = padded.strides[-1]
-    windows = as_strided(padded[..., lo + first:], x.shape[:-1] + (npos, width),
-                         padded.strides[:-1] + (stride * step, step), writeable=False)
+    # a window view built directly: as_strided costs more than the
+    # contraction on the small boxes most calls see
+    s = padded.strides
+    windows = np.ndarray(x.shape[:-1] + (npos, width), x.dtype, padded,
+                         (lo + first) * s[-1], s[:-1] + (stride * s[-1], s[-1]))
     # einsum keeps these small products off the threaded BLAS, whose thread
     # wake-ups stalled calls by ~8 ms on a busy 2-CPU machine
     spec = "...pw,kw->...pk" if templates.ndim == 2 else "...pw,w->...p"
@@ -535,7 +492,7 @@ def _pair_last_axis(x: np.ndarray, templates: np.ndarray, first: int,
 
 
 def strided_pairings(samples: np.ndarray, bank: np.ndarray, tail, first: int,
-                     stride: int, boundary=()) -> np.ndarray:
+                     stride: int, boundary=(), npos: int | None = None) -> np.ndarray:
     """Pairings of ``samples`` with a bank of tensor-product templates at
     every position of one scale.
 
@@ -553,11 +510,11 @@ def strided_pairings(samples: np.ndarray, bank: np.ndarray, tail, first: int,
     templates w strides wide a scale costs O((K + d) w n^d) in a fixed
     number of array operations, with no Python work per position, and
     computes only the strided lags a full correlation (O(n^2) at d = 1)
-    would mostly discard.  Returns an array of shape
-    ``(n // stride,) * d + (K,)``.
+    would mostly discard.  Returns an array of shape ``(npos,) * d + (K,)``,
+    by default ``npos = n // stride``.
     """
     n = samples.shape[0]
-    npos = n // stride
+    npos = n // stride if npos is None else npos
     y = samples
     for _ in range(samples.ndim - 1):
         y = np.moveaxis(_pair_last_axis(y, tail, first, stride, npos), -1, 0)
@@ -567,7 +524,107 @@ def strided_pairings(samples: np.ndarray, bank: np.ndarray, tail, first: int,
     for rows, c0, block in boundary:
         cut = np.einsum("rc,cj->rj", y[:, c0:c0 + block.shape[0]], block)
         out[:, rows] = cut.reshape(len(y), len(rows), -1)
-    return np.moveaxis(out.reshape(lead + out.shape[1:]), -2, 0)
+    return np.moveaxis(out.reshape(lead + out.shape[1:]), -2, 0) if lead else out[0]
+
+
+def _spread_last_axis(c: np.ndarray, templates: np.ndarray, first: int,
+                      stride: int, n: int) -> np.ndarray:
+    """Transpose of ``_pair_last_axis``: add ``c[..., p, k] * templates[k]``
+    at cell ``first + p * stride`` of a last axis of ``n`` cells, dropping
+    what falls outside.
+
+    Polyphase form: the run of ``stride`` cells from ``first + q * stride``
+    receives sum_j c[q - j] times chunk j of the templates, one window view
+    of the zero-extended coefficients and one contraction."""
+    bank = templates if templates.ndim == 2 else templates[None]
+    if templates.ndim == 1:
+        c = c[..., None]
+    lead, (npos, K), width = c.shape[:-2], c.shape[-2:], bank.shape[-1]
+    chunks = -(-width // stride)
+    runs = npos + chunks - 1
+    padded_bank = np.zeros((K, chunks * stride))
+    padded_bank[:, :width] = bank
+    padded = np.zeros(lead + (runs + chunks - 1, K), dtype=c.dtype)
+    padded[..., chunks - 1:chunks - 1 + npos, :] = c
+    s = padded.strides
+    windows = np.ndarray(lead + (runs, chunks, K), c.dtype, padded, 0,
+                         s[:-2] + (s[-2], s[-2], s[-1]))
+    chunked = padded_bank.reshape(K, chunks, stride)[:, ::-1]
+    cells = np.einsum("...qjk,kjr->...qr", windows, chunked).reshape(lead + (runs * stride,))
+    # cells[..., i] is cell first + i
+    if first <= 0 and first + runs * stride >= n:
+        return cells[..., -first:n - first]
+    a, b = max(first, 0), min(first + runs * stride, n)
+    out = np.zeros(lead + (n,), dtype=cells.dtype)
+    out[..., a:b] = cells[..., a - first:b - first]
+    return out
+
+
+def strided_spread(coeffs: np.ndarray, bank: np.ndarray, tail, first: int,
+                   stride: int, n: int, boundary=()) -> np.ndarray:
+    """Overlap-add transpose of ``strided_pairings``: the samples on the
+    box ``(n,) * d`` of the sum over positions p and members k of
+    ``coeffs[p, k]`` times the template of member k at p, in the same
+    layout (``bank``, ``tail``, ``first``, ``stride``, ``boundary``).
+
+    Pairing the result with any samples gives the sum of ``coeffs`` times
+    their ``strided_pairings``.  A boundary row replaces the bank at its
+    position, and of two blocks listing one position the later one counts,
+    as in the pairing.  O((K + d) w n^d) per call, with no Python work per
+    position."""
+    d = coeffs.ndim - 1
+    c = coeffs.transpose(tuple(range(1, d)) + (0, d))
+    lead = c.shape[:-2]
+    c = c.reshape((-1,) + c.shape[-2:])
+    cuts = []
+    if boundary:
+        c = c.copy()
+        for rows, c0, block in reversed(boundary):
+            cuts.append((c0, block, c[:, rows].reshape(len(c), -1)))
+            c[:, rows] = 0  # these positions carry the block's row, not the bank's
+    out = _spread_last_axis(c, bank, first, stride, n)
+    for c0, block, cut in cuts:
+        out[:, c0:c0 + block.shape[0]] += np.einsum("rj,cj->rc", cut, block)
+    y = out.reshape(lead + (n,))
+    for _ in range(d - 1):
+        y = _spread_last_axis(y.transpose(tuple(range(1, y.ndim)) + (0,)), tail,
+                              first, stride, n)
+    return y
+
+
+class AtomFamily:
+    """One atom per cube, applied a whole scale at a time.
+
+    ``layout(scale)`` is ``(bank, tail, first, boundary, weight)``: the atom
+    at position p is ``weight`` (a scalar or an array over positions) times
+    the ``strided_pairings`` template of member 0 at p.  ``pair`` is that
+    engine and ``spread`` its transpose, so an operator diagonal in the
+    atoms of a scale costs O(w n^d).  Layouts are built on first use.
+    """
+
+    def __init__(self, root: RootBox, layout):
+        self.root = root
+        self._layout = layout
+        self._layouts: dict = {}
+
+    def layout(self, scale: int):
+        if scale not in self._layouts:
+            self._layouts[scale] = self._layout(scale)
+        return self._layouts[scale]
+
+    def pair(self, samples: np.ndarray, scale: int) -> np.ndarray:
+        """atom_Q(f) by the grid quadrature at every position of ``scale``."""
+        bank, tail, first, boundary, weight = self.layout(scale)
+        vals = strided_pairings(samples, bank, tail, first, 1 << (scale - self.root.J),
+                                boundary)
+        return vals[..., 0] * (weight * self.root.cell_measure)
+
+    def spread(self, coeffs: np.ndarray, scale: int) -> np.ndarray:
+        """sum_Q coeffs[Q] atom_Q over the positions of ``scale``, on the grid."""
+        bank, tail, first, boundary, weight = self.layout(scale)
+        return strided_spread((coeffs * weight)[..., None], bank, tail, first,
+                              1 << (scale - self.root.J), self.root.cells_per_side,
+                              boundary)
 
 
 def l2_norm(samples: np.ndarray, root: RootBox) -> float:

@@ -1,0 +1,234 @@
+"""Slow per-cube references for the per-scale paths.
+
+Each function here works one cube (or one position) at a time, the way the
+package did before its operators went through ``strided_pairings`` and its
+transpose ``strided_spread``.  A family is given by its per-cube values,
+``cube -> (slices, values)`` with ``(None, None)`` for an atom off the box.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from dyadica.funcspace import GridFunction
+from dyadica.wavelet import clipped_outer
+
+# -- per-cube atom values ------------------------------------------------------
+
+
+def canonical_values(basis, kind):
+    return lambda cube: basis.atom_values(cube, kind)
+
+
+def atom_pair(basis, samples, cube, kind="wavelet"):
+    """L^1-normalized pairing atom_Q(f) by the grid quadrature."""
+    slices, vals = basis.atom_values(cube, kind)
+    if slices is None:
+        return samples.dtype.type(0)
+    return np.sum(samples[slices] * vals) * basis.root.cell_measure
+
+
+def canonical_admissible(dictionary, cube) -> bool:
+    """The canonical wavelet counts as a dictionary member only when the box
+    does not clip its support (else it is not cancellative)."""
+    root = dictionary.root
+    if cube.scale <= root.J:
+        return False
+    m = 1 << (cube.scale - root.J)
+    length = (2 * dictionary.family.N - 1) * (m - 1) + 1
+    sh = dictionary.family.N - 1
+    return all(0 <= (p - sh) * m and (p - sh) * m + length <= root.cells_per_side
+               for p in cube.pos)
+
+
+@functools.lru_cache(maxsize=None)
+def _clip_corrected(dictionary, scale, idx, lo_cut, hi_cut):
+    return dictionary._clip_correct(scale, idx, lo_cut, hi_cut)
+
+
+def member_window(dictionary, cube, member):
+    """Window slices and values of a cancellative member at a cube: the
+    canonical discrete wavelet (member 0, where available), else a sampled
+    member, clip-corrected on the first axis at boundary cubes, with
+    normalized bump factors on the other axes."""
+    root = dictionary.root
+    if member == 0 and cube.scale > root.J:
+        if not canonical_admissible(dictionary, cube):
+            return None, None
+        slices, vals = dictionary.basis.atom_values(cube, "wavelet")
+        return slices, vals / dictionary.family.class_constant
+    idx = member - (1 if cube.scale > root.J else 0)
+    temps = dictionary._templates[cube.scale]
+    if not (0 <= idx < len(temps)):
+        raise IndexError(f"no dictionary member {member} at scale {cube.scale}")
+    m = 1 << (cube.scale - root.J)
+    half = (dictionary.family.w - 1) // 2
+    n = root.cells_per_side
+    starts = [(p - half) * m for p in cube.pos]
+    template = temps[idx]
+    width = len(template)
+    lo_cut, hi_cut = max(-starts[0], 0), max(starts[0] + width - n, 0)
+    if (lo_cut or hi_cut) and lo_cut + hi_cut < width:
+        template = np.zeros(width)
+        template[lo_cut:width - hi_cut] = _clip_corrected(
+            dictionary, cube.scale, idx, lo_cut, hi_cut)
+    bump = [dictionary._bump_template(0, cube.scale)] * (root.d - 1)
+    return clipped_outer(starts, [template] + bump, n)
+
+
+def member_values(dictionary, member):
+    return lambda cube: member_window(dictionary, cube, member)
+
+
+def intrinsic_coeff(f: GridFunction, cube, dictionary) -> float:
+    """Max over dictionary atoms at the cube of |atom(f)|."""
+    best = 0.0
+    for member in range(dictionary.n_members(cube.scale)):
+        slices, vals = member_window(dictionary, cube, member)
+        if slices is not None:
+            val = abs(np.sum(f.samples[slices] * vals) * f.root.cell_measure)
+            best = max(best, float(val))
+    return best
+
+
+def bump_values(dictionary, member):
+    return lambda cube: dictionary.bump_values(cube, member)
+
+
+def unit_bump_values(dictionary, member):
+    cell = dictionary.root.cell_measure
+
+    def values(cube):
+        slices, vals = dictionary.bump_values(cube, member)
+        if slices is None:
+            return None, None
+        mass = float(np.sum(vals)) * cell
+        if mass <= 0:
+            return None, None
+        return slices, vals / mass
+    return values
+
+
+# -- per-cube operators ----------------------------------------------------------
+
+
+def pair(values, cube, f: GridFunction):
+    slices, vals = values(cube)
+    if slices is None:
+        return 0.0
+    return np.sum(f.samples[slices] * vals) * f.root.cell_measure
+
+
+def zeta(chi, cube, fs):
+    out = 1.0
+    for f in fs:
+        out *= pair(chi, cube, f)
+    return out
+
+
+def _add(out, values, cube, coeff):
+    slices, vals = values(cube)
+    if slices is not None:
+        out[slices] += coeff * vals
+
+
+def synthesize(basis, tree) -> np.ndarray:
+    dtype = complex if any(np.iscomplexobj(a) for a in tree.data.values()) else float
+    out = np.zeros(basis.root.shape, dtype=dtype)
+    for cube, value in tree.items():
+        _add(out, canonical_values(basis, "wavelet"), cube, cube.measure * value)
+    return out
+
+
+def apply_paraproduct(symbol, beta, chi, fs) -> np.ndarray:
+    out = np.zeros(symbol.root.shape, dtype=complex)
+    for cube, b in symbol.items():
+        _add(out, beta, cube, cube.measure * b * zeta(chi, cube, fs))
+    return out
+
+
+def adjoint_apply(symbol, beta, chi, j, fs) -> np.ndarray:
+    out = np.zeros(symbol.root.shape, dtype=complex)
+    others = [f for i, f in enumerate(fs, start=1) if i != j]
+    for cube, b in symbol.items():
+        coeff = b * pair(beta, cube, fs[j - 1]) * zeta(chi, cube, others)
+        _add(out, chi, cube, cube.measure * coeff)
+    return out
+
+
+def form_terms(phi, slots, cubes, f, fs) -> np.ndarray:
+    """|Q| phi_Q(f) prod_j slot_j(f_j), one entry per cube."""
+    terms = []
+    for cube in cubes:
+        term = cube.measure * pair(phi, cube, f)
+        for slot, g in zip(slots, fs):
+            term *= pair(slot, cube, g)
+        terms.append(term)
+    return np.array(terms)
+
+
+# -- the d = 1 projections of the high-low identity ---------------------------------
+
+
+def _positions_overlapping(basis, scale, kind):
+    """1-d position range whose atom window meets the box (may leave it)."""
+    t = scale - basis.root.J
+    templates = basis._wav if kind == "wavelet" else basis._scal
+    m = 1 << t
+    length = len(templates[t]) if t in templates else (2 * basis.family.N - 1) * (m - 1) + 1
+    sh = basis._shift(t, kind)
+    n = basis.root.cells_per_side
+    return range(sh - (length + m - 1) // m, sh + (n + m - 1) // m + 1)
+
+
+def _clipped_coeffs(basis, scale, k, kind):
+    """Atom coefficients on box cells for one position above the root scale,
+    refined top down with each level clipped to a margin around the box."""
+    root, fam = basis.root, basis.family
+    start = k - basis._shift(scale - root.J, kind)
+    coeffs = np.array([1.0])
+    level = scale
+    while level > root.J:
+        filt = fam.highpass if (kind == "wavelet" and level == scale) else fam.lowpass
+        nxt_start = 2 * start
+        nxt = np.zeros(2 * (len(coeffs) - 1) + len(filt))
+        for i, fi in enumerate(filt):
+            nxt[i:i + 2 * len(coeffs) - 1:2] += fi * coeffs
+        level -= 1
+        npos_level = 1 << max(root.depth - (level - root.J), 0)
+        a = max(nxt_start, -2 * fam.N)
+        b = min(nxt_start + len(nxt), npos_level + 2 * fam.N)
+        if a >= b:
+            return 0, np.zeros(0)
+        coeffs = nxt[a - nxt_start:b - nxt_start]
+        start = a
+    return start, coeffs
+
+
+def projection_1d(basis, samples, scale, kind) -> np.ndarray:
+    """Sum of |Q| atom_Q(f) atom_Q over the positions whose atom meets the
+    box: a full correlation below the root, clipped refinements above."""
+    n = basis.root.cells_per_side
+    out = np.zeros(n, dtype=samples.dtype)
+    t = scale - basis.root.J
+    if t <= basis.root.depth:
+        vals = basis._template(t, kind)
+        corr = np.correlate(samples, vals, mode="full")
+        m = 1 << t
+        sh = basis._shift(t, kind)
+        for k in _positions_overlapping(basis, scale, kind):
+            o = (k - sh) * m
+            c = corr[len(vals) - 1 + o] if 0 <= len(vals) - 1 + o < len(corr) else 0.0
+            a, b = max(o, 0), min(o + len(vals), n)
+            if a < b:
+                out[a:b] += c * vals[a - o:b - o]
+        return out
+    for k in _positions_overlapping(basis, scale, kind):
+        start, coeffs = _clipped_coeffs(basis, scale, k, kind)
+        a, b = max(start, 0), min(start + len(coeffs), n)
+        if a < b:
+            window = coeffs[a - start:b - start]
+            out[a:b] += np.sum(samples[a:b] * window) * window
+    return out

@@ -10,6 +10,7 @@ from dyadica.paraproduct import (ArityError, ParaproductSpec, WaveletFormSpec,
                                  form_mass, intrinsic_form, localized_form,
                                  unit_bump_family)
 from dyadica.wavelet import CoefficientTree
+from oracles import atom_pair, intrinsic_coeff
 
 
 @pytest.fixture()
@@ -78,9 +79,9 @@ def test_form_eval_single_cube_hand_sum(basis8, rng):
     g = mixed_function(rng, basis8, kind=2)
     bfunc = GridFunction(basis8.root, basis8.synthesize(tree))
     val = form_eval(duality_form(spec), bfunc, [g, f])
-    hand = q0.measure * basis8.pair(bfunc.samples, q0, "wavelet") \
-        * basis8.pair(g.samples, q0, "wavelet") \
-        * basis8.pair(f.samples, q0, "scaling")
+    hand = q0.measure * atom_pair(basis8, bfunc.samples, q0, "wavelet") \
+        * atom_pair(basis8, g.samples, q0, "wavelet") \
+        * atom_pair(basis8, f.samples, q0, "scaling")
     assert val == pytest.approx(hand, rel=1e-12)
 
 
@@ -115,8 +116,8 @@ def test_adjoint_single_cube_closed_form(basis8, rng):
     f1 = mixed_function(rng, basis8, kind=1)
     f2 = mixed_function(rng, basis8, kind=2)
     adj = adjoint_apply(spec, 1, [f1, f2])
-    expect = q0.measure * 1.3 * basis8.pair(f1.samples, q0, "wavelet") \
-        * basis8.pair(f2.samples, q0, "scaling") * basis8.atom_grid(q0, "scaling")
+    expect = q0.measure * 1.3 * atom_pair(basis8, f1.samples, q0, "wavelet") \
+        * atom_pair(basis8, f2.samples, q0, "scaling") * basis8.atom_grid(q0, "scaling")
     assert np.max(np.abs(adj.samples - expect)) < 1e-12
 
 
@@ -137,7 +138,6 @@ def test_intrinsic_form_single_finest_cube(dict8, basis8, rng):
     f = mixed_function(rng, basis8, kind=1)
     g = mixed_function(rng, basis8, kind=2)
     h = mixed_function(rng, basis8, kind=0)
-    from dyadica.tlnorm import intrinsic_coeff
     from dyadica.funcspace import local_average
     val = intrinsic_form(q0, f, [g, h], dict8)
     expect = q0.measure * intrinsic_coeff(f, q0, dict8) \
@@ -181,8 +181,8 @@ def test_localized_form_examples(random_spec, basis8, rng):
     own = 0.0
     for cube, b in random_spec.symbol.items():
         if cube == q:
-            own = cube.measure * b * basis8.pair(g.samples, cube, "wavelet") \
-                * random_spec.zeta(cube, fs)
+            own = cube.measure * b * atom_pair(basis8, g.samples, cube, "wavelet") \
+                * random_spec.zeta(cube.scale, fs)[cube.pos]
     split = sum(localized_form(random_spec.symbol, kid, g, fs, random_spec)
                 for kid in kids) + own
     assert split == pytest.approx(
@@ -198,8 +198,8 @@ def test_localized_form_finest_scale_single_term(basis8, rng):
     g = mixed_function(rng, basis8, kind=2)
     f = mixed_function(rng, basis8, kind=1)
     val = localized_form(tree, q, g, [f], spec)
-    hand = q.measure * 0.7 * basis8.pair(g.samples, q, "wavelet") \
-        * basis8.pair(f.samples, q, "scaling")
+    hand = q.measure * 0.7 * atom_pair(basis8, g.samples, q, "wavelet") \
+        * atom_pair(basis8, f.samples, q, "scaling")
     assert val == pytest.approx(hand, rel=1e-12)
 
 
