@@ -156,7 +156,9 @@ class ExponentTuple:
 
 def maximal(fs, ps=None) -> GridFunction:
     """Dyadic multilinear maximal function: at each grid point the sup over
-    admissible cubes containing it of the product of local p_j-means."""
+    admissible cubes containing it of the product of local p_j-means.  One
+    top-down pass with the running max at block resolution; bit-identical
+    to the max over scales of the expanded products."""
     if isinstance(fs, GridFunction):
         fs = [fs]
     root = fs[0].root
@@ -164,15 +166,19 @@ def maximal(fs, ps=None) -> GridFunction:
         ps = [1.0] * len(fs)
     if len(ps) != len(fs):
         raise ValueError("one exponent per function")
-    best = np.full(root.shape, -np.inf)
-    for scale in range(root.J, root.L + 1):
-        factor = 1 << (scale - root.J)
-        prod = np.ones([root.cells_per_side // factor] * root.d)
-        for f, p in zip(fs, ps):
-            if f.root != root:
-                raise ValueError("functions on different root boxes")
-            prod = prod * scale_averages(f, scale, p)
-        best = np.maximum(best, expand_blocks(prod, factor))
+    if any(f.root != root for f in fs):
+        raise ValueError("functions on different root boxes")
+    plain = [p == 1.0 or np.isinf(p) for p in ps]
+    powered = [np.abs(f.samples) if s else np.abs(f.samples) ** p
+               for f, p, s in zip(fs, ps, plain)]
+    best = None
+    for scale in range(root.L, root.J - 1, -1):
+        prod = None
+        for a, p, s in zip(powered, ps, plain):
+            avg = block_reduce(a, 1 << (scale - root.J), np.max if np.isinf(p) else np.mean)
+            avg = avg if s else avg ** (1.0 / p)
+            prod = avg if prod is None else prod * avg
+        best = prod if best is None else np.maximum(expand_blocks(best, 2), prod)
     return GridFunction(root, best)
 
 

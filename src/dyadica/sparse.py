@@ -9,13 +9,15 @@ doubled globally until every parent meets the configured packing ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
 
 from .dyadic import DyadicCube, RootBox
 from .funcspace import (GridFunction, block_reduce, dilated_scale_averages,
-                        grad_norm, local_average, maximal, taylor_poly)
+                        expand_blocks, grad_norm, local_average, maximal,
+                        taylor_poly)
 from .paraproduct import ParaproductSpec, intrinsic_form, localized_form
 from .tlnorm import NormSpec, TestDictionary, square_function, tl_norm
 from .wavelet import CoefficientTree
@@ -40,6 +42,10 @@ class StoppingConfig:
             raise ValueError("packing target must lie in (0, 1)")
         if self.mode not in ("intest", "mainiter"):
             raise ValueError(f"unknown stopping mode {self.mode!r}")
+        if self.theta_cap < self.theta:
+            raise ValueError(f"theta_cap {self.theta_cap} is below theta {self.theta}")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError(f"max_depth {self.max_depth} must be at least 1")
 
 
 @dataclass
@@ -66,36 +72,82 @@ class SparseCollection:
         return sum(c.measure for c in self.cubes())
 
 
-def _select_maximal(root: RootBox, q0: DyadicCube, predicate) -> list[DyadicCube]:
-    """Maximal subcubes of q0 satisfying the per-scale predicate arrays.
+@dataclass
+class NodeStops:
+    """The theta-free part of a node's stopping rules: rule i fires on a cube
+    at ``scale`` when ``levels[scale - J][i]`` at its position exceeds
+    ``theta * bases[i]``."""
 
-    ``predicate(scale)`` returns a boolean array over the positions of q0 at
-    that scale (canonical layout).  Top-down scan; descendants of selected
-    cubes are masked out.
-    """
-    selected = []
-    covered = None
-    for scale in range(q0.scale, root.J - 1, -1):
-        shift = q0.scale - scale
-        pred = predicate(scale)
-        if covered is None:
-            covered = np.zeros_like(pred, dtype=bool)
-        cand = pred & ~covered
-        if np.any(cand):
-            base = [p << shift for p in q0.pos]
+    bases: np.ndarray
+    levels: list
+
+    def select(self, root: RootBox, q0: DyadicCube, theta: float) -> list[DyadicCube]:
+        """Maximal subcubes of q0 on which some rule fires: scale-descending,
+        lexicographic scan; descendants of selected cubes are masked out."""
+        thr = (theta * self.bases).reshape((-1,) + (1,) * root.d)
+        selected = []
+        covered = np.zeros((1,) * root.d, dtype=bool)
+        for scale in range(q0.scale, root.J - 1, -1):
+            shift = q0.scale - scale
+            cand = np.any(self.levels[scale - root.J] > thr, axis=0) & ~covered
             for rel in np.argwhere(cand):
-                pos = tuple(int(b + r) for b, r in zip(base, rel))
+                pos = tuple(int((p << shift) + r) for p, r in zip(q0.pos, rel))
                 selected.append(DyadicCube(scale, pos))
-        covered = covered | cand
-        if scale > root.J:
-            for ax in range(root.d):
-                covered = np.repeat(covered, 2, axis=ax)
-    return selected
+            if scale > root.J:
+                covered = expand_blocks(covered | cand, 2)
+        return selected
 
 
 def _position_slices(q0: DyadicCube, scale: int):
     shift = q0.scale - scale
     return tuple(slice(p << shift, (p + 1) << shift) for p in q0.pos)
+
+
+def _masked_maximal(f: GridFunction, q0: DyadicCube, w: int) -> np.ndarray:
+    """Maximal function of f restricted to the w-dilate of q0 (zero elsewhere)."""
+    masked = GridFunction.zeros(f.root)
+    wslices = f.root.window_slices(q0, w)
+    masked.samples[wslices] = f.samples[wslices]
+    return maximal(masked).samples
+
+
+def intest_stops(q0: DyadicCube, b: GridFunction, g: GridFunction, fs,
+                 dictionary: TestDictionary, coeff_b=None, coeff_g=None) -> NodeStops:
+    """Anchored square functions of b and g against their means over q0, and
+    masked maximal functions of each later slot against <f>_{1,wQ}."""
+    root = b.root
+    w = dictionary.family.w
+    sl = root.window_slices(q0)
+    sb = square_function(b, q0, 0.0, 2.0, dictionary, coeff_b).samples[sl]
+    sg = square_function(g, q0, 0.0, 2.0, dictionary, coeff_g).samples[sl]
+    arrays = [sb, sg] + [_masked_maximal(f, q0, w)[sl] for f in fs]
+    bases = [np.mean(sb), np.mean(sg)] + [local_average(f, q0, 1.0, w) for f in fs]
+    return NodeStops(np.array(bases, dtype=float),
+                     [np.stack([block_reduce(a, 1 << t, np.min) for a in arrays])
+                      for t in range(q0.scale - root.J + 1)])
+
+
+def gradient_stops(q0: DyadicCube, gn: GridFunction, w: int) -> NodeStops:
+    """Minimum over the w-dilate of each cube (off the box counts as -inf)
+    of the masked maximal function of ``gn`` = |grad^n f1|, against
+    <gn>_{1,wQ}.  Block minima over the w-dilate of q0 hold every block the
+    dilates of its subcubes read."""
+    root = gn.root
+    wslices = root.window_slices(q0, w)
+    mm = _masked_maximal(gn, q0, w)[wslices]
+    r = w // 2
+    levels = []
+    for t in range(q0.scale - root.J + 1):
+        # q0's positions relative to the window, and r more each side
+        step = 1 << (q0.scale - root.J - t)
+        own = [p * step - (s.start >> t) for p, s in zip(q0.pos, wslices)]
+        ext = tuple(slice(max(a - r, 0), a + step + r) for a in own)
+        cells = tuple(slice(e.start << t, e.stop << t) for e in ext)
+        dil = ndimage.minimum_filter(block_reduce(mm[cells], 1 << t, np.min), size=w,
+                                     mode="constant", cval=-np.inf)
+        levels.append(dil[tuple(slice(a - e.start, a - e.start + step)
+                                for a, e in zip(own, ext))][None])
+    return NodeStops(np.array([local_average(gn, q0, 1.0, w)]), levels)
 
 
 def stopping_children(q0: DyadicCube, b: GridFunction, g: GridFunction, fs,
@@ -104,32 +156,8 @@ def stopping_children(q0: DyadicCube, b: GridFunction, g: GridFunction, fs,
                       coeff_b=None, coeff_g=None) -> list[DyadicCube]:
     """Maximal subcubes where the anchored square function of b or g, or a
     masked maximal function of some later slot, exceeds its threshold."""
-    root = b.root
-    theta = cfg.theta if theta is None else theta
-    w = dictionary.family.w
-    sb = square_function(b, q0, 0.0, 2.0, dictionary, coeff_b).samples
-    sg = square_function(g, q0, 0.0, 2.0, dictionary, coeff_g).samples
-    thr_b = theta * float(np.mean(sb[root.window_slices(q0)]))
-    thr_g = theta * float(np.mean(sg[root.window_slices(q0)]))
-    masked_max = []
-    thresholds = []
-    wslices = root.window_slices(q0, w)
-    for f in fs:
-        masked = GridFunction.zeros(root)
-        masked.samples[wslices] = f.samples[wslices]
-        masked_max.append(maximal(masked).samples)
-        thresholds.append(theta * local_average(f, q0, 1.0, w))
-
-    def predicate(scale):
-        factor = 1 << (scale - root.J)
-        sl = _position_slices(q0, scale)
-        pred = block_reduce(sb, factor, np.min)[sl] > thr_b
-        pred |= block_reduce(sg, factor, np.min)[sl] > thr_g
-        for mm, thr in zip(masked_max, thresholds):
-            pred |= block_reduce(mm, factor, np.min)[sl] > thr
-        return pred
-
-    return _select_maximal(root, q0, predicate)
+    stops = intest_stops(q0, b, g, fs, dictionary, coeff_b, coeff_g)
+    return stops.select(b.root, q0, cfg.theta if theta is None else theta)
 
 
 def gradient_stopping_children(q0: DyadicCube, f1: GridFunction, n: int,
@@ -137,54 +165,24 @@ def gradient_stopping_children(q0: DyadicCube, f1: GridFunction, n: int,
                                theta: float | None = None) -> list[DyadicCube]:
     """Maximal subcubes Z whose dilated cube lies inside the superlevel set
     of the masked maximal function of the n-th gradient."""
-    root = f1.root
-    theta = cfg.theta if theta is None else theta
-    gn = grad_norm(f1, n)
-    masked = GridFunction.zeros(root)
-    wslices = root.window_slices(q0, w)
-    masked.samples[wslices] = gn.samples[wslices]
-    mm = maximal(masked).samples
-    thr = theta * local_average(gn, q0, 1.0, w)
-
-    def predicate(scale):
-        factor = 1 << (scale - root.J)
-        block = block_reduce(mm, factor, np.min)
-        # containment of the whole dilated cube: min over the w-window of
-        # per-cube minima; cells outside the box fail the containment
-        dil = ndimage.minimum_filter(block, size=w, mode="constant", cval=-np.inf)
-        return dil[_position_slices(q0, scale)] > thr
-
-    return _select_maximal(root, q0, predicate)
+    stops = gradient_stops(q0, grad_norm(f1, n), w)
+    return stops.select(f1.root, q0, cfg.theta if theta is None else theta)
 
 
 def _stopped_square_max(q0: DyadicCube, coeffs, root: RootBox,
                         selected) -> float:
     """Max over q0 of the square function re-summed over non-stopped cubes."""
-    sl_cells = root.window_slices(q0)
-    acc = np.zeros([s.stop - s.start for s in sl_cells])
-    blocked = None
+    acc = 0.0
+    blocked = np.zeros((1,) * root.d, dtype=bool)
     for scale in range(q0.scale, root.J - 1, -1):
-        shift = q0.scale - scale
-        npos_shape = [1 << shift] * root.d
-        if blocked is None:
-            blocked = np.zeros(npos_shape, dtype=bool)
-        sel_here = np.zeros(npos_shape, dtype=bool)
-        base = [p << shift for p in q0.pos]
+        base = [p << (q0.scale - scale) for p in q0.pos]
         for cube in selected:
             if cube.scale == scale:
-                rel = tuple(c - b for c, b in zip(cube.pos, base))
-                sel_here[rel] = True
-        blocked = blocked | sel_here
-        vals = coeffs[scale][_position_slices(q0, scale)].copy()
-        vals[blocked] = 0.0
-        factor = 1 << (scale - root.J)
-        expanded = vals ** 2
-        for ax in range(root.d):
-            expanded = np.repeat(expanded, factor, axis=ax)
-        acc = acc + expanded
+                blocked[tuple(c - b for c, b in zip(cube.pos, base))] = True
+        vals = np.where(blocked, 0.0, coeffs[scale][_position_slices(q0, scale)])
+        acc = acc + expand_blocks(vals ** 2, 1 << (scale - root.J))
         if scale > root.J:
-            for ax in range(root.d):
-                blocked = np.repeat(blocked, 2, axis=ax)
+            blocked = expand_blocks(blocked, 2)
     return float(np.sqrt(np.max(acc)))
 
 
@@ -196,7 +194,8 @@ def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
     ``inputs``: for mode 'intest' keys b, g, fs; for mode 'mainiter' keys
     f1, n.  Square functions and thresholds re-anchor at every new root.
     In mode 'intest', ``coeff_b``/``coeff_g`` are the coefficient arrays of
-    b and g when the caller already has them.
+    b and g when the caller already has them.  Each node's theta-free
+    stopping data is built once per call and reused by every doubling.
     """
     root = dictionary.root
     theta = cfg.theta
@@ -206,8 +205,16 @@ def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
             coeff_b = dictionary.coeff_arrays(inputs["b"])
         if coeff_g is None:
             coeff_g = dictionary.coeff_arrays(inputs["g"])
+        stops = partial(intest_stops, b=inputs["b"], g=inputs["g"],
+                        fs=inputs.get("fs", []), dictionary=dictionary,
+                        coeff_b=coeff_b, coeff_g=coeff_g)
+    else:
+        stops = partial(gradient_stops, gn=grad_norm(inputs["f1"], inputs["n"]),
+                        w=dictionary.family.w)
+    by_node = {}
     while True:
         coll = SparseCollection(root_cube=q0, theta=theta)
+        parents = []
         frontier = [q0]
         ok = True
         depth = 0
@@ -217,25 +224,16 @@ def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
                 break
             nxt = []
             for node in frontier:
-                if cfg.mode == "intest":
-                    kids = stopping_children(node, inputs["b"], inputs["g"],
-                                             inputs.get("fs", []), cfg,
-                                             dictionary, theta, coeff_b, coeff_g)
-                else:
-                    kids = gradient_stopping_children(node, inputs["f1"],
-                                                      inputs["n"], cfg,
-                                                      dictionary.family.w, theta)
+                if node not in by_node:
+                    by_node[node] = stops(node)
+                kids = by_node[node].select(root, node, theta)
                 ratio = sum(c.measure for c in kids) / node.measure
                 coll.packing_by_parent[node] = ratio
                 if ratio > cfg.packing_target:
                     ok = False
                     break
-                if cfg.mode == "intest" and kids:
-                    smax = _stopped_square_max(node, coeff_b, root, kids)
-                    bound = theta * float(np.mean(
-                        square_function(inputs["b"], node, 0.0, 2.0, dictionary,
-                                        coeff_b).samples[root.window_slices(node)]))
-                    coll.stopped_square_checks.append((smax, bound))
+                if kids:
+                    parents.append((node, kids))
                 nxt.extend(kids)
             if not ok:
                 break
@@ -244,6 +242,11 @@ def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
             frontier = nxt
             depth += 1
         if ok:
+            if cfg.mode == "intest":
+                coll.stopped_square_checks = [
+                    (_stopped_square_max(node, coeff_b, root, kids),
+                     float(theta * by_node[node].bases[0]))
+                    for node, kids in parents]
             return coll
         theta *= 2.0
         if theta > cfg.theta_cap:
@@ -342,11 +345,7 @@ def taylor_telescoping_ratio(q0: DyadicCube, f1: GridFunction, n: int,
     side(q0)^n inf_P M(masked grad^n f1)."""
     root = f1.root
     resid = f1 - taylor_poly(f1, q0, n, dilation=w)
-    gn = grad_norm(f1, n)
-    masked = GridFunction.zeros(root)
-    wsl = root.window_slices(q0, w)
-    masked.samples[wsl] = gn.samples[wsl]
-    mm = maximal(masked).samples
+    mm = _masked_maximal(grad_norm(f1, n), q0, w)
     best = 0.0
     scale_factor = q0.side ** n
     for scale in range(root.J, q0.scale + 1):
@@ -365,11 +364,7 @@ def taylor_pair_ratio(q0: DyadicCube, children, f1: GridFunction, n: int,
     """Largest ratio over selected Z and P in D(Z) of
     <T_Z f1 - T_{q0} f1>_{1,wP} against side(q0)^n inf_Z M(masked grad^n f1)."""
     root = f1.root
-    gn = grad_norm(f1, n)
-    masked = GridFunction.zeros(root)
-    wsl = root.window_slices(q0, w)
-    masked.samples[wsl] = gn.samples[wsl]
-    mm = maximal(masked).samples
+    mm = _masked_maximal(grad_norm(f1, n), q0, w)
     p_big = taylor_poly(f1, q0, n, dilation=w)
     best = 0.0
     for z in children:

@@ -366,6 +366,10 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
                    cfg.refine)
     rng = np.random.default_rng([cfg.seed, 5])
     q0 = ws.root.root_cube
+    cfg_i = StoppingConfig(theta=cfg.sparse_theta, packing_target=cfg.packing_intest,
+                           theta_cap=cfg.sparse_theta_cap, mode="intest")
+    cfg_m = StoppingConfig(theta=cfg.sparse_theta, packing_target=cfg.packing_mainiter,
+                           theta_cap=cfg.sparse_theta_cap, mode="mainiter")
     worst_pack = {"intest": 0.0, "mainiter": 0.0}
     theta_max = {"intest": 0.0, "mainiter": 0.0}
     stopped_ok = True
@@ -373,9 +377,6 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         b = mixed_function(rng, ws.basis, kind=i)
         g = mixed_function(rng, ws.basis, kind=i + 1)
         f2 = mixed_function(rng, ws.basis, kind=i + 2)
-        cfg_i = StoppingConfig(theta=cfg.sparse_theta,
-                               packing_target=cfg.packing_intest,
-                               theta_cap=cfg.sparse_theta_cap, mode="intest")
         coll = build_sparse(q0, {"b": b, "g": g, "fs": [f2]}, cfg_i, ws.dictionary)
         ratios = list(coll.packing_by_parent.values())
         worst_pack["intest"] = max(worst_pack["intest"], max(ratios, default=0.0))
@@ -384,9 +385,6 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         f1 = GridFunction(ws.root,
                           plateau_function(rng, ws.root).samples
                           + wave_function(rng, ws.root).samples)
-        cfg_m = StoppingConfig(theta=cfg.sparse_theta,
-                               packing_target=cfg.packing_mainiter,
-                               theta_cap=cfg.sparse_theta_cap, mode="mainiter")
         coll_m = build_sparse(q0, {"f1": f1, "n": 1}, cfg_m, ws.dictionary)
         ratios = list(coll_m.packing_by_parent.values())
         worst_pack["mainiter"] = max(worst_pack["mainiter"], max(ratios, default=0.0))
@@ -416,9 +414,6 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
             b = mixed_function(rngj, wsj.basis, kind=i)
             g = mixed_function(rngj, wsj.basis, kind=i + 1)
             f2 = mixed_function(rngj, wsj.basis, kind=i + 2)
-            cfg_i = StoppingConfig(theta=cfg.sparse_theta,
-                                   packing_target=cfg.packing_intest,
-                                   theta_cap=cfg.sparse_theta_cap, mode="intest")
             rep = verify_domination(q0j, cfg_i, wsj.dictionary,
                                     exponents=(p, q, *ps), b=b, g=g, fs=[f2])
             if rep["rhs"] > 1e-12:
@@ -428,9 +423,6 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
                           plateau_function(rngj, wsj.root).samples
                           + wave_function(rngj, wsj.root).samples)
         tele3.append(taylor_telescoping_ratio(q0j, f1, 1, wsj.basis.family.w))
-        cfg_m = StoppingConfig(theta=cfg.sparse_theta,
-                               packing_target=cfg.packing_mainiter,
-                               theta_cap=cfg.sparse_theta_cap, mode="mainiter")
         coll = build_sparse(q0j, {"f1": f1, "n": 1}, cfg_m, wsj.dictionary)
         if coll.generations:
             tele4.append(taylor_pair_ratio(q0j, coll.generations[0], f1, 1,

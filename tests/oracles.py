@@ -1,9 +1,11 @@
-"""Slow per-cube references for the per-scale paths.
+"""Slow references for the fast paths.
 
-Each function here works one cube (or one position) at a time, the way the
+Most functions here work one cube (or one position) at a time, the way the
 package did before its operators went through ``strided_pairings`` and its
 transpose ``strided_spread``.  A family is given by its per-cube values,
 ``cube -> (slices, values)`` with ``(None, None)`` for an atom off the box.
+The last section holds the per-scale maximal function and the stopping-time
+construction that rebuilds every node on each threshold doubling.
 """
 
 from __future__ import annotations
@@ -11,8 +13,13 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy import ndimage
 
-from dyadica.funcspace import GridFunction
+from dyadica import DyadicCube
+from dyadica.funcspace import (GridFunction, block_reduce, expand_blocks, grad_norm,
+                               local_average, scale_averages)
+from dyadica.sparse import SparseCollection, ThetaCapError
+from dyadica.tlnorm import square_function
 from dyadica.wavelet import clipped_outer
 
 # -- per-cube atom values ------------------------------------------------------
@@ -232,3 +239,181 @@ def projection_1d(basis, samples, scale, kind) -> np.ndarray:
             window = coeffs[a - start:b - start]
             out[a:b] += np.sum(samples[a:b] * window) * window
     return out
+
+
+# -- maximal function and stopping rules ---------------------------------------
+#
+# The per-scale maximal function and the stopping-time construction that
+# rebuilds every node's square functions and masked maximal functions on each
+# threshold doubling.
+
+
+def maximal(fs, ps=None) -> GridFunction:
+    """Max over scales of the product of block p-means, each expanded to the
+    full box."""
+    if isinstance(fs, GridFunction):
+        fs = [fs]
+    root = fs[0].root
+    if ps is None:
+        ps = [1.0] * len(fs)
+    best = np.full(root.shape, -np.inf)
+    for scale in range(root.J, root.L + 1):
+        factor = 1 << (scale - root.J)
+        prod = np.ones([root.cells_per_side // factor] * root.d)
+        for f, p in zip(fs, ps):
+            prod = prod * scale_averages(f, scale, p)
+        best = np.maximum(best, expand_blocks(prod, factor))
+    return GridFunction(root, best)
+
+
+def _select_maximal(root, q0, predicate):
+    selected = []
+    covered = None
+    for scale in range(q0.scale, root.J - 1, -1):
+        shift = q0.scale - scale
+        pred = predicate(scale)
+        if covered is None:
+            covered = np.zeros_like(pred, dtype=bool)
+        cand = pred & ~covered
+        if np.any(cand):
+            base = [p << shift for p in q0.pos]
+            for rel in np.argwhere(cand):
+                pos = tuple(int(b + r) for b, r in zip(base, rel))
+                selected.append(DyadicCube(scale, pos))
+        covered = covered | cand
+        if scale > root.J:
+            for ax in range(root.d):
+                covered = np.repeat(covered, 2, axis=ax)
+    return selected
+
+
+def _position_slices(q0, scale):
+    shift = q0.scale - scale
+    return tuple(slice(p << shift, (p + 1) << shift) for p in q0.pos)
+
+
+def _masked_max(f, q0, w):
+    masked = GridFunction.zeros(f.root)
+    wslices = f.root.window_slices(q0, w)
+    masked.samples[wslices] = f.samples[wslices]
+    return maximal(masked).samples
+
+
+def stopping_children(q0, b, g, fs, dictionary, theta, coeff_b=None, coeff_g=None):
+    """Block minima over the whole box of the anchored square functions and
+    masked maximal functions, compared with theta times their q0 means."""
+    root = b.root
+    w = dictionary.family.w
+    sb = square_function(b, q0, 0.0, 2.0, dictionary, coeff_b).samples
+    sg = square_function(g, q0, 0.0, 2.0, dictionary, coeff_g).samples
+    thr_b = theta * float(np.mean(sb[root.window_slices(q0)]))
+    thr_g = theta * float(np.mean(sg[root.window_slices(q0)]))
+    masked_max = [_masked_max(f, q0, w) for f in fs]
+    thresholds = [theta * local_average(f, q0, 1.0, w) for f in fs]
+
+    def predicate(scale):
+        factor = 1 << (scale - root.J)
+        sl = _position_slices(q0, scale)
+        pred = block_reduce(sb, factor, np.min)[sl] > thr_b
+        pred |= block_reduce(sg, factor, np.min)[sl] > thr_g
+        for mm, thr in zip(masked_max, thresholds):
+            pred |= block_reduce(mm, factor, np.min)[sl] > thr
+        return pred
+
+    return _select_maximal(root, q0, predicate)
+
+
+def gradient_stopping_children(q0, f1, n, w, theta):
+    """Minimum filter over the whole box of the block minima of the masked
+    maximal gradient, compared with theta times its wQ mean."""
+    root = f1.root
+    gn = grad_norm(f1, n)
+    mm = _masked_max(gn, q0, w)
+    thr = theta * local_average(gn, q0, 1.0, w)
+
+    def predicate(scale):
+        block = block_reduce(mm, 1 << (scale - root.J), np.min)
+        dil = ndimage.minimum_filter(block, size=w, mode="constant", cval=-np.inf)
+        return dil[_position_slices(q0, scale)] > thr
+
+    return _select_maximal(root, q0, predicate)
+
+
+def _stopped_square_max(q0, coeffs, root, selected) -> float:
+    sl_cells = root.window_slices(q0)
+    acc = np.zeros([s.stop - s.start for s in sl_cells])
+    blocked = None
+    for scale in range(q0.scale, root.J - 1, -1):
+        shift = q0.scale - scale
+        npos_shape = [1 << shift] * root.d
+        if blocked is None:
+            blocked = np.zeros(npos_shape, dtype=bool)
+        sel_here = np.zeros(npos_shape, dtype=bool)
+        base = [p << shift for p in q0.pos]
+        for cube in selected:
+            if cube.scale == scale:
+                sel_here[tuple(c - b for c, b in zip(cube.pos, base))] = True
+        blocked = blocked | sel_here
+        vals = coeffs[scale][_position_slices(q0, scale)].copy()
+        vals[blocked] = 0.0
+        expanded = vals ** 2
+        for ax in range(root.d):
+            expanded = np.repeat(expanded, 1 << (scale - root.J), axis=ax)
+        acc = acc + expanded
+        if scale > root.J:
+            for ax in range(root.d):
+                blocked = np.repeat(blocked, 2, axis=ax)
+    return float(np.sqrt(np.max(acc)))
+
+
+def build_sparse(q0, inputs, cfg, dictionary) -> SparseCollection:
+    """Threshold doubling where every attempt rebuilds every node from
+    scratch and checks the stopped square function of every parent."""
+    root = dictionary.root
+    theta = cfg.theta
+    max_depth = cfg.max_depth if cfg.max_depth is not None else root.depth + 1
+    coeff_b = coeff_g = None
+    if cfg.mode == "intest":
+        coeff_b = dictionary.coeff_arrays(inputs["b"])
+        coeff_g = dictionary.coeff_arrays(inputs["g"])
+    while True:
+        coll = SparseCollection(root_cube=q0, theta=theta)
+        frontier = [q0]
+        ok = True
+        depth = 0
+        while frontier:
+            if depth >= max_depth:
+                coll.truncated = True
+                break
+            nxt = []
+            for node in frontier:
+                if cfg.mode == "intest":
+                    kids = stopping_children(node, inputs["b"], inputs["g"],
+                                             inputs.get("fs", []), dictionary,
+                                             theta, coeff_b, coeff_g)
+                else:
+                    kids = gradient_stopping_children(node, inputs["f1"], inputs["n"],
+                                                      dictionary.family.w, theta)
+                ratio = sum(c.measure for c in kids) / node.measure
+                coll.packing_by_parent[node] = ratio
+                if ratio > cfg.packing_target:
+                    ok = False
+                    break
+                if cfg.mode == "intest" and kids:
+                    smax = _stopped_square_max(node, coeff_b, root, kids)
+                    bound = theta * float(np.mean(
+                        square_function(inputs["b"], node, 0.0, 2.0, dictionary,
+                                        coeff_b).samples[root.window_slices(node)]))
+                    coll.stopped_square_checks.append((smax, bound))
+                nxt.extend(kids)
+            if not ok:
+                break
+            if nxt:
+                coll.generations.append(nxt)
+            frontier = nxt
+            depth += 1
+        if ok:
+            return coll
+        theta *= 2.0
+        if theta > cfg.theta_cap:
+            raise ThetaCapError("threshold exceeded its cap")

@@ -119,12 +119,17 @@ def test_cli_rejects_removed_threads_flag(tmp_path):
         main(["theorem-probe", "--threads", "2", "--out", str(tmp_path)])
 
 
-def test_cli_suite_reproducible_csv(tmp_path):
+@pytest.mark.parametrize("suite, text", [
+    ("norms", "[ensemble]\ncount = 10\n"),
+    ("sparse", "[sparse]\ntrials = 3\nj_sweep = -6, -7\n")], ids=["norms", "sparse"])
+def test_cli_suite_reproducible_csv(tmp_path, suite, text):
+    # a cache leaking between calls, or one that depends on iteration order,
+    # shows as a byte difference between the two runs
     cfg = tmp_path / "small.cfg"
-    cfg.write_text("[ensemble]\ncount = 10\n", encoding="utf-8")
+    cfg.write_text(text, encoding="utf-8")
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["suite", "norms", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["suite", "norms", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert main(["suite", suite, "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["suite", suite, "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
     text = (out1 / "summary.csv").read_text()
     assert ExperimentConfig.from_file(cfg).config_hash in text
