@@ -85,16 +85,19 @@ class NodeStops:
         """Maximal subcubes of q0 on which some rule fires: scale-descending,
         lexicographic scan; descendants of selected cubes are masked out."""
         thr = (theta * self.bases).reshape((-1,) + (1,) * root.d)
-        selected = []
-        covered = np.zeros((1,) * root.d, dtype=bool)
+        selected, covered = [], None
         for scale in range(q0.scale, root.J - 1, -1):
             shift = q0.scale - scale
-            cand = np.any(self.levels[scale - root.J] > thr, axis=0) & ~covered
-            for rel in np.argwhere(cand):
-                pos = tuple(int((p << shift) + r) for p, r in zip(q0.pos, rel))
-                selected.append(DyadicCube(scale, pos))
-            if scale > root.J:
-                covered = expand_blocks(covered | cand, 2)
+            cand = np.any(self.levels[scale - root.J] > thr, axis=0)
+            if covered is not None:
+                cand &= ~covered
+            if cand.any():
+                for rel in np.argwhere(cand):
+                    pos = tuple(int((p << shift) + r) for p, r in zip(q0.pos, rel))
+                    selected.append(DyadicCube(scale, pos))
+                covered = cand if covered is None else covered | cand
+            if covered is not None and scale > root.J:
+                covered = expand_blocks(covered, 2)
         return selected
 
 

@@ -242,10 +242,6 @@ def projection_1d(basis, samples, scale, kind) -> np.ndarray:
 
 
 # -- maximal function and stopping rules ---------------------------------------
-#
-# The per-scale maximal function and the stopping-time construction that
-# rebuilds every node's square functions and masked maximal functions on each
-# threshold doubling.
 
 
 def maximal(fs, ps=None) -> GridFunction:
