@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .dyadic import DyadicCube, RootBox
 from .funcspace import (GridFunction, lp_norm, multi_indices, multi_indices_upto,
@@ -27,6 +28,9 @@ class SingularConfigurationError(ValueError):
     """Kernel quadrature refused: supports meet and no truncation is set."""
 
 
+_SHARED_SUPPORT = "inputs share support and the kernel carries no truncation radius"
+
+
 def _common_support_nonempty(fs) -> bool:
     mask = np.abs(fs[0].samples) > 0
     for f in fs[1:]:
@@ -37,19 +41,21 @@ def _common_support_nonempty(fs) -> bool:
 @functools.lru_cache(maxsize=4)
 def _kernel_matrix(kernel, root: RootBox, eps_trunc: float):
     """Bilinear kernel on the midpoint grid, d = 1: the matrix with cells
-    within ``eps_trunc`` of the diagonal zeroed, and the (rows, cols, kernel
-    values) of those excluded off-diagonal cells.  Cached on the kernel
+    within ``eps_trunc`` of the diagonal zeroed, and a sparse matrix of
+    |kernel| on those excluded off-diagonal cells.  Cached on the kernel
     callable, so a kernel must not change after its first use."""
     x = root.midpoints_1d()
     xx0, xx1 = np.meshgrid(x, x, indexing="ij")
     keep = np.abs(xx0 - xx1) > eps_trunc
     K = np.where(keep, kernel(xx0, xx1), 0.0)
+    K.flags.writeable = False
     near = ~keep & (np.abs(xx0 - xx1) > 0)
     rows, cols = np.nonzero(near)
-    near_vals = np.array(kernel(xx0[near], xx1[near]))
-    for arr in (K, rows, cols, near_vals):
-        arr.flags.writeable = False
-    return K, rows, cols, near_vals
+    near_abs = sparse.csr_matrix(
+        (np.abs(np.asarray(kernel(xx0[near], xx1[near]), dtype=float)), (rows, cols)),
+        shape=K.shape)
+    near_abs.data.flags.writeable = False
+    return K, near_abs
 
 
 def form_quadrature(kernel, root: RootBox, fs, eps_trunc: float) -> dict:
@@ -58,21 +64,37 @@ def form_quadrature(kernel, root: RootBox, fs, eps_trunc: float) -> dict:
     Cells within ``eps_trunc`` of the diagonal (in the max metric on the
     center tuple) are excluded; the report carries the value and an estimate
     of the excluded mass.  ``eps_trunc == 0`` demands empty common support.
+
+    For n = 1 either slot may also be a stack of sample rows (a 2-D array):
+    the report then holds the value and the excluded mass of every pair of
+    rows, one axis per stacked slot, and the kernel matrix is multiplied on
+    the side with fewer rows.
     """
     if root.d != 1:
         raise NotImplementedError("kernel quadrature is implemented for d = 1")
     n = len(fs) - 1
-    if eps_trunc <= 0.0 and _common_support_nonempty(fs):
-        raise SingularConfigurationError(
-            "inputs share support and the kernel carries no truncation radius")
     h = root.cell_width
     if n == 1:
-        K, rows, cols, near_vals = _kernel_matrix(kernel, root, eps_trunc)
-        value = float(fs[0].samples @ K @ fs[1].samples) * h ** 2
-        excluded = float(np.sum(np.abs(near_vals * fs[0].samples[rows]
-                                       * fs[1].samples[cols]))) * h ** 2 \
-            if len(rows) else 0.0
-        return {"value": value, "excluded_mass": excluded}
+        a, b = (np.atleast_2d(f.samples if isinstance(f, GridFunction) else f)
+                for f in fs)
+        if eps_trunc <= 0.0 and np.any((np.abs(a) > 0) @ (np.abs(b) > 0).T):
+            raise SingularConfigurationError(_SHARED_SUPPORT)
+        K, near_abs = _kernel_matrix(kernel, root, eps_trunc)
+        # K meets the side with fewer rows as a stack of matrix-vector
+        # products, and einsum does the rest: level-3 BLAS products stalled
+        # for ~16 ms under threads on a busy 2-CPU machine, and their
+        # buffers raised peak memory
+        if len(b) < len(a):
+            value = np.einsum("in,jn->ij", a, np.matmul(K, b[..., None])[..., 0])
+        else:
+            value = np.einsum("in,jn->ij", np.matmul(a[:, None], K)[:, 0], b)
+        excluded = np.einsum("in,nj->ij", np.abs(a), near_abs @ np.abs(b).T)
+        # a single function in a slot drops that slot's axis
+        pick = tuple(0 if isinstance(f, GridFunction) else slice(None) for f in fs)
+        report = {"value": value[pick] * h ** 2, "excluded_mass": excluded[pick] * h ** 2}
+        return {key: float(v) if np.ndim(v) == 0 else v for key, v in report.items()}
+    if eps_trunc <= 0.0 and _common_support_nonempty(fs):
+        raise SingularConfigurationError(_SHARED_SUPPORT)
     if n == 2:
         value = 0.0
         excluded = 0.0
@@ -121,8 +143,13 @@ class KernelSpec:
             if self.planted is None:
                 raise ValueError("planted kernels wrap a paraproduct spec")
             self.n = self.planted.arity
-        if self.kind == "tabulated" and self.table is None:
-            raise ValueError("tabulated kernels need a value table")
+        if self.kind == "tabulated":
+            if self.table is None:
+                raise ValueError("tabulated kernels need a value table")
+            want = (self.root.cells_per_side,) * (self.n + 1)
+            if np.shape(self.table) != want:
+                raise ValueError(f"tabulated kernel table has shape {np.shape(self.table)}, "
+                                 f"the box and arity need {want}")
         self._kernel = (self._convolution_kernel() if self.kind == "convolution"
                         else self._tabulated_kernel() if self.kind == "tabulated"
                         else None)
@@ -171,6 +198,20 @@ class KernelSpec:
             return pairing(apply_paraproduct(self.planted, list(fs[1:])), fs[0])
         return form_quadrature(self._kernel, self.root, fs, self.eps_trunc)["value"]
 
+    @property
+    def takes_stacks(self) -> bool:
+        """True for an n = 1 kernel evaluated by quadrature, the forms that
+        ``evaluate_stacks`` serves."""
+        return self._kernel is not None and self.n == 1
+
+    def evaluate_stacks(self, rows0, rows1) -> np.ndarray:
+        """Lambda(rows0[a], rows1[b]) for every pair of sample rows, as an
+        array of shape (len(rows0), len(rows1)); one kernel product."""
+        if not self.takes_stacks:
+            raise NotImplementedError("stacked evaluation needs an n = 1 kernel quadrature")
+        return form_quadrature(self._kernel, self.root, [rows0, rows1],
+                               self.eps_trunc)["value"]
+
     def evaluate_adjoint(self, j: int, fs) -> float:
         """j-th adjoint: exchange slot 0 with slot j."""
         if not (1 <= j <= self.n):
@@ -205,47 +246,56 @@ class KernelSpec:
 
 def wbp_check(spec: KernelSpec, dictionary: TestDictionary,
               sample_cubes) -> dict:
-    """Max over sampled cubes and bump tuples of |Q|^n |Lambda(bumps)|."""
+    """Max over sampled cubes and bump tuples of |Q|^n |Lambda(bumps)|.
+
+    Slot s of tuple c holds bump member (c + s) mod 3.  An n = 1 kernel
+    quadrature takes one stacked quadrature per tuple; other forms are
+    evaluated cube by cube."""
+    n_bumps = 3
+    root = spec.root
+    placed = [(cube, [dictionary.bump_values(cube, member) for member in range(n_bumps)])
+              for cube in sample_cubes]
+    # a bump window misses the box for every member or for none
+    placed = [(cube, bumps) for cube, bumps in placed if bumps[0][0] is not None]
+    rows = np.zeros((n_bumps, len(placed)) + root.shape)
+    for i, (_, bumps) in enumerate(placed):
+        for member, (slices, vals) in enumerate(bumps):
+            rows[member, i][slices] = vals
+    if spec.takes_stacks:
+        vals = np.stack([np.diagonal(spec.evaluate_stacks(rows[c], rows[(c + 1) % n_bumps]))
+                         for c in range(n_bumps)], axis=1)
+    else:
+        vals = np.array([[spec.evaluate([GridFunction(root, rows[(c + slot) % n_bumps, i])
+                                         for slot in range(spec.n + 1)])
+                          for c in range(n_bumps)] for i in range(len(placed))])
     best = 0.0
     worst_cube = None
-    n_bumps = 3
-    for cube in sample_cubes:
-        for combo in range(n_bumps):
-            fs = []
-            ok = True
-            for slot in range(spec.n + 1):
-                slices, vals = dictionary.bump_values(cube, (combo + slot) % n_bumps)
-                if slices is None:
-                    ok = False
-                    break
-                g = GridFunction.zeros(spec.root)
-                g.samples[slices] = vals
-                fs.append(g)
-            if not ok:
-                continue
-            val = cube.measure ** spec.n * abs(spec.evaluate(fs))
+    for (cube, _), row in zip(placed, vals):
+        for v in row:
+            val = cube.measure ** spec.n * abs(v)
             if val > best:
                 best, worst_cube = val, cube
     return {"constant": best, "cube": worst_cube}
 
 
-def _radial_bump(root: RootBox, center, radius: float) -> GridFunction:
-    """Smooth cutoff: identically 1 inside half the radius, C^inf decay to 0.
+def _radial_bumps(root: RootBox, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Smooth cutoffs: identically 1 inside half the radius, C^inf decay to 0.
 
-    The inner plateau makes truncated pairings saturate exactly once the
-    plateau covers the relevant support.
+    ``centers`` is (m, d) and ``radii`` (m, r); the result is (m, r, *shape),
+    one cutoff per center and radius.  The inner plateau makes truncated
+    pairings saturate exactly once the plateau covers the relevant support.
     """
-    def fn(*grids):
-        r2 = np.zeros_like(grids[0])
-        for gax, c in zip(grids, np.atleast_1d(center)):
-            r2 = r2 + ((gax - c) / radius) ** 2
-        r = np.sqrt(r2)
-        t = np.clip(2.0 * r - 1.0, 0.0, 1.0)  # 0 on the plateau, 1 outside
-        with np.errstate(divide="ignore", over="ignore"):
-            b0 = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-            b1 = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        return b0 / (b0 + b1)
-    return GridFunction.from_callable(root, fn)
+    grids = np.meshgrid(*[root.midpoints_1d()] * root.d, indexing="ij")
+    radii = radii.reshape(radii.shape + (1,) * root.d)
+    r2 = np.zeros(radii.shape[:2] + root.shape)
+    for gax, c in zip(grids, centers.T):
+        r2 = r2 + ((gax - c.reshape((-1, 1) + (1,) * root.d)) / radii) ** 2
+    r = np.sqrt(r2)
+    t = np.clip(2.0 * r - 1.0, 0.0, 1.0)  # 0 on the plateau, 1 outside
+    with np.errstate(divide="ignore", over="ignore"):
+        b0 = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+        b1 = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+    return b0 / (b0 + b1)
 
 
 def _monomial(root: RootBox, gamma_j) -> GridFunction:
@@ -255,6 +305,13 @@ def _monomial(root: RootBox, gamma_j) -> GridFunction:
             out = out * gax ** power
         return out
     return GridFunction.from_callable(root, fn)
+
+
+# cutoff radii of the testing symbols, in units of truncation_scale * side
+_CUT_RADII = np.array([1.0, 2.0, 4.0])
+# cubes per stack of ``testing_symbols``: bounds its arrays and the cross
+# products of a stacked quadrature, which grow with the square of a stack
+_STACK = 64
 
 
 @dataclass
@@ -279,7 +336,12 @@ def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
                     stabilization_tol: float = 1e-6,
                     cubes=None) -> TestingSymbols:
     """Paraproduct symbols of the form: pairings with wavelets against
-    truncated monomials, and adjoint pairings against stabilized cutoffs."""
+    truncated monomials, and adjoint pairings against stabilized cutoffs.
+
+    The cubes go in stacks of at most ``_STACK``.  An n = 1 kernel
+    quadrature takes two stacked quadratures per stack, one for the
+    gamma-trees and one for the adjoints; other forms are evaluated cube by
+    cube."""
     root = basis.root
     A = truncation_scale
     out = TestingSymbols(order=k, truncation_scale=A)
@@ -291,34 +353,46 @@ def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
     for j in range(1, spec.n + 1):
         out.star[j] = CoefficientTree(root)
     monomials = {g: _monomial(root, g).samples for g in multi_indices_upto(root.d, k)}
-    for cube in cubes:
-        slices, vals = basis.atom_values(cube, "wavelet")
-        if slices is None:
-            continue
-        phi = GridFunction.zeros(root)
-        phi.samples[slices] = vals
-        scale_k = cube.side ** k
-        center = cube.center()
+    placed = [(cube, *basis.atom_values(cube, "wavelet")) for cube in cubes]
+    placed = [p for p in placed if p[1] is not None]
+    for lo in range(0, len(placed), _STACK):
+        part = placed[lo:lo + _STACK]
+        m = len(part)
+        phi = np.zeros((m,) + root.shape)
+        for row, (_, slices, vals) in zip(phi, part):
+            row[slices] = vals
         # nested cutoffs; the innermost truncates the monomials
-        cuts = [_radial_bump(root, center, mult * A * cube.side)
-                for mult in (1.0, 2.0, 4.0)]
-        for gamma in gammas:
-            fs = [phi] + [GridFunction(root, monomials[g] * cuts[0].samples)
-                          for g in gamma]
-            out.trees[gamma][cube] = scale_k * spec.evaluate(fs)
-        # adjoint symbols against nested cutoffs with stabilization check;
-        # values below the weak-boundedness unit count as stabilized at zero
-        floor = 1e-10 * cube.measure ** (-spec.n)
-        for j in range(1, spec.n + 1):
-            vals_by_radius = []
-            for cut in cuts:
-                fs = [phi] + [cut.copy() for _ in range(spec.n)]
-                vals_by_radius.append(spec.evaluate_adjoint(j, fs))
-            v2, v4 = vals_by_radius[1], vals_by_radius[2]
-            scale_ref = max(max(abs(v) for v in vals_by_radius), floor)
-            if abs(v4 - v2) > stabilization_tol * scale_ref:
-                out.flagged.append((j, cube))
-            out.star[j][cube] = scale_k * v4
+        cuts = _radial_bumps(root, np.array([c.center() for c, _, _ in part]),
+                             _CUT_RADII * A * np.array([[c.side] for c, _, _ in part]))
+        inputs = {g: monomials[g] * cuts[:, 0] for g in monomials}
+        diag = np.arange(m)
+        if spec.takes_stacks:
+            ins = np.stack([inputs[g] for (g,) in gammas], axis=1)
+            tree_vals = spec.evaluate_stacks(phi, ins.reshape((-1,) + root.shape))
+            tree_vals = tree_vals.reshape(m, m, len(gammas))[diag, diag]
+            star_vals = spec.evaluate_stacks(cuts.reshape((-1,) + root.shape), phi)
+            star_vals = {1: star_vals.reshape(m, len(_CUT_RADII), m)[diag, :, diag]}
+        else:
+            tree_vals = np.array([[spec.evaluate(
+                [GridFunction(root, phi[i])] + [GridFunction(root, inputs[g][i]) for g in gamma])
+                for gamma in gammas] for i in range(m)])
+            star_vals = {j: np.array([[spec.evaluate_adjoint(
+                j, [GridFunction(root, phi[i])] + [GridFunction(root, cut)] * spec.n)
+                for cut in cuts[i]] for i in range(m)]) for j in out.star}
+        for i, (cube, _, _) in enumerate(part):
+            scale_k = cube.side ** k
+            for gamma, val in zip(gammas, tree_vals[i]):
+                out.trees[gamma][cube] = scale_k * val
+            # adjoint symbols against nested cutoffs with stabilization check;
+            # values below the weak-boundedness unit count as stabilized at zero
+            floor = 1e-10 * cube.measure ** (-spec.n)
+            for j, vals in star_vals.items():
+                vals_by_radius = vals[i]
+                v2, v4 = vals_by_radius[1], vals_by_radius[2]
+                scale_ref = max(max(abs(v) for v in vals_by_radius), floor)
+                if abs(v4 - v2) > stabilization_tol * scale_ref:
+                    out.flagged.append((j, cube))
+                out.star[j][cube] = scale_k * v4
     return out
 
 
@@ -326,7 +400,7 @@ def testing_norm(symbols: TestingSymbols, k: int, p: float, q: float,
                  basis: AtomBasis, dictionary: TestDictionary) -> dict:
     """Four-part testing norm: low orders at exponent p, mid orders at q,
     top orders and adjoints at 1; parts combined additively."""
-    if not (1 <= p <= q or np.isinf(q)):
+    if not (1 <= p <= q):
         raise ValueError("need 1 <= p <= q")
     root = basis.root
     d_over_p = 0 if np.isinf(p) else int(np.floor(root.d / p))

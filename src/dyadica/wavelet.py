@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from .dyadic import DyadicCube, RootBox
 
@@ -445,8 +446,28 @@ class AtomBasis:
         return l2_norm(lhs - rhs, self.root)
 
     def gram_matrix(self, cubes) -> np.ndarray:
-        vecs = np.stack([np.sqrt(c.measure) * self.atom_grid(c).ravel() for c in cubes])
-        return (vecs @ vecs.T) * self.root.cell_measure
+        """Grid Gram matrix of the L^2-normalized wavelets sqrt|Q| phi_Q:
+        the product over axes of V V^T, where row i of the sparse V holds
+        cube i's 1-D template on its window, clipped to the box.  The L^1
+        factor, sqrt|Q| and the cell measure are powers of two whose product
+        is 1, so no weight enters."""
+        n = self.root.cells_per_side
+        wavelets = self.atoms("wavelet")
+        gram = np.ones((len(cubes), len(cubes)))
+        for axis in range(self.root.d):
+            data, cols, indptr = [], [], [0]
+            for cube in cubes:
+                _, template, first, _, _ = wavelets.layout(cube.scale)
+                s0 = first + cube.pos[axis] * (1 << (cube.scale - self.root.J))
+                a = min(max(s0, 0), n)
+                b = max(min(s0 + len(template), n), a)
+                data.append(template[a - s0:b - s0])
+                cols.append(np.arange(a, b))
+                indptr.append(indptr[-1] + b - a)
+            V = sparse.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                                  shape=(len(cubes), n))
+            gram *= (V @ V.T).toarray()
+        return gram
 
     def gram_residual(self, cubes) -> float:
         G = self.gram_matrix(cubes)

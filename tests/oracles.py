@@ -4,8 +4,10 @@ Most functions here work one cube (or one position) at a time, the way the
 package did before its operators went through ``strided_pairings`` and its
 transpose ``strided_spread``.  A family is given by its per-cube values,
 ``cube -> (slices, values)`` with ``(None, None)`` for an atom off the box.
-The last section holds the per-scale maximal function and the stopping-time
-construction that rebuilds every node on each threshold doubling.
+Before the last section come the Gram check and the testing bench with one
+full-box grid or form per cube.  The last section holds the per-scale
+maximal function and the stopping-time construction that rebuilds every
+node on each threshold doubling.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import numpy as np
 from scipy import ndimage
 
 from dyadica import DyadicCube
+from dyadica.czform import TestingSymbols, _monomial, input_orders
 from dyadica.funcspace import (GridFunction, block_reduce, expand_blocks, grad_norm,
-                               local_average, scale_averages)
+                               local_average, multi_indices_upto, scale_averages)
 from dyadica.sparse import SparseCollection, ThetaCapError
 from dyadica.tlnorm import square_function
-from dyadica.wavelet import clipped_outer
+from dyadica.wavelet import CoefficientTree, clipped_outer
 
 # -- per-cube atom values ------------------------------------------------------
 
@@ -238,6 +241,97 @@ def projection_1d(basis, samples, scale, kind) -> np.ndarray:
         if a < b:
             window = coeffs[a - start:b - start]
             out[a:b] += np.sum(samples[a:b] * window) * window
+    return out
+
+
+# -- the Gram check and the testing bench, one cube at a time ----------------------
+
+
+def gram_matrix(basis, cubes) -> np.ndarray:
+    """Gram matrix of sqrt|Q| phi_Q from one full-box grid per cube."""
+    vecs = np.stack([np.sqrt(c.measure) * basis.atom_grid(c).ravel() for c in cubes])
+    return (vecs @ vecs.T) * basis.root.cell_measure
+
+
+def wbp_check(spec, dictionary, sample_cubes) -> dict:
+    """Max over cubes and bump tuples of |Q|^n |Lambda(bumps)|, one full-box
+    form per (cube, tuple)."""
+    best = 0.0
+    worst_cube = None
+    n_bumps = 3
+    for cube in sample_cubes:
+        for combo in range(n_bumps):
+            fs = []
+            ok = True
+            for slot in range(spec.n + 1):
+                slices, vals = dictionary.bump_values(cube, (combo + slot) % n_bumps)
+                if slices is None:
+                    ok = False
+                    break
+                g = GridFunction.zeros(spec.root)
+                g.samples[slices] = vals
+                fs.append(g)
+            if not ok:
+                continue
+            val = cube.measure ** spec.n * abs(spec.evaluate(fs))
+            if val > best:
+                best, worst_cube = val, cube
+    return {"constant": best, "cube": worst_cube}
+
+
+def radial_bump(root, center, radius: float) -> GridFunction:
+    """One smooth cutoff: 1 inside half the radius, C^inf decay to 0."""
+    def fn(*grids):
+        r2 = np.zeros_like(grids[0])
+        for gax, c in zip(grids, np.atleast_1d(center)):
+            r2 = r2 + ((gax - c) / radius) ** 2
+        r = np.sqrt(r2)
+        t = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            b0 = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+            b1 = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        return b0 / (b0 + b1)
+    return GridFunction.from_callable(root, fn)
+
+
+def testing_symbols(spec, basis, k, truncation_scale=8.0, stabilization_tol=1e-6,
+                    cubes=None):
+    """Testing symbols with six (for n = 1) full-box forms per cube."""
+    root = basis.root
+    A = truncation_scale
+    out = TestingSymbols(order=k, truncation_scale=A)
+    if cubes is None:
+        cubes = [c for c in root.all_cubes() if c.scale > root.J]
+    gammas = list(input_orders(spec.n, root.d, k))
+    for gamma in gammas:
+        out.trees[gamma] = CoefficientTree(root)
+    for j in range(1, spec.n + 1):
+        out.star[j] = CoefficientTree(root)
+    monomials = {g: _monomial(root, g).samples for g in multi_indices_upto(root.d, k)}
+    for cube in cubes:
+        slices, vals = basis.atom_values(cube, "wavelet")
+        if slices is None:
+            continue
+        phi = GridFunction.zeros(root)
+        phi.samples[slices] = vals
+        scale_k = cube.side ** k
+        cuts = [radial_bump(root, cube.center(), mult * A * cube.side)
+                for mult in (1.0, 2.0, 4.0)]
+        for gamma in gammas:
+            fs = [phi] + [GridFunction(root, monomials[g] * cuts[0].samples)
+                          for g in gamma]
+            out.trees[gamma][cube] = scale_k * spec.evaluate(fs)
+        floor = 1e-10 * cube.measure ** (-spec.n)
+        for j in range(1, spec.n + 1):
+            vals_by_radius = []
+            for cut in cuts:
+                fs = [phi] + [cut.copy() for _ in range(spec.n)]
+                vals_by_radius.append(spec.evaluate_adjoint(j, fs))
+            v2, v4 = vals_by_radius[1], vals_by_radius[2]
+            scale_ref = max(max(abs(v) for v in vals_by_radius), floor)
+            if abs(v4 - v2) > stabilization_tol * scale_ref:
+                out.flagged.append((j, cube))
+            out.star[j][cube] = scale_k * v4
     return out
 
 

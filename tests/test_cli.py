@@ -121,7 +121,10 @@ def test_cli_rejects_removed_threads_flag(tmp_path):
 
 @pytest.mark.parametrize("suite, text", [
     ("norms", "[ensemble]\ncount = 10\n"),
-    ("sparse", "[sparse]\ntrials = 3\nj_sweep = -6, -7\n")], ids=["norms", "sparse"])
+    ("sparse", "[sparse]\ntrials = 3\nj_sweep = -6, -7\n"),
+    ("testbench", "[testbench]\nsample_count = 6\n"),
+    ("wavelet", "[dictionary]\nsize = 4\n")],
+    ids=["norms", "sparse", "testbench", "wavelet"])
 def test_cli_suite_reproducible_csv(tmp_path, suite, text):
     # a cache leaking between calls, or one that depends on iteration order,
     # shows as a byte difference between the two runs

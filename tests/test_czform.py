@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import oracles
 from dyadica import AtomBasis, DyadicCube, RootBox, build_family
 from dyadica.czform import (KernelSpec, SingularConfigurationError, _kernel_matrix,
                             form_quadrature, input_orders, sobolev_bound_bench,
@@ -237,3 +238,116 @@ def test_sobolev_bench_zero_kernel(bench, rng):
     with pytest.raises(ValueError):
         sobolev_bound_bench(zero, (2.0, 4.0, 4.0), 2, 1.5, basis, dictionary,
                             inputs)
+
+
+# -- the stacked bench against the per-cube references ---------------------------
+
+
+def _spec(kind, basis, planted):
+    root = basis.root
+    if kind == "convolution":
+        return KernelSpec(root, n=1, kind="convolution", eps_trunc=3 * root.cell_width,
+                          strength=1.5)
+    if kind == "tabulated":
+        table = np.random.default_rng(5).standard_normal(root.shape * 2)
+        return KernelSpec(root, n=1, kind="tabulated", eps_trunc=2 * root.cell_width,
+                          table=table)
+    if kind == "planted":
+        return planted
+    return KernelSpec(root, n=1, kind="zero")
+
+
+def _assert_trees_match(got: dict, ref: dict):
+    assert got.keys() == ref.keys()
+    for key, tree in ref.items():
+        assert got[key].data.keys() == tree.data.keys()
+        atol = 1e-12 * tree.max_abs()
+        for scale, arr in tree.data.items():
+            np.testing.assert_allclose(got[key].data[scale], arr, rtol=1e-12, atol=atol)
+
+
+@pytest.mark.parametrize("kind", ["convolution", "tabulated"])
+def test_stacked_form_quadrature_matches_scalar_calls(kind, bench):
+    basis, _, _ = bench
+    root = basis.root
+    spec = _spec(kind, basis, None)
+    rng = np.random.default_rng(8)
+    rows0 = rng.standard_normal((3,) + root.shape)
+    rows1 = rng.standard_normal((5,) + root.shape)
+    # either slot may be the side with fewer rows
+    for a, b in ((rows0, rows1), (rows1, rows0)):
+        rep = form_quadrature(spec._kernel, root, [a, b], spec.eps_trunc)
+        assert rep["value"].shape == rep["excluded_mass"].shape == (len(a), len(b))
+        for i, j in np.ndindex(len(a), len(b)):
+            one = form_quadrature(spec._kernel, root, [GridFunction(root, a[i]),
+                                                      GridFunction(root, b[j])],
+                                  spec.eps_trunc)
+            assert rep["value"][i, j] == pytest.approx(one["value"], rel=1e-12)
+            assert rep["excluded_mass"][i, j] == pytest.approx(one["excluded_mass"],
+                                                               rel=1e-12)
+    # a single function in one slot drops that slot's axis
+    half = form_quadrature(spec._kernel, root, [GridFunction(root, rows1[2]), rows0],
+                           spec.eps_trunc)
+    np.testing.assert_allclose(half["value"], rep["value"][2], rtol=1e-12)
+    np.testing.assert_allclose(spec.evaluate_stacks(rows1, rows0), rep["value"], rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["convolution", "tabulated", "planted", "zero"])
+def test_testing_symbols_match_per_cube_reference(kind, bench):
+    basis, _, planted = bench
+    spec = _spec(kind, basis, planted)
+    cubes = [c for c in basis.root.all_cubes() if c.scale > basis.root.J]
+    if kind == "planted":
+        cubes = cubes[::5]
+    # boundary cubes, whose wavelet windows the box clips, are included, and
+    # the n = 1 kernels take more than one stack of cubes
+    got = compute_testing_symbols(spec, basis, 2, cubes=cubes)
+    ref = oracles.testing_symbols(spec, basis, 2, cubes=cubes)
+    assert got.flagged == ref.flagged
+    _assert_trees_match(got.trees, ref.trees)
+    _assert_trees_match(got.star, ref.star)
+    if kind == "convolution":
+        assert ref.flagged and len(cubes) > 64
+
+
+@pytest.mark.parametrize("kind", ["convolution", "tabulated", "planted", "zero"])
+def test_wbp_check_matches_per_cube_reference(kind, bench):
+    basis, dictionary, planted = bench
+    spec = _spec(kind, basis, planted)
+    cubes = [c for c in basis.root.all_cubes() if c.scale > basis.root.J][::3]
+    got = wbp_check(spec, dictionary, cubes)
+    ref = oracles.wbp_check(spec, dictionary, cubes)
+    assert got["cube"] == ref["cube"]
+    assert got["constant"] == pytest.approx(ref["constant"], rel=1e-12)
+
+
+def test_stacked_bench_refuses_singular_configuration(bench):
+    basis, dictionary, _ = bench
+    spec = KernelSpec(basis.root, n=1, kind="convolution", eps_trunc=0.0)
+    cubes = basis.interior_cubes(-5, -4)[:3]
+    with pytest.raises(SingularConfigurationError):
+        compute_testing_symbols(spec, basis, 1, cubes=cubes)
+    with pytest.raises(SingularConfigurationError):
+        wbp_check(spec, dictionary, cubes)
+
+
+@pytest.mark.parametrize("p, q, ok", [(0.5, np.inf, False), (np.nan, np.inf, False),
+                                      (2.0, np.inf, True), (2.0, 4.0, True)])
+def test_testing_norm_checks_exponents(bench, p, q, ok):
+    basis, dictionary, _ = bench
+    zero = KernelSpec(basis.root, n=1, kind="zero")
+    syms = compute_testing_symbols(zero, basis, 1, cubes=basis.interior_cubes(-4, -4))
+    if ok:
+        assert compute_testing_norm(syms, 1, p, q, basis, dictionary)["total"] == 0.0
+    else:
+        with pytest.raises(ValueError):
+            compute_testing_norm(syms, 1, p, q, basis, dictionary)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (4, 4), (32, 32, 32)])
+def test_tabulated_kernel_rejects_table_shape(shape):
+    root = RootBox(d=1, L=0, J=-5)
+    with pytest.raises(ValueError) as exc:
+        KernelSpec(root, n=1, kind="tabulated", eps_trunc=2 * root.cell_width,
+                   table=np.ones(shape))
+    assert str(shape) in str(exc.value) and "(32, 32)" in str(exc.value)

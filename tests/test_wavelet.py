@@ -3,7 +3,7 @@ import pytest
 
 from dyadica import AtomBasis, CascadeError, DyadicCube, RootBox, build_family
 from dyadica.wavelet import CoefficientTree, daubechies_filter, l2_norm, mirror_filter
-from oracles import atom_pair
+from oracles import atom_pair, gram_matrix
 
 
 def test_filter_order2_matches_closed_form():
@@ -57,6 +57,17 @@ def test_build_family_validation():
 def test_gram_identity_interior(basis8):
     cubes = basis8.interior_cubes()
     assert basis8.gram_residual(cubes) < 1e-8
+
+
+@pytest.mark.parametrize("d, J", [(1, -7), (2, -4), (3, -3)])
+def test_gram_matrix_matches_per_cube_reference(family3, d, J):
+    basis = AtomBasis(family3, RootBox(d=d, L=0, J=J))
+    # every cube above the grid: the box clips the windows of boundary cubes
+    cubes = [c for c in basis.root.all_cubes() if c.scale > J]
+    got = basis.gram_matrix(cubes)
+    ref = gram_matrix(basis, cubes)
+    assert np.max(np.abs(got - ref)) <= 1e-14
+    assert np.max(np.abs(ref - np.eye(len(cubes)))) > 1e-3
 
 
 def test_analyze_single_atom(basis8):
