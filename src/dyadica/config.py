@@ -266,6 +266,16 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.L <= self.J:
             raise ValueError("root scale must exceed finest scale")
+        # an empty ensemble or a one-level sweep would pass its gate vacuously
+        for key, count in (("[probe] members", self.probe_members),
+                           ("[sparse] trials", self.sparse_trials)):
+            if count < 1:
+                raise ValueError(f"{key} = {count} must be at least 1")
+        for key, levels in (("[probe] j_sweep", self.probe_j_sweep),
+                            ("[sparse] j_sweep", self.sparse_j_sweep),
+                            ("[probe] bmo_depths", self.bmo_depths)):
+            if len(set(levels)) < 2:
+                raise ValueError(f"{key} = {levels} needs at least two distinct levels")
         k = self.probe_order - 1
         for kappa in self.probe_kappas:
             if abs(kappa) > k:

@@ -25,16 +25,31 @@ _HEADER = struct.Struct("<qqqq")
 
 @dataclass
 class GridFunction:
-    """Samples of a function at the midpoints of the finest-level cells."""
+    """Samples of a function at the midpoints of the finest-level cells.
+
+    Leading axes, if any, index a batch of functions on the same box: the
+    samples have shape ``batch + root.shape``, every layer reduces over the
+    trailing ``root.d`` axes only, and a single function is the batch of
+    one (``batch == ()``)."""
 
     root: RootBox
     samples: np.ndarray
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
-        if self.samples.shape != self.root.shape:
+        if self.samples.shape[self.samples.ndim - self.root.d:] != self.root.shape:
             raise ValueError(
                 f"sample shape {self.samples.shape} does not match box {self.root.shape}")
+
+    @classmethod
+    def stack(cls, fs) -> "GridFunction":
+        """The batch of the functions ``fs`` (one leading axis)."""
+        fs = list(fs)
+        return cls(fs[0].root, np.stack([f.samples for f in fs]))
+
+    def __getitem__(self, index) -> "GridFunction":
+        """Member ``index`` of a batch."""
+        return GridFunction(self.root, self.samples[index])
 
     @classmethod
     def zeros(cls, root: RootBox, dtype=float) -> "GridFunction":
@@ -67,42 +82,73 @@ def pairing(f: GridFunction, g: GridFunction) -> float:
     return np.sum(f.samples * g.samples) * f.root.cell_measure
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
+def box_axes(d: int) -> tuple:
+    """The trailing ``d`` axes: the box axes of batched samples."""
+    return tuple(range(-d, 0))
+
+
+def _scalar(vals):
+    """A float for an unbatched result, else the array over the batch."""
+    return float(vals) if np.ndim(vals) == 0 else vals
+
+
+def scalar_power(x, e):
+    """``x ** e`` one numpy scalar at a time: numpy's vectorized pow may
+    differ in the last bit from the scalar one, so a batch reduced to one
+    scalar per member keeps the unbatched values bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return float(x[()] ** e)
+    return np.array([v ** e for v in x.ravel()]).reshape(x.shape)
+
+
+def lp_norm(f: GridFunction, p: float):
+    """L^p norm over the box: a float, or an array over the batch."""
     a = np.abs(f.samples)
+    axes = box_axes(f.root.d)
     if np.isinf(p):
-        return float(np.max(a))
-    return float((np.sum(a ** p) * f.root.cell_measure) ** (1.0 / p))
+        return _scalar(np.max(a, axis=axes))
+    return scalar_power(np.sum(a ** p, axis=axes) * f.root.cell_measure, 1.0 / p)
 
 
 def local_average(f: GridFunction, cube: DyadicCube, p: float,
-                  dilation: int = 1) -> float:
-    """<f>_{p, wQ} = |wQ|^{-1/p} ||f||_{L^p(wQ)} with zero extension.
+                  dilation: int = 1):
+    """<f>_{p, wQ} = |wQ|^{-1/p} ||f||_{L^p(wQ)} with zero extension: a
+    float, or an array over the batch.
 
     The normalizing measure is that of the full dilated cube even when the
     window is clipped by the box.
     """
-    slices = f.root.window_slices(cube, dilation)
+    slices = (...,) + f.root.window_slices(cube, dilation)
     window = np.abs(f.samples[slices])
+    axes = box_axes(f.root.d)
     if np.isinf(p):
-        return float(np.max(window)) if window.size else 0.0
+        if not window.size:
+            return _scalar(np.zeros(window.shape[:window.ndim - f.root.d]))
+        return _scalar(np.max(window, axis=axes))
     measure = (dilation * cube.side) ** f.root.d
-    mass = np.sum(window ** p) * f.root.cell_measure
-    return float((mass / measure) ** (1.0 / p)) if mass > 0 else 0.0
+    mass = np.sum(window ** p, axis=axes) * f.root.cell_measure
+    return _scalar(np.where(mass > 0, scalar_power(mass / measure, 1.0 / p), 0.0))
 
 
-def block_reduce(arr: np.ndarray, factor: int, reduce=np.mean) -> np.ndarray:
+def block_reduce(arr: np.ndarray, factor: int, reduce=np.mean,
+                 d: int | None = None) -> np.ndarray:
     """``reduce`` (np.mean, np.max or np.min) over aligned blocks of side
-    ``factor`` along every axis."""
+    ``factor`` along each of the last ``d`` axes (all axes by default)."""
     if factor == 1:
         return arr
-    shape = [m for n in arr.shape for m in (n // factor, factor)]
-    return reduce(arr.reshape(shape), axis=tuple(range(1, 2 * arr.ndim, 2)))
+    d = arr.ndim if d is None else d
+    lead = arr.shape[:arr.ndim - d]
+    shape = list(lead) + [m for n in arr.shape[arr.ndim - d:] for m in (n // factor, factor)]
+    return reduce(arr.reshape(shape), axis=tuple(range(len(lead) + 1, len(shape), 2)))
 
 
-def expand_blocks(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Broadcast per-cube values back to their cells."""
+def expand_blocks(arr: np.ndarray, factor: int, d: int | None = None) -> np.ndarray:
+    """Broadcast per-cube values back to their cells, along each of the last
+    ``d`` axes (all axes by default)."""
+    d = arr.ndim if d is None else d
     out = arr
-    for ax in range(arr.ndim):
+    for ax in range(arr.ndim - d, arr.ndim):
         out = np.repeat(out, factor, axis=ax)
     return out
 
@@ -118,15 +164,18 @@ def scale_averages(f: GridFunction, scale: int, p: float) -> np.ndarray:
 
 def dilated_scale_averages(f: GridFunction, scale: int, p: float,
                            dilation: int) -> np.ndarray:
-    """Array over scale-``scale`` positions of <f>_{p, wQ} (zero extension)."""
+    """Array over scale-``scale`` positions of <f>_{p, wQ} (zero extension),
+    after the batch axes."""
     from scipy import ndimage
+    d = f.root.d
     factor = 1 << (scale - f.root.J)
     a = np.abs(f.samples)
+    size = (1,) * (a.ndim - d) + (dilation,) * d  # no filtering across the batch
     if np.isinf(p):
-        block = block_reduce(a, factor, np.max)
-        return ndimage.maximum_filter(block, size=dilation, mode="constant", cval=0.0)
-    block = block_reduce(a ** p, factor)
-    summed = ndimage.uniform_filter(block, size=dilation, mode="constant", cval=0.0)
+        block = block_reduce(a, factor, np.max, d)
+        return ndimage.maximum_filter(block, size=size, mode="constant", cval=0.0)
+    block = block_reduce(a ** p, factor, d=d)
+    summed = ndimage.uniform_filter(block, size=size, mode="constant", cval=0.0)
     return summed ** (1.0 / p)
 
 
@@ -175,10 +224,11 @@ def maximal(fs, ps=None) -> GridFunction:
     for scale in range(root.L, root.J - 1, -1):
         prod = None
         for a, p, s in zip(powered, ps, plain):
-            avg = block_reduce(a, 1 << (scale - root.J), np.max if np.isinf(p) else np.mean)
+            avg = block_reduce(a, 1 << (scale - root.J),
+                               np.max if np.isinf(p) else np.mean, root.d)
             avg = avg if s else avg ** (1.0 / p)
             prod = avg if prod is None else prod * avg
-        best = prod if best is None else np.maximum(expand_blocks(best, 2), prod)
+        best = prod if best is None else np.maximum(expand_blocks(best, 2, root.d), prod)
     return GridFunction(root, best)
 
 
@@ -186,9 +236,11 @@ def maximal(fs, ps=None) -> GridFunction:
 
 def central_diff(samples: np.ndarray, root: RootBox, axis: int,
                  order: int = 1) -> np.ndarray:
-    """Iterated central difference with zero extension outside the box."""
+    """Iterated central difference along box axis ``axis`` (counted among
+    the trailing ``root.d`` axes) with zero extension outside the box."""
     h = root.cell_width
     out = samples
+    axis += samples.ndim - root.d
     for _ in range(order):
         padded = np.pad(out, [(1, 1) if ax == axis else (0, 0)
                               for ax in range(out.ndim)])
@@ -225,7 +277,7 @@ def grad_norm(f: GridFunction, n: int) -> GridFunction:
     """Euclidean size of all order-n derivatives (one entry per multi-index)."""
     if n == 0:
         return GridFunction(f.root, np.abs(f.samples))
-    acc = np.zeros(f.root.shape)
+    acc = np.zeros(f.samples.shape)
     for alpha in multi_indices(f.root.d, n):
         acc += np.abs(derivative(f, alpha).samples) ** 2
     return GridFunction(f.root, np.sqrt(acc))
@@ -352,10 +404,10 @@ def neighbor_taylor_gap(f: GridFunction, p_cube: DyadicCube, q_cube: DyadicCube,
 # -- Sobolev norms ----------------------------------------------------------
 
 def sobolev_norm(f: GridFunction, kappa: int, r: float,
-                 basis: AtomBasis | None = None) -> float:
+                 basis: AtomBasis | None = None):
     """W^{kappa, r} norm: finite differences for kappa >= 0, the wavelet
     square-function surrogate for kappa < 0 (no finite-difference realization
-    exists there)."""
+    exists there).  A float, or an array over the batch."""
     if basis is not None and abs(kappa) > basis.family.k:
         raise ValueError(f"|kappa| = {abs(kappa)} exceeds family budget {basis.family.k}")
     if kappa >= 0:
@@ -368,14 +420,14 @@ def sobolev_norm(f: GridFunction, kappa: int, r: float,
     return wavelet_sobolev_norm(f, kappa, r, basis)
 
 
-def wavelet_sobolev_norm(f: GridFunction, kappa: int, r: float, basis: AtomBasis) -> float:
+def wavelet_sobolev_norm(f: GridFunction, kappa: int, r: float, basis: AtomBasis):
     """Wavelet square-function surrogate of the W^{kappa, r} norm, any kappa:
     the L^r norm of (sum_Q |side(Q)^{-kappa} phi_Q(f)|^2 1_Q)^{1/2}."""
     tree = basis.analyze(f.samples)
-    acc = np.zeros(f.root.shape)
+    acc = np.zeros(f.samples.shape)
     for scale in range(f.root.J + 1, f.root.L + 1):
         coeffs = np.abs(tree.data[scale]) * (2.0 ** (-kappa * scale))
-        acc += expand_blocks(coeffs, 1 << (scale - f.root.J)) ** 2
+        acc += expand_blocks(coeffs, 1 << (scale - f.root.J), f.root.d) ** 2
     return lp_norm(GridFunction(f.root, np.sqrt(acc)), r)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicCube
-from .funcspace import GridFunction, dilated_scale_averages
+from .funcspace import GridFunction, box_axes, dilated_scale_averages
 from .tlnorm import TestDictionary
 from .wavelet import AtomBasis, AtomFamily, CoefficientTree
 
@@ -184,9 +184,10 @@ def form_mass(form: WaveletFormSpec, f: GridFunction, fs) -> float:
 
 def intrinsic_form(q0: DyadicCube, f: GridFunction, fs,
                    dictionary: TestDictionary,
-                   coeff_f=None, coeff_f1=None) -> float:
+                   coeff_f=None, coeff_f1=None):
     """Intrinsic majorant of localized forms: sum over subcubes of
-    |Q| Psi_Q(f) Psi_Q(f_1) prod_{j>=2} <f_j>_{1,wQ}."""
+    |Q| Psi_Q(f) Psi_Q(f_1) prod_{j>=2} <f_j>_{1,wQ}; a float, or an array
+    over the batch."""
     root = f.root
     w = dictionary.family.w
     if coeff_f is None:
@@ -195,12 +196,12 @@ def intrinsic_form(q0: DyadicCube, f: GridFunction, fs,
         coeff_f1 = dictionary.coeff_arrays(fs[0])
     total = 0.0
     for scale in range(root.J, q0.scale + 1):
-        pos_slices = _block(q0, scale)
+        pos_slices = (...,) + _block(q0, scale)
         prod = coeff_f[scale][pos_slices] * coeff_f1[scale][pos_slices]
         for f_j in fs[1:]:
             prod = prod * dilated_scale_averages(f_j, scale, 1.0, w)[pos_slices]
-        total += float(np.sum(prod)) * 2.0 ** (scale * root.d)
-    return total
+        total = total + np.sum(prod, axis=box_axes(root.d)) * 2.0 ** (scale * root.d)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def localized_form(symbol: CoefficientTree, q0: DyadicCube, g: GridFunction,

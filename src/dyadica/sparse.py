@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .dyadic import DyadicCube, RootBox
-from .funcspace import (GridFunction, block_reduce, dilated_scale_averages,
+from .funcspace import (GridFunction, block_reduce, box_axes, dilated_scale_averages,
                         expand_blocks, grad_norm, local_average, maximal,
                         taylor_poly)
 from .paraproduct import ParaproductSpec, intrinsic_form, localized_form
@@ -56,6 +56,8 @@ class SparseCollection:
     theta: float = 0.0
     truncated: bool = False
     stopped_square_checks: list = field(default_factory=list)
+    # NodeStops.bases of every node the accepted attempt checked, in order
+    bases: dict = field(default_factory=dict)
 
     def cubes(self):
         out = [self.root_cube]
@@ -76,10 +78,14 @@ class SparseCollection:
 class NodeStops:
     """The theta-free part of a node's stopping rules: rule i fires on a cube
     at ``scale`` when ``levels[scale - J][i]`` at its position exceeds
-    ``theta * bases[i]``."""
+    ``theta * bases[i]``.  Built for a batch, both carry the batch axes
+    first, and ``stops[i]`` is member i's."""
 
     bases: np.ndarray
     levels: list
+
+    def __getitem__(self, index) -> "NodeStops":
+        return NodeStops(self.bases[index], [lv[index] for lv in self.levels])
 
     def select(self, root: RootBox, q0: DyadicCube, theta: float) -> list[DyadicCube]:
         """Maximal subcubes of q0 on which some rule fires: scale-descending,
@@ -108,8 +114,8 @@ def _position_slices(q0: DyadicCube, scale: int):
 
 def _masked_maximal(f: GridFunction, q0: DyadicCube, w: int) -> np.ndarray:
     """Maximal function of f restricted to the w-dilate of q0 (zero elsewhere)."""
-    masked = GridFunction.zeros(f.root)
-    wslices = f.root.window_slices(q0, w)
+    masked = GridFunction(f.root, np.zeros(f.samples.shape))
+    wslices = (...,) + f.root.window_slices(q0, w)
     masked.samples[wslices] = f.samples[wslices]
     return maximal(masked).samples
 
@@ -117,16 +123,21 @@ def _masked_maximal(f: GridFunction, q0: DyadicCube, w: int) -> np.ndarray:
 def intest_stops(q0: DyadicCube, b: GridFunction, g: GridFunction, fs,
                  dictionary: TestDictionary, coeff_b=None, coeff_g=None) -> NodeStops:
     """Anchored square functions of b and g against their means over q0, and
-    masked maximal functions of each later slot against <f>_{1,wQ}."""
+    masked maximal functions of each later slot against <f>_{1,wQ}; for
+    batched inputs, one NodeStops whose rows are the members'."""
     root = b.root
     w = dictionary.family.w
-    sl = root.window_slices(q0)
+    sl = (...,) + root.window_slices(q0)
     sb = square_function(b, q0, 0.0, 2.0, dictionary, coeff_b).samples[sl]
     sg = square_function(g, q0, 0.0, 2.0, dictionary, coeff_g).samples[sl]
     arrays = [sb, sg] + [_masked_maximal(f, q0, w)[sl] for f in fs]
-    bases = [np.mean(sb), np.mean(sg)] + [local_average(f, q0, 1.0, w) for f in fs]
-    return NodeStops(np.array(bases, dtype=float),
-                     [np.stack([block_reduce(a, 1 << t, np.min) for a in arrays])
+    axes = box_axes(root.d)
+    bases = [np.mean(sb, axis=axes), np.mean(sg, axis=axes)] \
+        + [local_average(f, q0, 1.0, w) for f in fs]
+    nb = sb.ndim - root.d
+    return NodeStops(np.moveaxis(np.array(bases, dtype=float), 0, -1),
+                     [np.stack([block_reduce(a, 1 << t, np.min, root.d) for a in arrays],
+                               axis=nb)
                       for t in range(q0.scale - root.J + 1)])
 
 
@@ -191,14 +202,17 @@ def _stopped_square_max(q0: DyadicCube, coeffs, root: RootBox,
 
 def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
                  dictionary: TestDictionary,
-                 coeff_b=None, coeff_g=None) -> SparseCollection:
+                 coeff_b=None, coeff_g=None, node_stops=None) -> SparseCollection:
     """Recursive stopping-time construction with global threshold doubling.
 
     ``inputs``: for mode 'intest' keys b, g, fs; for mode 'mainiter' keys
-    f1, n.  Square functions and thresholds re-anchor at every new root.
-    In mode 'intest', ``coeff_b``/``coeff_g`` are the coefficient arrays of
-    b and g when the caller already has them.  Each node's theta-free
-    stopping data is built once per call and reused by every doubling.
+    f1, n, and optionally gn = ``grad_norm(f1, n)`` when the caller has it.
+    Square functions and thresholds re-anchor at every new root.  In mode
+    'intest', ``coeff_b``/``coeff_g`` are the coefficient arrays of b and g
+    when the caller already has them.  Each node's theta-free stopping data
+    is built once per call and reused by every doubling; ``node_stops``
+    maps nodes to the NodeStops the caller already built (say, a row of a
+    batched root).  The collection keeps the bases of every node it checked.
     """
     root = dictionary.root
     theta = cfg.theta
@@ -212,9 +226,9 @@ def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
                         fs=inputs.get("fs", []), dictionary=dictionary,
                         coeff_b=coeff_b, coeff_g=coeff_g)
     else:
-        stops = partial(gradient_stops, gn=grad_norm(inputs["f1"], inputs["n"]),
-                        w=dictionary.family.w)
-    by_node = {}
+        gn = inputs["gn"] if "gn" in inputs else grad_norm(inputs["f1"], inputs["n"])
+        stops = partial(gradient_stops, gn=gn, w=dictionary.family.w)
+    by_node = dict(node_stops or {})
     while True:
         coll = SparseCollection(root_cube=q0, theta=theta)
         parents = []
@@ -245,6 +259,7 @@ def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
             frontier = nxt
             depth += 1
         if ok:
+            coll.bases = {node: by_node[node].bases for node in coll.packing_by_parent}
             if cfg.mode == "intest":
                 coll.stopped_square_checks = [
                     (_stopped_square_max(node, coeff_b, root, kids),
@@ -261,20 +276,27 @@ def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
 def sparse_form_eval(coll: SparseCollection, b: GridFunction, g: GridFunction,
                      fs, dictionary: TestDictionary,
                      coeff_b=None, coeff_g=None) -> float:
-    """Sum over the collection of |Q| <S b>_{1,Q} <S g>_{1,Q} prod <f_j>_{1,Q}."""
+    """Sum over the collection of |Q| <S b>_{1,Q} <S g>_{1,Q} prod <f_j>_{1,Q}.
+
+    The means of S b and S g over a cube are read from ``coll.bases`` when
+    an intest ``build_sparse`` of these b and g recorded them there (every
+    cube but those of a truncated last generation), and built otherwise."""
     root = b.root
-    if coeff_b is None:
-        coeff_b = dictionary.coeff_arrays(b)
-    if coeff_g is None:
-        coeff_g = dictionary.coeff_arrays(g)
     total = 0.0
     for cube in coll.cubes():
-        sl = root.window_slices(cube)
         term = cube.measure
-        term *= float(np.mean(square_function(b, cube, 0.0, 2.0, dictionary,
-                                              coeff_b).samples[sl]))
-        term *= float(np.mean(square_function(g, cube, 0.0, 2.0, dictionary,
-                                              coeff_g).samples[sl]))
+        if cube in coll.bases:
+            means = coll.bases[cube][:2]
+        else:
+            if coeff_b is None:
+                coeff_b = dictionary.coeff_arrays(b)
+            if coeff_g is None:
+                coeff_g = dictionary.coeff_arrays(g)
+            sl = root.window_slices(cube)
+            means = [np.mean(square_function(f, cube, 0.0, 2.0, dictionary, c).samples[sl])
+                     for f, c in ((b, coeff_b), (g, coeff_g))]
+        term *= float(means[0])
+        term *= float(means[1])
         for f in fs:
             term *= local_average(f, cube, 1.0)
         total += term
@@ -300,6 +322,11 @@ def verify_domination(q0: DyadicCube, cfg: StoppingConfig,
     sparse-form bound and the single-cube Hoelder bound.
     mode 'mainiter': lhs is the localized paraproduct form acting on
     f1 - Taylor(f1); rhs the gradient-sparse bound.
+
+    In mode 'intest', batched b, g and fs give a list of reports, one per
+    member: the coefficient arrays, the intrinsic form, the Hoelder bound
+    and the root's stopping data run once over the batch, the threshold
+    doublings and the recursion below the root once per member.
     """
     p, q = exponents[0], exponents[1]
     ps = list(exponents[2:])
@@ -307,28 +334,39 @@ def verify_domination(q0: DyadicCube, cfg: StoppingConfig,
     root = dictionary.root
     w = dictionary.family.w
     if cfg.mode == "intest":
+        batched = b.samples.ndim > root.d
+        if not batched:
+            b, g, fs = b[None], g[None], [f[None] for f in fs]
+        fs = list(fs)
         coeff_b = dictionary.coeff_arrays(b)
         coeff_g = dictionary.coeff_arrays(g)
-        lhs = intrinsic_form(q0, b, [g] + list(fs), dictionary,
-                             coeff_f=coeff_b, coeff_f1=coeff_g)
-        coll = build_sparse(q0, {"b": b, "g": g, "fs": list(fs)}, cfg, dictionary,
-                            coeff_b, coeff_g)
-        rhs_sparse = sparse_form_eval(coll, b, g, fs, dictionary, coeff_b, coeff_g)
+        lhs = intrinsic_form(q0, b, [g] + fs, dictionary, coeff_f=coeff_b, coeff_f1=coeff_g)
+        root_stops = intest_stops(q0, b, g, fs, dictionary, coeff_b, coeff_g)
         holder = q0.measure * q0.side ** (-theta_power) \
             * tl_norm(b, NormSpec(0.0, -float(theta_power), p, 2.0), dictionary, coeff_b) \
             * local_average(g, q0, q, w)
         for f, pj in zip(fs, ps):
-            holder *= local_average(f, q0, pj, w)
-        return {"lhs": lhs, "rhs": rhs_sparse, "rhs_holder": holder,
-                "ratio": lhs / rhs_sparse if rhs_sparse > 0 else np.inf,
-                "theta": coll.theta, "collection": coll}
+            holder = holder * local_average(f, q0, pj, w)
+        reports = []
+        for i in range(len(lhs)):
+            bi, gi, fsi = b[i], g[i], [f[i] for f in fs]
+            cb = {s: a[i] for s, a in coeff_b.items()}
+            cg = {s: a[i] for s, a in coeff_g.items()}
+            coll = build_sparse(q0, {"b": bi, "g": gi, "fs": fsi}, cfg, dictionary,
+                                cb, cg, node_stops={q0: root_stops[i]})
+            rhs_sparse = sparse_form_eval(coll, bi, gi, fsi, dictionary, cb, cg)
+            lhs_i = float(lhs[i])
+            reports.append({"lhs": lhs_i, "rhs": rhs_sparse, "rhs_holder": float(holder[i]),
+                            "ratio": lhs_i / rhs_sparse if rhs_sparse > 0 else np.inf,
+                            "theta": coll.theta, "collection": coll})
+        return reports if batched else reports[0]
     if spec is None or f1 is None:
         raise ValueError("mainiter mode needs a paraproduct spec and f1")
     resid = f1 - taylor_poly(f1, q0, n, dilation=w)
     lhs = abs(localized_form(spec.symbol, q0, g, [resid] + list(fs), spec))
-    coll = build_sparse(q0, {"f1": f1, "n": n}, cfg, dictionary)
-    bfunc = GridFunction(root, spec.basis.synthesize(spec.symbol))
     gn = grad_norm(f1, n)
+    coll = build_sparse(q0, {"f1": f1, "n": n, "gn": gn}, cfg, dictionary)
+    bfunc = GridFunction(root, spec.basis.synthesize(spec.symbol))
     total = 0.0
     for cube in coll.cubes():
         term = cube.measure * local_average(g, cube, q, w)

@@ -26,7 +26,7 @@ from .funcspace import (GridFunction, derivative, lp_norm, maximal, multi_indice
                         pairing, sobolev_norm, wavelet_sobolev_norm)
 from .paraproduct import (ParaproductSpec, adjoint_apply, apply_paraproduct,
                           duality_form, form_eval)
-from .sparse import (StoppingConfig, build_sparse, taylor_pair_ratio,
+from .sparse import (StoppingConfig, build_sparse, intest_stops, taylor_pair_ratio,
                      taylor_telescoping_ratio, verify_domination)
 from .tlnorm import NormSpec, TestDictionary, bmo_norm, tl_norm, tl_norms
 from .wavelet import AtomBasis, build_family, l2_norm
@@ -357,6 +357,15 @@ def suite_paraproduct(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
 
 # -- sparse suite (criteria 5 and 6) ------------------------------------------
 
+# trials per batch: the batched layers' arrays grow with it, while their
+# per-call overhead is already small against the per-trial recursion at 50
+_BATCH = 50
+
+
+def _batches(count: int):
+    for start in range(0, count, _BATCH):
+        yield range(start, min(start + _BATCH, count))
+
 
 def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     rows = []
@@ -373,22 +382,31 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     worst_pack = {"intest": 0.0, "mainiter": 0.0}
     theta_max = {"intest": 0.0, "mainiter": 0.0}
     stopped_ok = True
-    for i in range(100):
-        b = mixed_function(rng, ws.basis, kind=i)
-        g = mixed_function(rng, ws.basis, kind=i + 1)
-        f2 = mixed_function(rng, ws.basis, kind=i + 2)
-        coll = build_sparse(q0, {"b": b, "g": g, "fs": [f2]}, cfg_i, ws.dictionary)
-        ratios = list(coll.packing_by_parent.values())
-        worst_pack["intest"] = max(worst_pack["intest"], max(ratios, default=0.0))
-        theta_max["intest"] = max(theta_max["intest"], coll.theta)
-        stopped_ok &= all(s <= bnd + 1e-9 for s, bnd in coll.stopped_square_checks)
-        f1 = GridFunction(ws.root,
-                          plateau_function(rng, ws.root).samples
-                          + wave_function(rng, ws.root).samples)
-        coll_m = build_sparse(q0, {"f1": f1, "n": 1}, cfg_m, ws.dictionary)
-        ratios = list(coll_m.packing_by_parent.values())
-        worst_pack["mainiter"] = max(worst_pack["mainiter"], max(ratios, default=0.0))
-        theta_max["mainiter"] = max(theta_max["mainiter"], coll_m.theta)
+    for batch in _batches(100):
+        # the batch's trials are drawn first, (b, g, f2, f1) at a time as one
+        # trial at a time drew them (build_sparse draws nothing); the
+        # coefficient arrays and the root's stopping data are then built
+        # once for the batch
+        draws = [[mixed_function(rng, ws.basis, kind=i + k) for k in range(3)]
+                 + [GridFunction(ws.root, plateau_function(rng, ws.root).samples
+                                 + wave_function(rng, ws.root).samples)]
+                 for i in batch]
+        bs, gs, f2s = (GridFunction.stack(col) for col in list(zip(*draws))[:3])
+        coeff_b, coeff_g = ws.dictionary.coeff_arrays(bs), ws.dictionary.coeff_arrays(gs)
+        root_stops = intest_stops(q0, bs, gs, [f2s], ws.dictionary, coeff_b, coeff_g)
+        for i, (b, g, f2, f1) in enumerate(draws):
+            coll = build_sparse(q0, {"b": b, "g": g, "fs": [f2]}, cfg_i, ws.dictionary,
+                                {s: a[i] for s, a in coeff_b.items()},
+                                {s: a[i] for s, a in coeff_g.items()},
+                                node_stops={q0: root_stops[i]})
+            ratios = list(coll.packing_by_parent.values())
+            worst_pack["intest"] = max(worst_pack["intest"], max(ratios, default=0.0))
+            theta_max["intest"] = max(theta_max["intest"], coll.theta)
+            stopped_ok &= all(s <= bnd + 1e-9 for s, bnd in coll.stopped_square_checks)
+            coll_m = build_sparse(q0, {"f1": f1, "n": 1}, cfg_m, ws.dictionary)
+            ratios = list(coll_m.packing_by_parent.values())
+            worst_pack["mainiter"] = max(worst_pack["mainiter"], max(ratios, default=0.0))
+            theta_max["mainiter"] = max(theta_max["mainiter"], coll_m.theta)
     rows.append(CriterionRow.check(
         "sparse", "packing_intest", worst_pack["intest"], cfg.packing_intest,
         detail=f"theta up to {theta_max['intest']}"))
@@ -410,14 +428,16 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         rngj = np.random.default_rng([cfg.seed, 6])
         q0j = wsj.root.root_cube
         worst_ratio = 0.0
-        for i in range(trials):
-            b = mixed_function(rngj, wsj.basis, kind=i)
-            g = mixed_function(rngj, wsj.basis, kind=i + 1)
-            f2 = mixed_function(rngj, wsj.basis, kind=i + 2)
-            rep = verify_domination(q0j, cfg_i, wsj.dictionary,
-                                    exponents=(p, q, *ps), b=b, g=g, fs=[f2])
-            if rep["rhs"] > 1e-12:
-                worst_ratio = max(worst_ratio, rep["ratio"])
+        for batch in _batches(trials):
+            # the batch's (b, g, f2) triples, in the order one trial at a
+            # time drew them, then one batched domination check
+            triples = [[mixed_function(rngj, wsj.basis, kind=i + k) for k in range(3)]
+                       for i in batch]
+            bs, gs, f2s = (GridFunction.stack(col) for col in zip(*triples))
+            for rep in verify_domination(q0j, cfg_i, wsj.dictionary, exponents=(p, q, *ps),
+                                         b=bs, g=gs, fs=[f2s]):
+                if rep["rhs"] > 1e-12:
+                    worst_ratio = max(worst_ratio, rep["ratio"])
         per_j.append(worst_ratio)
         f1 = GridFunction(wsj.root,
                           plateau_function(rngj, wsj.root).samples
@@ -597,39 +617,39 @@ def _probe_member(ws: Workspace, seed_key, member: int, scales=None,
             fs.append(atom_function(rng, ws.basis, scales=input_scales, count=6))
         else:
             fs.append(mixed_function(rng, ws.basis, kind=kind))
-    return {"tree": tree, "bfunc": bfunc, "spec": spec, "fs": fs,
-            "coeffs": None, "out": None, "adj": {}, "wcache": {}, "tlcache": {}}
+    return {"tree": tree, "bfunc": bfunc, "spec": spec, "fs": fs}
 
 
-def _member_out(ws, mem):
-    if mem["out"] is None:
-        mem["out"] = apply_paraproduct(mem["spec"], mem["fs"])
-    return mem["out"]
+class _ProbeBatch:
+    """The members of one refinement level as stacks: the symbols' norms
+    per spec, and each function role's Sobolev norms per (kappa, r), each
+    layer run once over all members on first use.  A role is an input slot
+    index, "out" (the paraproduct) or ("adj", j); the operators themselves
+    run per member."""
 
+    def __init__(self, ws: Workspace, mems, norm_specs):
+        self.ws, self.mems = ws, mems
+        bfuncs = GridFunction.stack(mem["bfunc"] for mem in mems)
+        self.tl = dict(zip(norm_specs, tl_norms(bfuncs, norm_specs, ws.dictionary).T))
+        self._roles: dict = {}
+        self._norms: dict = {}
 
-def _member_adj(ws, mem, j):
-    if j not in mem["adj"]:
-        mem["adj"][j] = adjoint_apply(mem["spec"], j, mem["fs"])
-    return mem["adj"][j]
+    def _role(self, which) -> GridFunction:
+        if which not in self._roles:
+            if which == "out":
+                fs = [apply_paraproduct(mem["spec"], mem["fs"]) for mem in self.mems]
+            elif isinstance(which, tuple) and which[0] == "adj":
+                fs = [adjoint_apply(mem["spec"], which[1], mem["fs"]) for mem in self.mems]
+            else:
+                fs = [mem["fs"][which] for mem in self.mems]
+            self._roles[which] = GridFunction.stack(fs)
+        return self._roles[which]
 
-
-def _member_coeffs(ws, mem):
-    if mem["coeffs"] is None:
-        mem["coeffs"] = ws.dictionary.coeff_arrays(mem["bfunc"])
-    return mem["coeffs"]
-
-
-def _member_wnorm(ws, mem, which, kappa, r):
-    key = (which, kappa, r)
-    if key not in mem["wcache"]:
-        if which == "out":
-            f = _member_out(ws, mem)
-        elif isinstance(which, tuple) and which[0] == "adj":
-            f = _member_adj(ws, mem, which[1])
-        else:
-            f = mem["fs"][which]
-        mem["wcache"][key] = sobolev_norm(f, kappa, r, ws.basis)
-    return mem["wcache"][key]
+    def norm(self, which, kappa, r) -> np.ndarray:
+        key = (which, kappa, r)
+        if key not in self._norms:
+            self._norms[key] = sobolev_norm(self._role(which), kappa, r, self.ws.basis)
+        return self._norms[key]
 
 
 def probe_variants(cfg: ExperimentConfig):
@@ -718,27 +738,21 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
     for J in sweep:
         ws = workspace(cfg.d, cfg.L, J, fam_n, cfg.dictionary_size, cfg.refine)
         atom_source = TestDictionary(ws.basis, size=2, min_cells=2)
-        mems = [_probe_member(ws, [cfg.seed, 9], i, scales=symbol_scales,
-                              input_scales=input_scales,
-                              atom_source=atom_source)
-                for i in range(members)]
-        for mem in mems:
-            values = tl_norms(mem["bfunc"], norm_specs, ws.dictionary,
-                              _member_coeffs(ws, mem))
-            mem["tlcache"] = dict(zip(norm_specs, map(float, values)))
+        batch = _ProbeBatch(ws, [_probe_member(ws, [cfg.seed, 9], i, scales=symbol_scales,
+                                               input_scales=input_scales,
+                                               atom_source=atom_source)
+                                 for i in range(members)], norm_specs)
         for label, split, exps, (norm_spec, which, target) in variants:
             r = ExperimentConfig.holder_r(exps)
+            # per member, the same products in the same order as one at a time
+            rhs = batch.tl[norm_spec]
+            for nj, (idx, p) in zip(split, enumerate(exps)):
+                rhs = rhs * batch.norm(idx, nj, p)
+            kept = ~(rhs < 1e-12)
+            skipped = int(np.count_nonzero(~kept))
             ratios = []
-            skipped = 0
-            for mem in mems:
-                rhs = mem["tlcache"][norm_spec]
-                for nj, (idx, p) in zip(split, enumerate(exps)):
-                    rhs *= _member_wnorm(ws, mem, idx, nj, p)
-                if rhs < 1e-12:
-                    skipped += 1
-                    continue
-                lhs = _member_wnorm(ws, mem, which, target, r)
-                ratios.append(lhs / rhs)
+            if kept.any():
+                ratios = (batch.norm(which, target, r)[kept] / rhs[kept]).tolist()
             if ratios:
                 table.setdefault(label, {})[J] = max(ratios)
                 detail_rows.append([label, J, max(ratios), float(np.median(ratios)),

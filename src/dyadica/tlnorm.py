@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 from .dyadic import DyadicCube
-from .funcspace import GridFunction, block_reduce, expand_blocks
+from .funcspace import GridFunction, block_reduce, box_axes, expand_blocks
 from .wavelet import AtomBasis, AtomFamily, clipped_outer, strided_pairings
 
 
@@ -333,60 +333,76 @@ class TestDictionary:
         return op
 
     def coeff_arrays(self, f: GridFunction) -> dict[int, np.ndarray]:
-        """Per-scale arrays of the intrinsic coefficient at every position:
-        max over the bank of |pairing|, the canonical row masked where its
-        atom is clipped.  O(w n) per scale through ``strided_pairings``."""
+        """Per-scale arrays of the intrinsic coefficient at every position
+        (after the batch axes of ``f``): max over the bank of |pairing|, the
+        canonical row masked where its atom is clipped.  O(w n) per scale
+        through ``strided_pairings``."""
         root = self.root
         half = (self.family.w - 1) // 2
+        batch = f.samples.shape[:f.samples.ndim - root.d]
         out = {}
         for scale in range(root.J, root.L + 1):
             m = 1 << (scale - root.J)
             groups, mask = self._scale_operator(scale)
-            vals = [np.abs(strided_pairings(f.samples, bank, tail, -half * m, m, boundary))
-                    for bank, tail, boundary in groups]
-            if not vals:
-                out[scale] = np.zeros((root.positions_per_side(scale),) * root.d)
-                continue
-            vals = np.concatenate(vals, axis=-1)
-            if mask is not None:
-                vals[..., 0] *= mask
-            out[scale] = vals.max(axis=-1) * root.cell_measure
+            best = np.zeros(batch + (root.positions_per_side(scale),) * root.d)
+            for i, (bank, tail, boundary) in enumerate(groups):
+                vals = strided_pairings(f.samples, bank, tail, -half * m, m, boundary,
+                                        d=root.d)
+                np.abs(vals, out=vals)
+                if i == 0 and mask is not None:  # the canonical row
+                    vals[..., 0] *= mask
+                # group by group: a batch never holds every member's pairings
+                best = vals.max(axis=-1) if i == 0 else np.maximum(best, vals.max(axis=-1))
+            out[scale] = best * root.cell_measure
         return out
+
+
+def scale_profile(coeffs: dict[int, np.ndarray], root, n: float, q: float,
+                  region: DyadicCube | None = None):
+    """The cumulative per-scale profile of a function's coefficients on the
+    cells of ``region`` (the box by default), after the batch axes: yields
+    (scale, P) for scale = J .. scale(region), where P holds at each cell the
+    sum over scales s <= scale of (coeff_s / side_s^n)^q at the cell's cube
+    (the max for q = inf).  The square function anchored at ``region`` is
+    the last P to the power 1/q."""
+    region = root.root_cube if region is None else region
+    finite_q = not np.isinf(q)
+    acc = None
+    for scale in range(root.J, region.scale + 1):
+        shift = region.scale - scale
+        pos = (...,) + tuple(slice(p << shift, (p + 1) << shift) for p in region.pos)
+        term = expand_blocks(coeffs[scale][pos] / 2.0 ** (scale * n),
+                             1 << (scale - root.J), root.d)
+        if finite_q:
+            term = term ** q
+        acc = term if acc is None else (acc + term if finite_q else np.maximum(acc, term))
+        yield scale, acc
 
 
 def square_function(f: GridFunction, region: DyadicCube, n: float, q: float,
                     dictionary: TestDictionary,
                     coeffs: dict[int, np.ndarray] | None = None) -> GridFunction:
     """Scale-aggregated coefficient profile on a cube: at each grid point the
-    l^q norm over subcubes containing it of coeff / side^n."""
+    l^q norm over subcubes containing it of coeff / side^n (zero off the
+    cube), for every member of a batch."""
     if n > dictionary.family.k:
         raise ValueError(f"smoothness {n} exceeds family budget {dictionary.family.k}")
     root = f.root
     if coeffs is None:
         coeffs = dictionary.coeff_arrays(f)
-    out = GridFunction.zeros(root)
-    region_slices = root.window_slices(region)
-    finite_q = not np.isinf(q)
-    acc = None
-    for scale in range(root.J, region.scale + 1):
-        shift = scale - root.J
-        pos_slices = tuple(slice(p << (region.scale - scale), (p + 1) << (region.scale - scale))
-                           for p in region.pos)
-        term = coeffs[scale][pos_slices] / 2.0 ** (scale * n)
-        term = expand_blocks(term, 1 << shift)
-        if acc is None:
-            acc = term ** q if finite_q else term
-        else:
-            acc = acc + term ** q if finite_q else np.maximum(acc, term)
-    out.samples[region_slices] = acc ** (1.0 / q) if finite_q else acc
+    for _, acc in scale_profile(coeffs, root, n, q, region):
+        pass
+    out = GridFunction(root, np.zeros(f.samples.shape))
+    out.samples[(...,) + root.window_slices(region)] = acc if np.isinf(q) else acc ** (1.0 / q)
     return out
 
 
 def tl_norms(f: GridFunction, specs, dictionary: TestDictionary,
              coeffs: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """sup over admissible cubes of side^{-m} <S^n_{q,Q} f>_{p,Q}, for each
-    spec: the scale accumulation runs once per distinct (n, q), the block
-    means once per distinct (n, q, p), and the weight 2^{-m scale} last."""
+    spec (the last axis, after the batch axes of ``f``): the scale profile
+    runs once per distinct (n, q), the block means once per distinct
+    (n, q, p), and the weight 2^{-m scale} last."""
     specs = list(specs)
     fam = dictionary.family
     for spec in specs:
@@ -395,39 +411,40 @@ def tl_norms(f: GridFunction, specs, dictionary: TestDictionary,
     root = f.root
     if coeffs is None:
         coeffs = dictionary.coeff_arrays(f)
-    scales = range(root.J, root.L + 1)
+    axes = box_axes(root.d)
     groups: dict = {}
     for i, spec in enumerate(specs):
         groups.setdefault((spec.n, spec.q), {}).setdefault(spec.p, []).append(i)
-    out = np.zeros(len(specs))
+    out = np.zeros(coeffs[root.J].shape[:-root.d] + (len(specs),))
     for (n, q), by_p in groups.items():
-        finite_q = not np.isinf(q)
         peaks = {p: [] for p in by_p}
-        acc = np.zeros(root.shape)
-        for scale in scales:
+        for scale, acc in scale_profile(coeffs, root, n, q):
             factor = 1 << (scale - root.J)
-            term = expand_blocks(coeffs[scale] / 2.0 ** (scale * n), factor)
-            acc = acc + term ** q if finite_q else np.maximum(acc, term)
-            s_vals = acc ** (1.0 / q) if finite_q else acc
+            s_vals = acc if np.isinf(q) else acc ** (1.0 / q)
             for p in by_p:
                 if np.isinf(p):
-                    local = block_reduce(s_vals, factor, np.max)
+                    local = block_reduce(s_vals, factor, np.max, root.d)
                 else:
-                    local = block_reduce(s_vals ** p, factor) ** (1.0 / p)
-                peaks[p].append(float(np.max(local)))
+                    local = block_reduce(s_vals ** p, factor, d=root.d) ** (1.0 / p)
+                peaks[p].append((scale, np.max(local, axis=axes)))
         for p, idx in by_p.items():
             for i in idx:
-                out[i] = max([0.0] + [2.0 ** (-specs[i].m * scale) * peak
-                                      for scale, peak in zip(scales, peaks[p])])
+                best = 0.0
+                for scale, peak in peaks[p]:
+                    # fmax skips a NaN the way the scalar max(...) did
+                    best = np.fmax(best, 2.0 ** (-specs[i].m * scale) * peak)
+                out[..., i] = best
     return out
 
 
 def tl_norm(f: GridFunction, spec: NormSpec, dictionary: TestDictionary,
-            coeffs: dict[int, np.ndarray] | None = None) -> float:
-    """sup over admissible cubes of side^{-m} <S^n_{q,Q} f>_{p,Q}."""
-    return float(tl_norms(f, [spec], dictionary, coeffs)[0])
+            coeffs: dict[int, np.ndarray] | None = None):
+    """sup over admissible cubes of side^{-m} <S^n_{q,Q} f>_{p,Q}: a float,
+    or an array over the batch."""
+    vals = tl_norms(f, [spec], dictionary, coeffs)[..., 0]
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def bmo_norm(f: GridFunction, dictionary: TestDictionary,
-             coeffs: dict[int, np.ndarray] | None = None) -> float:
+             coeffs: dict[int, np.ndarray] | None = None):
     return tl_norm(f, NormSpec(0.0, 0.0, 2.0, 2.0), dictionary, coeffs)

@@ -417,7 +417,7 @@ class AtomBasis:
         # positions below the box whose atom still reaches into it
         first = -((len(template) - 1) // m) * m
         npos = (n - first) // m
-        coeffs = strided_pairings(samples, template[None], template, first, m, npos=npos)
+        coeffs = strided_pairings(samples, template[None], template, first, m, npos=npos, d=1)
         return strided_spread(coeffs, template[None], template, first, m, n)
 
     def high_low_residual(self, samples: np.ndarray, ell: int,
@@ -513,7 +513,8 @@ def _pair_last_axis(x: np.ndarray, templates: np.ndarray, first: int,
 
 
 def strided_pairings(samples: np.ndarray, bank: np.ndarray, tail, first: int,
-                     stride: int, boundary=(), npos: int | None = None) -> np.ndarray:
+                     stride: int, boundary=(), npos: int | None = None,
+                     d: int | None = None) -> np.ndarray:
     """Pairings of ``samples`` with a bank of tensor-product templates at
     every position of one scale.
 
@@ -531,21 +532,24 @@ def strided_pairings(samples: np.ndarray, bank: np.ndarray, tail, first: int,
     templates w strides wide a scale costs O((K + d) w n^d) in a fixed
     number of array operations, with no Python work per position, and
     computes only the strided lags a full correlation (O(n^2) at d = 1)
-    would mostly discard.  Returns an array of shape ``(npos,) * d + (K,)``,
-    by default ``npos = n // stride``.
+    would mostly discard.  The box axes are the last ``d`` (all by default);
+    leading axes are a batch.  Returns an array of shape
+    ``batch + (npos,) * d + (K,)``, by default ``npos = n // stride``.
     """
-    n = samples.shape[0]
+    d = samples.ndim if d is None else d
+    nb = samples.ndim - d
+    n = samples.shape[-1]
     npos = n // stride if npos is None else npos
     y = samples
-    for _ in range(samples.ndim - 1):
-        y = np.moveaxis(_pair_last_axis(y, tail, first, stride, npos), -1, 0)
+    for _ in range(d - 1):
+        y = np.moveaxis(_pair_last_axis(y, tail, first, stride, npos), -1, nb)
     lead = y.shape[:-1]
     y = y.reshape(-1, n)
     out = _pair_last_axis(y, bank, first, stride, npos)
     for rows, c0, block in boundary:
         cut = np.einsum("rc,cj->rj", y[:, c0:c0 + block.shape[0]], block)
         out[:, rows] = cut.reshape(len(y), len(rows), -1)
-    return np.moveaxis(out.reshape(lead + out.shape[1:]), -2, 0) if lead else out[0]
+    return np.moveaxis(out.reshape(lead + out.shape[1:]), -2, nb) if lead else out[0]
 
 
 def _spread_last_axis(c: np.ndarray, templates: np.ndarray, first: int,
@@ -634,10 +638,11 @@ class AtomFamily:
         return self._layouts[scale]
 
     def pair(self, samples: np.ndarray, scale: int) -> np.ndarray:
-        """atom_Q(f) by the grid quadrature at every position of ``scale``."""
+        """atom_Q(f) by the grid quadrature at every position of ``scale``,
+        after the batch axes of ``samples``."""
         bank, tail, first, boundary, weight = self.layout(scale)
         vals = strided_pairings(samples, bank, tail, first, 1 << (scale - self.root.J),
-                                boundary)
+                                boundary, d=self.root.d)
         return vals[..., 0] * (weight * self.root.cell_measure)
 
     def spread(self, coeffs: np.ndarray, scale: int) -> np.ndarray:

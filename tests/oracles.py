@@ -507,3 +507,142 @@ def build_sparse(q0, inputs, cfg, dictionary) -> SparseCollection:
         theta *= 2.0
         if theta > cfg.theta_cap:
             raise ThetaCapError("threshold exceeded its cap")
+
+
+# -- per-trial domination check and suite loops ---------------------------------
+
+
+def verify_domination_intest(q0, cfg, dictionary, exponents, b, g, fs, theta_power=0):
+    """One trial of the intest domination check, every piece from scratch:
+    the rebuilding ``build_sparse`` above, two square functions per cube of
+    the collection, the Hoelder bound from its own coefficient arrays."""
+    from dyadica.paraproduct import intrinsic_form
+    from dyadica.tlnorm import NormSpec, tl_norm
+    p, q, *ps = exponents
+    root = dictionary.root
+    w = dictionary.family.w
+    coeff_b = dictionary.coeff_arrays(b)
+    coeff_g = dictionary.coeff_arrays(g)
+    lhs = intrinsic_form(q0, b, [g] + list(fs), dictionary, coeff_b, coeff_g)
+    coll = build_sparse(q0, {"b": b, "g": g, "fs": list(fs)}, cfg, dictionary)
+    rhs = 0.0
+    for cube in coll.cubes():
+        sl = root.window_slices(cube)
+        term = cube.measure
+        term *= float(np.mean(square_function(b, cube, 0.0, 2.0, dictionary,
+                                              coeff_b).samples[sl]))
+        term *= float(np.mean(square_function(g, cube, 0.0, 2.0, dictionary,
+                                              coeff_g).samples[sl]))
+        for f in fs:
+            term *= local_average(f, cube, 1.0)
+        rhs += term
+    holder = q0.measure * q0.side ** (-theta_power) \
+        * tl_norm(b, NormSpec(0.0, -float(theta_power), p, 2.0), dictionary, coeff_b) \
+        * local_average(g, q0, q, w)
+    for f, pj in zip(fs, ps):
+        holder *= local_average(f, q0, pj, w)
+    return {"lhs": lhs, "rhs": rhs, "rhs_holder": holder,
+            "ratio": lhs / rhs if rhs > 0 else np.inf,
+            "theta": coll.theta, "collection": coll}
+
+
+def run_theorem_probe(cfg):
+    """The probe's detail rows with every member's norms computed one member
+    at a time, each on first use."""
+    from dyadica.config import ExperimentConfig
+    from dyadica.ensembles import default_atom_scales
+    from dyadica.funcspace import sobolev_norm
+    from dyadica.paraproduct import adjoint_apply, apply_paraproduct
+    from dyadica.suites import _probe_member, _variant_norm, probe_variants, workspace
+    from dyadica.tlnorm import TestDictionary, tl_norms
+    sweep = cfg.probe_j_sweep
+    ws0 = workspace(cfg.d, cfg.L, max(sweep), cfg.probe_order, cfg.dictionary_size,
+                    cfg.refine)
+    scales = [s for s in default_atom_scales(ws0.basis) if s >= max(sweep) + 2]
+    variants = [(label, split, exps, norm)
+                for label, kappa, split, exps, adjoint in probe_variants(cfg)
+                if (norm := _variant_norm(cfg, kappa, split, exps, adjoint))]
+    norm_specs = list(dict.fromkeys(norm[0] for *_, norm in variants))
+    rows = []
+    for J in sweep:
+        ws = workspace(cfg.d, cfg.L, J, cfg.probe_order, cfg.dictionary_size, cfg.refine)
+        atom_source = TestDictionary(ws.basis, size=2, min_cells=2)
+        mems = [_probe_member(ws, [cfg.seed, 9], i, scales=scales, input_scales=scales,
+                              atom_source=atom_source)
+                for i in range(cfg.probe_members)]
+        for mem in mems:
+            mem["tl"] = dict(zip(norm_specs, map(float, tl_norms(
+                mem["bfunc"], norm_specs, ws.dictionary))))
+            mem["norms"] = {}
+
+        def wnorm(mem, which, kappa, r):
+            key = (which, kappa, r)
+            if key not in mem["norms"]:
+                if which == "out":
+                    f = apply_paraproduct(mem["spec"], mem["fs"])
+                elif isinstance(which, tuple):
+                    f = adjoint_apply(mem["spec"], which[1], mem["fs"])
+                else:
+                    f = mem["fs"][which]
+                mem["norms"][key] = sobolev_norm(f, kappa, r, ws.basis)
+            return mem["norms"][key]
+
+        for label, split, exps, (norm_spec, which, target) in variants:
+            r = ExperimentConfig.holder_r(exps)
+            ratios, skipped = [], 0
+            for mem in mems:
+                rhs = mem["tl"][norm_spec]
+                for nj, (idx, p) in zip(split, enumerate(exps)):
+                    rhs *= wnorm(mem, idx, nj, p)
+                if rhs < 1e-12:
+                    skipped += 1
+                    continue
+                ratios.append(wnorm(mem, which, target, r) / rhs)
+            if ratios:
+                rows.append([label, J, max(ratios), float(np.median(ratios)),
+                             len(ratios), skipped])
+    return rows
+
+
+def sparse_suite_values(cfg):
+    """The sparse suite's criterion values with every trial drawn and
+    checked in turn: worst packing ratios and thetas of both modes, the
+    stopped-square flag, and the worst domination ratio per sweep level."""
+    from dyadica.ensembles import mixed_function, plateau_function, wave_function
+    from dyadica.sparse import StoppingConfig, build_sparse as fast_build
+    from dyadica.suites import workspace
+    ws = workspace(cfg.d, cfg.L, cfg.J, cfg.wavelet_order, cfg.dictionary_size, cfg.refine)
+    rng = np.random.default_rng([cfg.seed, 5])
+    q0 = ws.root.root_cube
+    cfg_i = StoppingConfig(theta=cfg.sparse_theta, packing_target=cfg.packing_intest,
+                           theta_cap=cfg.sparse_theta_cap, mode="intest")
+    cfg_m = StoppingConfig(theta=cfg.sparse_theta, packing_target=cfg.packing_mainiter,
+                           theta_cap=cfg.sparse_theta_cap, mode="mainiter")
+    worst = {"intest": 0.0, "mainiter": 0.0}
+    theta = {"intest": 0.0, "mainiter": 0.0}
+    stopped_ok = True
+    for i in range(100):
+        b, g, f2 = (mixed_function(rng, ws.basis, kind=i + k) for k in range(3))
+        coll = fast_build(q0, {"b": b, "g": g, "fs": [f2]}, cfg_i, ws.dictionary)
+        worst["intest"] = max(worst["intest"], max(coll.packing_by_parent.values(), default=0.0))
+        theta["intest"] = max(theta["intest"], coll.theta)
+        stopped_ok &= all(s <= bnd + 1e-9 for s, bnd in coll.stopped_square_checks)
+        f1 = GridFunction(ws.root, plateau_function(rng, ws.root).samples
+                          + wave_function(rng, ws.root).samples)
+        coll = fast_build(q0, {"f1": f1, "n": 1}, cfg_m, ws.dictionary)
+        worst["mainiter"] = max(worst["mainiter"], max(coll.packing_by_parent.values(),
+                                                       default=0.0))
+        theta["mainiter"] = max(theta["mainiter"], coll.theta)
+    per_j = []
+    for J in cfg.sparse_j_sweep:
+        wsj = workspace(cfg.d, cfg.L, J, cfg.wavelet_order, cfg.dictionary_size, cfg.refine)
+        rngj = np.random.default_rng([cfg.seed, 6])
+        ratio = 0.0
+        for i in range(cfg.sparse_trials):
+            b, g, f2 = (mixed_function(rngj, wsj.basis, kind=i + k) for k in range(3))
+            rep = verify_domination_intest(wsj.root.root_cube, cfg_i, wsj.dictionary,
+                                           cfg.sparse_exponents, b, g, [f2])
+            if rep["rhs"] > 1e-12:
+                ratio = max(ratio, rep["ratio"])
+        per_j.append(ratio)
+    return worst, theta, stopped_ok, per_j

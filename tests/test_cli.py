@@ -119,13 +119,17 @@ def test_cli_rejects_removed_threads_flag(tmp_path):
         main(["theorem-probe", "--threads", "2", "--out", str(tmp_path)])
 
 
-@pytest.mark.parametrize("suite, text", [
-    ("norms", "[ensemble]\ncount = 10\n"),
-    ("sparse", "[sparse]\ntrials = 3\nj_sweep = -6, -7\n"),
-    ("testbench", "[testbench]\nsample_count = 6\n"),
-    ("wavelet", "[dictionary]\nsize = 4\n")],
-    ids=["norms", "sparse", "testbench", "wavelet"])
-def test_cli_suite_reproducible_csv(tmp_path, suite, text):
+@pytest.mark.parametrize("suite, text, files", [
+    ("norms", "[ensemble]\ncount = 10\n", ["summary.csv"]),
+    ("paraproduct", "[sparse]\nj_sweep = -5, -6\n", ["summary.csv"]),
+    ("sparse", "[sparse]\ntrials = 3\nj_sweep = -6, -7\n", ["summary.csv"]),
+    ("testbench", "[testbench]\nsample_count = 6\n", ["summary.csv"]),
+    ("theorem", "[probe]\nmembers = 4\nj_sweep = -5, -6\n",
+     # its summary.csv holds the probe's wall-clock time
+     ["theorem_probe.csv", "theorem_growth.csv"]),
+    ("wavelet", "[dictionary]\nsize = 4\n", ["summary.csv"])],
+    ids=["norms", "paraproduct", "sparse", "testbench", "theorem", "wavelet"])
+def test_cli_suite_reproducible_csv(tmp_path, suite, text, files):
     # a cache leaking between calls, or one that depends on iteration order,
     # shows as a byte difference between the two runs
     cfg = tmp_path / "small.cfg"
@@ -133,7 +137,8 @@ def test_cli_suite_reproducible_csv(tmp_path, suite, text):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["suite", suite, "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["suite", suite, "--config", str(cfg), "--out", str(out2)]) == 0
-    assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     text = (out1 / "summary.csv").read_text()
     assert ExperimentConfig.from_file(cfg).config_hash in text
 

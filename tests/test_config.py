@@ -1,0 +1,39 @@
+"""Configuration validation: every ensemble and sweep a gate reads must be
+able to fail it."""
+
+import pytest
+
+from dyadica.config import ExperimentConfig
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "c.cfg"
+    path.write_text(text, encoding="utf-8")
+    return ExperimentConfig.from_file(path)
+
+
+def test_defaults_validate_and_keep_their_hash():
+    # the defaults are unchanged, so is the hash every report echoes
+    assert ExperimentConfig.defaults().config_hash == "76ce0245927b3ea4"
+
+
+@pytest.mark.parametrize("section, key", [("probe", "members"), ("sparse", "trials")])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_rejects_empty_ensemble(tmp_path, section, key, value):
+    with pytest.raises(ValueError, match=rf"\[{section}\] {key} = {value} must be at least 1"):
+        _config(tmp_path, f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("section, key", [("probe", "j_sweep"), ("sparse", "j_sweep"),
+                                          ("probe", "bmo_depths")])
+@pytest.mark.parametrize("value", ["", "-6", "-6, -6"])
+def test_rejects_one_level_sweep(tmp_path, section, key, value):
+    with pytest.raises(ValueError, match=rf"\[{section}\] {key} = .* two distinct levels"):
+        _config(tmp_path, f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("text", ["[probe]\nmembers = 1\nj_sweep = -5, -6\n",
+                                  "[sparse]\ntrials = 1\nj_sweep = -7, -6\n",
+                                  "[probe]\nbmo_depths = 4, 6\n"])
+def test_accepts_smallest_valid_values(tmp_path, text):
+    _config(tmp_path, text)
