@@ -620,36 +620,14 @@ def _probe_member(ws: Workspace, seed_key, member: int, scales=None,
     return {"tree": tree, "bfunc": bfunc, "spec": spec, "fs": fs}
 
 
-class _ProbeBatch:
-    """The members of one refinement level as stacks: the symbols' norms
-    per spec, and each function role's Sobolev norms per (kappa, r), each
-    layer run once over all members on first use.  A role is an input slot
-    index, "out" (the paraproduct) or ("adj", j); the operators themselves
-    run per member."""
-
-    def __init__(self, ws: Workspace, mems, norm_specs):
-        self.ws, self.mems = ws, mems
-        bfuncs = GridFunction.stack(mem["bfunc"] for mem in mems)
-        self.tl = dict(zip(norm_specs, tl_norms(bfuncs, norm_specs, ws.dictionary).T))
-        self._roles: dict = {}
-        self._norms: dict = {}
-
-    def _role(self, which) -> GridFunction:
-        if which not in self._roles:
-            if which == "out":
-                fs = [apply_paraproduct(mem["spec"], mem["fs"]) for mem in self.mems]
-            elif isinstance(which, tuple) and which[0] == "adj":
-                fs = [adjoint_apply(mem["spec"], which[1], mem["fs"]) for mem in self.mems]
-            else:
-                fs = [mem["fs"][which] for mem in self.mems]
-            self._roles[which] = GridFunction.stack(fs)
-        return self._roles[which]
-
-    def norm(self, which, kappa, r) -> np.ndarray:
-        key = (which, kappa, r)
-        if key not in self._norms:
-            self._norms[key] = sobolev_norm(self._role(which), kappa, r, self.ws.basis)
-        return self._norms[key]
+def _member_role(mem, which) -> GridFunction:
+    """A member's function in a role: an input slot index, "out" (the
+    paraproduct) or ("adj", j)."""
+    if which == "out":
+        return apply_paraproduct(mem["spec"], mem["fs"])
+    if isinstance(which, tuple):
+        return adjoint_apply(mem["spec"], which[1], mem["fs"])
+    return mem["fs"][which]
 
 
 def probe_variants(cfg: ExperimentConfig):
@@ -738,21 +716,31 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
     for J in sweep:
         ws = workspace(cfg.d, cfg.L, J, fam_n, cfg.dictionary_size, cfg.refine)
         atom_source = TestDictionary(ws.basis, size=2, min_cells=2)
-        batch = _ProbeBatch(ws, [_probe_member(ws, [cfg.seed, 9], i, scales=symbol_scales,
-                                               input_scales=input_scales,
-                                               atom_source=atom_source)
-                                 for i in range(members)], norm_specs)
+        mems = [_probe_member(ws, [cfg.seed, 9], i, scales=symbol_scales,
+                              input_scales=input_scales, atom_source=atom_source)
+                for i in range(members)]
+        # each layer once over all members: the symbol norms now, each
+        # role's stack and each distinct Sobolev norm of it on first use
+        tl = tl_norms(GridFunction.stack(mem["bfunc"] for mem in mems), norm_specs,
+                      ws.dictionary)
+        roles, norms = {}, {}
+
+        def norm(which, kappa, r):
+            if (which, kappa, r) not in norms:
+                if which not in roles:
+                    roles[which] = GridFunction.stack(_member_role(mem, which) for mem in mems)
+                norms[which, kappa, r] = sobolev_norm(roles[which], kappa, r, ws.basis)
+            return norms[which, kappa, r]
+
         for label, split, exps, (norm_spec, which, target) in variants:
             r = ExperimentConfig.holder_r(exps)
             # per member, the same products in the same order as one at a time
-            rhs = batch.tl[norm_spec]
+            rhs = tl[:, norm_specs.index(norm_spec)]
             for nj, (idx, p) in zip(split, enumerate(exps)):
-                rhs = rhs * batch.norm(idx, nj, p)
+                rhs = rhs * norm(idx, nj, p)
             kept = ~(rhs < 1e-12)
             skipped = int(np.count_nonzero(~kept))
-            ratios = []
-            if kept.any():
-                ratios = (batch.norm(which, target, r)[kept] / rhs[kept]).tolist()
+            ratios = (norm(which, target, r)[kept] / rhs[kept]).tolist() if kept.any() else []
             if ratios:
                 table.setdefault(label, {})[J] = max(ratios)
                 detail_rows.append([label, J, max(ratios), float(np.median(ratios)),
