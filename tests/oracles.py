@@ -607,7 +607,8 @@ def run_theorem_probe(cfg):
 def sparse_suite_values(cfg):
     """The sparse suite's criterion values with every trial drawn and
     checked in turn: worst packing ratios and thetas of both modes, the
-    stopped-square flag, and the worst domination ratio per sweep level."""
+    stopped-square flag, the worst domination ratio per sweep level, and
+    the packing loop's collections in the order it built them."""
     from dyadica.ensembles import mixed_function, plateau_function, wave_function
     from dyadica.sparse import StoppingConfig, build_sparse as fast_build
     from dyadica.suites import workspace
@@ -621,15 +622,18 @@ def sparse_suite_values(cfg):
     worst = {"intest": 0.0, "mainiter": 0.0}
     theta = {"intest": 0.0, "mainiter": 0.0}
     stopped_ok = True
+    built = []
     for i in range(100):
         b, g, f2 = (mixed_function(rng, ws.basis, kind=i + k) for k in range(3))
         coll = fast_build(q0, {"b": b, "g": g, "fs": [f2]}, cfg_i, ws.dictionary)
+        built.append(coll)
         worst["intest"] = max(worst["intest"], max(coll.packing_by_parent.values(), default=0.0))
         theta["intest"] = max(theta["intest"], coll.theta)
         stopped_ok &= all(s <= bnd + 1e-9 for s, bnd in coll.stopped_square_checks)
         f1 = GridFunction(ws.root, plateau_function(rng, ws.root).samples
                           + wave_function(rng, ws.root).samples)
         coll = fast_build(q0, {"f1": f1, "n": 1}, cfg_m, ws.dictionary)
+        built.append(coll)
         worst["mainiter"] = max(worst["mainiter"], max(coll.packing_by_parent.values(),
                                                        default=0.0))
         theta["mainiter"] = max(theta["mainiter"], coll.theta)
@@ -645,4 +649,4 @@ def sparse_suite_values(cfg):
             if rep["rhs"] > 1e-12:
                 ratio = max(ratio, rep["ratio"])
         per_j.append(ratio)
-    return worst, theta, stopped_ok, per_j
+    return worst, theta, stopped_ok, per_j, built

@@ -217,9 +217,19 @@ def test_theorem_probe_matches_member_loop(tmp_path):
 @pytest.mark.parametrize("batch", [2, 50])
 def test_sparse_suite_matches_trial_loop(tmp_path, monkeypatch, batch):
     monkeypatch.setattr(suites, "_BATCH", batch)
+    built = []
+    build = suites.build_sparse
+    monkeypatch.setattr(suites, "build_sparse",
+                        lambda *args, **kw: built.append(build(*args, **kw)) or built[-1])
     cfg = _small(tmp_path, "[sparse]\ntrials = 5\nj_sweep = -5, -6\n")
     rows = {r.name: r for r in suites.suite_sparse(cfg, tmp_path)}
-    worst, theta, stopped_ok, per_j = oracles.sparse_suite_values(cfg)
+    worst, theta, stopped_ok, per_j, ref_built = oracles.sparse_suite_values(cfg)
+    # the packing loop's collections, trial by trial (the sweep's come after)
+    assert len(ref_built) == 200
+    for coll, ref in zip(built, ref_built):
+        assert coll.generations == ref.generations
+        assert list(coll.packing_by_parent.items()) == list(ref.packing_by_parent.items())
+        assert (coll.theta, coll.stopped_square_checks) == (ref.theta, ref.stopped_square_checks)
     assert rows["packing_intest"].value == worst["intest"]
     assert rows["packing_intest"].detail == f"theta up to {theta['intest']}"
     assert rows["packing_mainiter"].value == worst["mainiter"]
