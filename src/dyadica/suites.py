@@ -383,10 +383,10 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     theta_max = {"intest": 0.0, "mainiter": 0.0}
     stopped_ok = True
     for batch in _batches(100):
-        # the batch's trials are drawn first, (b, g, f2, f1) at a time as one
-        # trial at a time drew them (build_sparse draws nothing); the
-        # coefficient arrays and the root's stopping data are then built
-        # once for the batch
+        # a batch's trials are all drawn, (b, g, f2, f1) per trial in trial
+        # order, before any is checked; build_sparse draws nothing, so each
+        # trial sees the draws it would see alone.  The coefficient arrays
+        # and the root's stopping data are built once for the batch.
         draws = [[mixed_function(rng, ws.basis, kind=i + k) for k in range(3)]
                  + [GridFunction(ws.root, plateau_function(rng, ws.root).samples
                                  + wave_function(rng, ws.root).samples)]
@@ -429,8 +429,7 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         q0j = wsj.root.root_cube
         worst_ratio = 0.0
         for batch in _batches(trials):
-            # the batch's (b, g, f2) triples, in the order one trial at a
-            # time drew them, then one batched domination check
+            # (b, g, f2) per trial in trial order, then one batched check
             triples = [[mixed_function(rngj, wsj.basis, kind=i + k) for k in range(3)]
                        for i in batch]
             bs, gs, f2s = (GridFunction.stack(col) for col in zip(*triples))
@@ -734,7 +733,7 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
 
         for label, split, exps, (norm_spec, which, target) in variants:
             r = ExperimentConfig.holder_r(exps)
-            # per member, the same products in the same order as one at a time
+            # each member's products in the per-member order: bit-identical
             rhs = tl[:, norm_specs.index(norm_spec)]
             for nj, (idx, p) in zip(split, enumerate(exps)):
                 rhs = rhs * norm(idx, nj, p)

@@ -431,7 +431,7 @@ def tl_norms(f: GridFunction, specs, dictionary: TestDictionary,
             for i in idx:
                 best = 0.0
                 for scale, peak in peaks[p]:
-                    # fmax skips a NaN the way the scalar max(...) did
+                    # fmax: a NaN peak never hides a finite one
                     best = np.fmax(best, 2.0 ** (-specs[i].m * scale) * peak)
                 out[..., i] = best
     return out
