@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig
-from .czform import KernelSpec
 from .dyadic import DyadicCube, RootBox
 from .funcspace import (GridFunction, load_gridfunction, lp_norm,
                         save_gridfunction)

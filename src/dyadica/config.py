@@ -294,6 +294,15 @@ class ExperimentConfig:
         total = sum(0.0 if np.isinf(v) else 1.0 / v for v in (p, q, *ps))
         if abs(total - 1.0) > 1e-9:
             raise ValueError("sparse exponents fail the Hoelder relation")
+        # a bad kernel section would fail only inside the testbench, late
+        for kdef in self.kernels:
+            where = f"[kernel:{kdef.name}]"
+            if kdef.kind not in ("convolution", "planted", "zero"):
+                raise ValueError(f"{where} type = {kdef.kind} must be convolution, planted "
+                                 "or zero (a tabulated kernel needs a table)")
+            if kdef.arity < 1 or (kdef.kind == "convolution" and kdef.arity > 2):
+                raise ValueError(f"{where} arity = {kdef.arity} must be "
+                                 + ("1 or 2" if kdef.kind == "convolution" else "at least 1"))
 
     # -- reporting -------------------------------------------------------------
 

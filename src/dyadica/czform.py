@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .dyadic import DyadicCube, RootBox
-from .funcspace import (GridFunction, lp_norm, multi_indices, multi_indices_upto,
-                        pairing, sobolev_norm)
+from .dyadic import RootBox
+from .funcspace import (GridFunction, _scalar, multi_indices, multi_indices_upto, pairing,
+                        sobolev_norm)
 from .paraproduct import ParaproductSpec, apply_paraproduct
 from .tlnorm import NormSpec, TestDictionary, tl_norm
 from .wavelet import AtomBasis, CoefficientTree
@@ -31,11 +31,9 @@ class SingularConfigurationError(ValueError):
 _SHARED_SUPPORT = "inputs share support and the kernel carries no truncation radius"
 
 
-def _common_support_nonempty(fs) -> bool:
-    mask = np.abs(fs[0].samples) > 0
-    for f in fs[1:]:
-        mask = mask & (np.abs(f.samples) > 0)
-    return bool(np.any(mask))
+def _dot(a, b):
+    """sum_x a(x) b(x) over the last axis, per member of the broadcast batch."""
+    return np.einsum("...n,...n->...", a, b)
 
 
 @functools.lru_cache(maxsize=4)
@@ -58,64 +56,67 @@ def _kernel_matrix(kernel, root: RootBox, eps_trunc: float):
     return K, near_abs
 
 
+def _bilinear(a, K, b):
+    """sum_{x, y} a(x) K(x, y) b(y) per member of the broadcast batch.
+
+    K meets the side with fewer rows as a stack of matrix-vector products,
+    and einsum does the rest: level-3 BLAS products stalled for ~16 ms under
+    threads on a busy 2-CPU machine, and their buffers raised peak memory."""
+    if b.size < a.size:
+        return _dot(a, np.matmul(K, b[..., None])[..., 0])
+    return _dot(np.matmul(a[..., None, :], K)[..., 0, :], b)
+
+
+def _trilinear_slot0(kernel, root: RootBox, eps_trunc: float, f1, f2, cells):
+    """An n = 2 kernel, d = 1, one x0 at a time: at the x0 of each of the
+    ``cells``, sum_{x1, x2} K(x0, x1, x2) f1(x1) f2(x2) over the kept cells
+    and sum |K f1 f2| over the excluded off-diagonal ones, per member of the
+    broadcast batch of the sample arrays, unscaled."""
+    x = root.midpoints_1d()
+    shape = np.broadcast_shapes(f1.shape, f2.shape)
+    out, excluded = np.zeros(shape), np.zeros(shape)
+    xx1, xx2 = np.meshgrid(x, x, indexing="ij")
+    for a in cells:
+        dist = np.maximum(np.abs(x[a] - xx1), np.abs(x[a] - xx2))
+        keep = dist > eps_trunc
+        out[..., a] = _bilinear(f1, np.where(keep, kernel(x[a], xx1, xx2), 0.0), f2)
+        i, j = np.nonzero(~keep & (dist > 0))
+        excluded[..., a] = np.sum(np.abs(f1[..., i] * kernel(x[a], x[i], x[j])
+                                         * f2[..., j]), axis=-1)
+    return out, excluded
+
+
 def form_quadrature(kernel, root: RootBox, fs, eps_trunc: float) -> dict:
-    """Tensor-grid quadrature of an (n+1)-linear kernel form, d = 1.
+    """Tensor-grid quadrature of an (n+1)-linear kernel form, d = 1, n = 1 or 2.
 
     Cells within ``eps_trunc`` of the diagonal (in the max metric on the
     center tuple) are excluded; the report carries the value and an estimate
     of the excluded mass.  ``eps_trunc == 0`` demands empty common support.
-
-    For n = 1 either slot may also be a stack of sample rows (a 2-D array):
-    the report then holds the value and the excluded mass of every pair of
-    rows, one axis per stacked slot, and the kernel matrix is multiplied on
-    the side with fewer rows.
+    Leading batch axes of the inputs broadcast: a batch gets one value and
+    one mass per member, single functions get floats.
     """
     if root.d != 1:
         raise NotImplementedError("kernel quadrature is implemented for d = 1")
     n = len(fs) - 1
-    h = root.cell_width
-    if n == 1:
-        a, b = (np.atleast_2d(f.samples if isinstance(f, GridFunction) else f)
-                for f in fs)
-        if eps_trunc <= 0.0 and np.any((np.abs(a) > 0) @ (np.abs(b) > 0).T):
-            raise SingularConfigurationError(_SHARED_SUPPORT)
-        K, near_abs = _kernel_matrix(kernel, root, eps_trunc)
-        # K meets the side with fewer rows as a stack of matrix-vector
-        # products, and einsum does the rest: level-3 BLAS products stalled
-        # for ~16 ms under threads on a busy 2-CPU machine, and their
-        # buffers raised peak memory
-        if len(b) < len(a):
-            value = np.einsum("in,jn->ij", a, np.matmul(K, b[..., None])[..., 0])
-        else:
-            value = np.einsum("in,jn->ij", np.matmul(a[:, None], K)[:, 0], b)
-        excluded = np.einsum("in,nj->ij", np.abs(a), near_abs @ np.abs(b).T)
-        # a single function in a slot drops that slot's axis
-        pick = tuple(0 if isinstance(f, GridFunction) else slice(None) for f in fs)
-        report = {"value": value[pick] * h ** 2, "excluded_mass": excluded[pick] * h ** 2}
-        return {key: float(v) if np.ndim(v) == 0 else v for key, v in report.items()}
-    if eps_trunc <= 0.0 and _common_support_nonempty(fs):
+    if n not in (1, 2):
+        raise NotImplementedError(f"kernel arity n = {n} not supported")
+    rows = [f.samples for f in fs]
+    if eps_trunc <= 0.0 and np.any(functools.reduce(
+            np.logical_and, [np.abs(r) > 0 for r in rows])):
         raise SingularConfigurationError(_SHARED_SUPPORT)
-    if n == 2:
-        value = 0.0
-        excluded = 0.0
-        x = root.midpoints_1d()
-        xx1, xx2 = np.meshgrid(x, x, indexing="ij")
-        for a, x0 in enumerate(x):
-            w0 = fs[0].samples[a]
-            if w0 == 0.0:
-                continue
-            dist = np.maximum(np.abs(x0 - xx1), np.abs(x0 - xx2))
-            keep = dist > eps_trunc
-            K = np.where(keep, kernel(x0, xx1, xx2), 0.0)
-            value += w0 * float(fs[1].samples @ K @ fs[2].samples)
-            near = ~keep & (dist > 0)
-            if np.any(near):
-                excluded += abs(w0) * float(np.sum(np.abs(
-                    kernel(x0, xx1[near], xx2[near])
-                    * fs[1].samples[np.nonzero(near)[0]]
-                    * fs[2].samples[np.nonzero(near)[1]])))
-        return {"value": value * h ** 3, "excluded_mass": excluded * h ** 3}
-    raise NotImplementedError(f"kernel arity n = {n} not supported")
+    if n == 1:
+        a, b = rows
+        K, near_abs = _kernel_matrix(kernel, root, eps_trunc)
+        value = _bilinear(a, K, b)
+        near_b = near_abs @ np.abs(b).reshape(-1, b.shape[-1]).T
+        excluded = _dot(np.abs(a), near_b.T.reshape(b.shape))
+    else:
+        # the x0 where no member's f0 is nonzero add nothing
+        active = np.flatnonzero(np.any(rows[0] != 0, axis=tuple(range(rows[0].ndim - 1))))
+        out, near = _trilinear_slot0(kernel, root, eps_trunc, rows[1], rows[2], active)
+        value, excluded = _dot(rows[0], out), _dot(np.abs(rows[0]), near)
+    cell = root.cell_width ** (n + 1)
+    return {"value": _scalar(value * cell), "excluded_mass": _scalar(excluded * cell)}
 
 
 @dataclass
@@ -188,31 +189,24 @@ class KernelSpec:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, fs) -> float:
-        """Lambda(f_0, ..., f_n)."""
+    def evaluate(self, fs):
+        """Lambda(f_0, ..., f_n): a float, or one value per member of the
+        broadcast batch of the inputs."""
         if len(fs) != self.n + 1:
             raise ValueError(f"form takes {self.n + 1} inputs, got {len(fs)}")
+        if self._kernel is not None:
+            return form_quadrature(self._kernel, self.root, fs, self.eps_trunc)["value"]
+        root = self.root
+        batch = np.broadcast_shapes(*(f.samples.shape[:f.samples.ndim - root.d] for f in fs))
         if self.kind == "zero":
-            return 0.0
-        if self.kind == "planted":
-            return pairing(apply_paraproduct(self.planted, list(fs[1:])), fs[0])
-        return form_quadrature(self._kernel, self.root, fs, self.eps_trunc)["value"]
+            return _scalar(np.zeros(batch))
+        # one member at a time: a batched overlap-add sums in another order
+        f0, *rest = (GridFunction(root, np.broadcast_to(f.samples, batch + root.shape))
+                     for f in fs)
+        return _scalar(np.reshape([pairing(apply_paraproduct(self.planted, [f[i] for f in rest]),
+                                           f0[i]) for i in np.ndindex(batch)], batch))
 
-    @property
-    def takes_stacks(self) -> bool:
-        """True for an n = 1 kernel evaluated by quadrature, the forms that
-        ``evaluate_stacks`` serves."""
-        return self._kernel is not None and self.n == 1
-
-    def evaluate_stacks(self, rows0, rows1) -> np.ndarray:
-        """Lambda(rows0[a], rows1[b]) for every pair of sample rows, as an
-        array of shape (len(rows0), len(rows1)); one kernel product."""
-        if not self.takes_stacks:
-            raise NotImplementedError("stacked evaluation needs an n = 1 kernel quadrature")
-        return form_quadrature(self._kernel, self.root, [rows0, rows1],
-                               self.eps_trunc)["value"]
-
-    def evaluate_adjoint(self, j: int, fs) -> float:
+    def evaluate_adjoint(self, j: int, fs):
         """j-th adjoint: exchange slot 0 with slot j."""
         if not (1 <= j <= self.n):
             raise ValueError(f"adjoint index {j} outside 1..{self.n}")
@@ -228,18 +222,13 @@ class KernelSpec:
             return apply_paraproduct(self.planted, list(fs))
         if self.root.d != 1:
             raise NotImplementedError("kernel application is d = 1")
-        x = self.root.midpoints_1d()
         h = self.root.cell_width
         if self.n == 1:
             K = _kernel_matrix(self._kernel, self.root, self.eps_trunc)[0]
             return GridFunction(self.root, (K @ fs[0].samples) * h)
         if self.n == 2:
-            out = np.zeros_like(x)
-            xx1, xx2 = np.meshgrid(x, x, indexing="ij")
-            for a, x0 in enumerate(x):
-                dist = np.maximum(np.abs(x0 - xx1), np.abs(x0 - xx2))
-                K = np.where(dist > self.eps_trunc, self._kernel(x0, xx1, xx2), 0.0)
-                out[a] = fs[0].samples @ K @ fs[1].samples
+            out, _ = _trilinear_slot0(self._kernel, self.root, self.eps_trunc, fs[0].samples,
+                                      fs[1].samples, range(self.root.cells_per_side))
             return GridFunction(self.root, out * h ** 2)
         raise NotImplementedError(f"kernel arity n = {self.n} not supported")
 
@@ -248,9 +237,8 @@ def wbp_check(spec: KernelSpec, dictionary: TestDictionary,
               sample_cubes) -> dict:
     """Max over sampled cubes and bump tuples of |Q|^n |Lambda(bumps)|.
 
-    Slot s of tuple c holds bump member (c + s) mod 3.  An n = 1 kernel
-    quadrature takes one stacked quadrature per tuple; other forms are
-    evaluated cube by cube."""
+    Slot s of tuple c holds bump member (c + s) mod 3; one evaluation per
+    tuple covers every cube."""
     n_bumps = 3
     root = spec.root
     placed = [(cube, [dictionary.bump_values(cube, member) for member in range(n_bumps)])
@@ -261,13 +249,9 @@ def wbp_check(spec: KernelSpec, dictionary: TestDictionary,
     for i, (_, bumps) in enumerate(placed):
         for member, (slices, vals) in enumerate(bumps):
             rows[member, i][slices] = vals
-    if spec.takes_stacks:
-        vals = np.stack([np.diagonal(spec.evaluate_stacks(rows[c], rows[(c + 1) % n_bumps]))
-                         for c in range(n_bumps)], axis=1)
-    else:
-        vals = np.array([[spec.evaluate([GridFunction(root, rows[(c + slot) % n_bumps, i])
-                                         for slot in range(spec.n + 1)])
-                          for c in range(n_bumps)] for i in range(len(placed))])
+    vals = np.stack([spec.evaluate([GridFunction(root, rows[(c + slot) % n_bumps])
+                                    for slot in range(spec.n + 1)])
+                     for c in range(n_bumps)], axis=1)
     best = 0.0
     worst_cube = None
     for (cube, _), row in zip(placed, vals):
@@ -309,8 +293,8 @@ def _monomial(root: RootBox, gamma_j) -> GridFunction:
 
 # cutoff radii of the testing symbols, in units of truncation_scale * side
 _CUT_RADII = np.array([1.0, 2.0, 4.0])
-# cubes per stack of ``testing_symbols``: bounds its arrays and the cross
-# products of a stacked quadrature, which grow with the square of a stack
+# cubes per stack of ``testing_symbols``: bounds its arrays, which hold one
+# row per cube and input order or cutoff radius
 _STACK = 64
 
 
@@ -338,10 +322,9 @@ def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
     """Paraproduct symbols of the form: pairings with wavelets against
     truncated monomials, and adjoint pairings against stabilized cutoffs.
 
-    The cubes go in stacks of at most ``_STACK``.  An n = 1 kernel
-    quadrature takes two stacked quadratures per stack, one for the
-    gamma-trees and one for the adjoints; other forms are evaluated cube by
-    cube."""
+    The cubes go in stacks of at most ``_STACK``.  Each stack takes one
+    evaluation for the gamma-trees, over the batch (cube x gamma), and one
+    adjoint evaluation per slot, over the batch (cube x cutoff radius)."""
     root = basis.root
     A = truncation_scale
     out = TestingSymbols(order=k, truncation_scale=A)
@@ -357,28 +340,19 @@ def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
     placed = [p for p in placed if p[1] is not None]
     for lo in range(0, len(placed), _STACK):
         part = placed[lo:lo + _STACK]
-        m = len(part)
-        phi = np.zeros((m,) + root.shape)
+        phi = np.zeros((len(part),) + root.shape)
         for row, (_, slices, vals) in zip(phi, part):
             row[slices] = vals
+        phi = GridFunction(root, phi[:, None])
         # nested cutoffs; the innermost truncates the monomials
         cuts = _radial_bumps(root, np.array([c.center() for c, _, _ in part]),
                              _CUT_RADII * A * np.array([[c.side] for c, _, _ in part]))
         inputs = {g: monomials[g] * cuts[:, 0] for g in monomials}
-        diag = np.arange(m)
-        if spec.takes_stacks:
-            ins = np.stack([inputs[g] for (g,) in gammas], axis=1)
-            tree_vals = spec.evaluate_stacks(phi, ins.reshape((-1,) + root.shape))
-            tree_vals = tree_vals.reshape(m, m, len(gammas))[diag, diag]
-            star_vals = spec.evaluate_stacks(cuts.reshape((-1,) + root.shape), phi)
-            star_vals = {1: star_vals.reshape(m, len(_CUT_RADII), m)[diag, :, diag]}
-        else:
-            tree_vals = np.array([[spec.evaluate(
-                [GridFunction(root, phi[i])] + [GridFunction(root, inputs[g][i]) for g in gamma])
-                for gamma in gammas] for i in range(m)])
-            star_vals = {j: np.array([[spec.evaluate_adjoint(
-                j, [GridFunction(root, phi[i])] + [GridFunction(root, cut)] * spec.n)
-                for cut in cuts[i]] for i in range(m)]) for j in out.star}
+        tree_vals = spec.evaluate([phi] + [
+            GridFunction(root, np.stack([inputs[gamma[j]] for gamma in gammas], axis=1))
+            for j in range(spec.n)])
+        cut_fs = [phi] + [GridFunction(root, cuts)] * spec.n
+        star_vals = {j: spec.evaluate_adjoint(j, cut_fs) for j in out.star}
         for i, (cube, _, _) in enumerate(part):
             scale_k = cube.side ** k
             for gamma, val in zip(gammas, tree_vals[i]):

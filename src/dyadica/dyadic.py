@@ -62,11 +62,6 @@ class DyadicCube:
         shift = self.scale - other.scale
         return all((q >> shift) == p for p, q in zip(self.pos, other.pos))
 
-    def contains_point(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lo = self.corner()
-        return bool(np.all(x >= lo) and np.all(x < lo + self.side))
-
     def token(self) -> str:
         return f"{self.dim}:{self.scale}:" + ",".join(str(p) for p in self.pos)
 
@@ -136,10 +131,6 @@ class RootBox:
         return self.L - self.J
 
     @property
-    def n_scales(self) -> int:
-        return self.L - self.J + 1
-
-    @property
     def cells_per_side(self) -> int:
         return 1 << self.depth
 
@@ -202,12 +193,6 @@ class RootBox:
             raise ScaleFloorError(
                 f"cube at scale {cube.scale} is already at the finest level {self.J}")
         return children(cube)
-
-    def cell_of_point(self, x) -> tuple[int, ...]:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.floor(x / self.cell_width).astype(int)
-        idx = np.clip(idx, 0, self.cells_per_side - 1)
-        return tuple(int(i) for i in idx)
 
     def cube_of_cell(self, cell: tuple[int, ...], scale: int) -> DyadicCube:
         shift = scale - self.J

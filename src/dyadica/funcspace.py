@@ -153,15 +153,6 @@ def expand_blocks(arr: np.ndarray, factor: int, d: int | None = None) -> np.ndar
     return out
 
 
-def scale_averages(f: GridFunction, scale: int, p: float) -> np.ndarray:
-    """Array over scale-``scale`` positions of <f>_{p,Q} (canonical layout)."""
-    factor = 1 << (scale - f.root.J)
-    a = np.abs(f.samples)
-    if np.isinf(p):
-        return block_reduce(a, factor, np.max)
-    return block_reduce(a ** p, factor) ** (1.0 / p)
-
-
 def dilated_scale_averages(f: GridFunction, scale: int, p: float,
                            dilation: int) -> np.ndarray:
     """Array over scale-``scale`` positions of <f>_{p, wQ} (zero extension),
@@ -384,21 +375,6 @@ def anti_ibp_check(f: GridFunction, cube: DyadicCube, k: int,
     const = float(cube.side * np.max(np.abs(phi_minus)))
     return {"lhs": float(lhs), "rhs": float(rhs), "rhs_central": float(rhs_central),
             "rel_gap": abs(lhs - rhs) / denom, "class_constant": const}
-
-
-def neighbor_taylor_gap(f: GridFunction, p_cube: DyadicCube, q_cube: DyadicCube,
-                        r_cube: DyadicCube, k: int, basis: AtomBasis) -> dict:
-    """Two-cube Taylor difference paired against a noncancellative atom,
-    compared with side(Q) * longdist(Q,R)^{k-1} * <|grad^k f|>_{1,wQ}."""
-    from .dyadic import long_distance
-    w = basis.family.w
-    gap = taylor_poly(f, p_cube, k, dilation=w) - taylor_poly(f, q_cube, k, dilation=w)
-    chi = basis.atom_grid(r_cube, "scaling")
-    lhs = abs(np.sum(chi * gap.samples) * f.root.cell_measure)
-    gk = grad_norm(f, k)
-    rhs = q_cube.side * long_distance(q_cube, r_cube) ** (k - 1) \
-        * local_average(gk, q_cube, 1.0, dilation=w)
-    return {"lhs": float(lhs), "rhs": float(rhs)}
 
 
 # -- Sobolev norms ----------------------------------------------------------

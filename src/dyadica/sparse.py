@@ -20,7 +20,6 @@ from .funcspace import (GridFunction, block_reduce, box_axes, dilated_scale_aver
                         taylor_poly)
 from .paraproduct import ParaproductSpec, intrinsic_form, localized_form
 from .tlnorm import NormSpec, TestDictionary, square_function, tl_norm
-from .wavelet import CoefficientTree
 
 
 class ThetaCapError(RuntimeError):
@@ -64,14 +63,6 @@ class SparseCollection:
         for gen in self.generations:
             out.extend(gen)
         return out
-
-    def generation_ratios(self):
-        """Per-generation mass relative to the root cube."""
-        return [sum(c.measure for c in gen) / self.root_cube.measure
-                for gen in self.generations]
-
-    def total_measure(self) -> float:
-        return sum(c.measure for c in self.cubes())
 
 
 @dataclass

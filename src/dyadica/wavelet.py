@@ -141,13 +141,6 @@ class WaveletFamily:
     cascade_iterations: int
     class_constant: float
 
-    @property
-    def support_width(self) -> int:
-        return 2 * self.N - 1
-
-    def descriptor(self) -> dict:
-        return {"N": self.N, "k": self.k, "r": self.refine, "w": self.w}
-
     def table_moment(self, alpha: int, kind: str = "psi") -> float:
         """Riemann-sum moment of a tabulated profile (the quadrature oracle)."""
         vals = self.psi_table if kind == "psi" else self.phi_table

@@ -4,23 +4,26 @@ Most functions here work one cube (or one position) at a time, the way the
 package did before its operators went through ``strided_pairings`` and its
 transpose ``strided_spread``.  A family is given by its per-cube values,
 ``cube -> (slices, values)`` with ``(None, None)`` for an atom off the box.
-Before the last section come the Gram check and the testing bench with one
-full-box grid or form per cube.  The last section holds the per-scale
-maximal function and the stopping-time construction that rebuilds every
-node on each threshold doubling.
+Then come the Gram check and the testing bench with one full-box grid or
+form per cube, with a cell-by-cell n = 2 kernel form; the per-scale maximal
+function and the stopping-time construction that rebuilds every node on
+each threshold doubling; and the per-trial suite loops.  The last section
+holds helpers that only the tests call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 from scipy import ndimage
 
 from dyadica import DyadicCube
 from dyadica.czform import TestingSymbols, _monomial, input_orders
+from dyadica.dyadic import long_distance
 from dyadica.funcspace import (GridFunction, block_reduce, expand_blocks, grad_norm,
-                               local_average, multi_indices_upto, scale_averages)
+                               local_average, multi_indices_upto, taylor_poly)
 from dyadica.sparse import SparseCollection, ThetaCapError
 from dyadica.tlnorm import square_function
 from dyadica.wavelet import CoefficientTree, clipped_outer
@@ -335,7 +338,35 @@ def testing_symbols(spec, basis, k, truncation_scale=8.0, stabilization_tol=1e-6
     return out
 
 
+def trilinear_form(kernel, root, fs, eps_trunc) -> dict:
+    """An n = 2 kernel form, d = 1, one cell triple at a time: the sum of
+    K f0 f1 f2 over the triples farther than ``eps_trunc`` from the diagonal
+    (max metric) and of |K f0 f1 f2| over the other off-diagonal triples."""
+    x = root.midpoints_1d()
+    K = kernel(*np.meshgrid(x, x, x, indexing="ij"))
+    f0, f1, f2 = (f.samples for f in fs)
+    value = excluded = 0.0
+    for a, b, c in itertools.product(range(len(x)), repeat=3):
+        dist = max(abs(x[a] - x[b]), abs(x[a] - x[c]))
+        term = K[a, b, c] * f0[a] * f1[b] * f2[c]
+        if dist > eps_trunc:
+            value += term
+        elif dist > 0:
+            excluded += abs(term)
+    cell = root.cell_width ** 3
+    return {"value": value * cell, "excluded_mass": excluded * cell}
+
+
 # -- maximal function and stopping rules ---------------------------------------
+
+
+def scale_averages(f: GridFunction, scale: int, p: float) -> np.ndarray:
+    """Array over scale-``scale`` positions of <f>_{p,Q} (canonical layout)."""
+    factor = 1 << (scale - f.root.J)
+    a = np.abs(f.samples)
+    if np.isinf(p):
+        return block_reduce(a, factor, np.max)
+    return block_reduce(a ** p, factor) ** (1.0 / p)
 
 
 def maximal(fs, ps=None) -> GridFunction:
@@ -650,3 +681,29 @@ def sparse_suite_values(cfg):
                 ratio = max(ratio, rep["ratio"])
         per_j.append(ratio)
     return worst, theta, stopped_ok, per_j, built
+
+
+# -- helpers only the tests call ---------------------------------------------------
+
+
+def generation_ratios(coll: SparseCollection) -> list:
+    """Per-generation mass of a sparse collection relative to its root cube."""
+    return [sum(c.measure for c in gen) / coll.root_cube.measure
+            for gen in coll.generations]
+
+
+def total_measure(coll: SparseCollection) -> float:
+    return sum(c.measure for c in coll.cubes())
+
+
+def neighbor_taylor_gap(f: GridFunction, p_cube, q_cube, r_cube, k: int, basis) -> dict:
+    """Two-cube Taylor difference paired against a noncancellative atom,
+    compared with side(Q) * longdist(Q,R)^{k-1} * <|grad^k f|>_{1,wQ}."""
+    w = basis.family.w
+    gap = taylor_poly(f, p_cube, k, dilation=w) - taylor_poly(f, q_cube, k, dilation=w)
+    chi = basis.atom_grid(r_cube, "scaling")
+    lhs = abs(np.sum(chi * gap.samples) * f.root.cell_measure)
+    gk = grad_norm(f, k)
+    rhs = q_cube.side * long_distance(q_cube, r_cube) ** (k - 1) \
+        * local_average(gk, q_cube, 1.0, dilation=w)
+    return {"lhs": float(lhs), "rhs": float(rhs)}

@@ -34,6 +34,23 @@ def test_rejects_one_level_sweep(tmp_path, section, key, value):
 
 @pytest.mark.parametrize("text", ["[probe]\nmembers = 1\nj_sweep = -5, -6\n",
                                   "[sparse]\ntrials = 1\nj_sweep = -7, -6\n",
-                                  "[probe]\nbmo_depths = 4, 6\n"])
+                                  "[probe]\nbmo_depths = 4, 6\n",
+                                  "[kernel:k1]\ntype = convolution\narity = 2\n",
+                                  "[kernel:k1]\ntype = planted\n",
+                                  "[kernel:k1]\ntype = zero\narity = 3\n"])
 def test_accepts_smallest_valid_values(tmp_path, text):
     _config(tmp_path, text)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("type = hilbert", r"type = hilbert must be convolution, planted or zero"),
+    ("type = tabulated", r"type = tabulated .* needs a table"),
+    ("type = convolution\narity = 3", r"arity = 3 must be 1 or 2"),
+    ("type = convolution\narity = 0", r"arity = 0 must be 1 or 2"),
+    ("type = planted\narity = 0", r"arity = 0 must be at least 1"),
+    ("type = zero\narity = -1", r"arity = -1 must be at least 1"),
+])
+def test_rejects_malformed_kernel_section(tmp_path, body, message):
+    # at load, naming the section, not inside the testbench after the workspace
+    with pytest.raises(ValueError, match=r"\[kernel:k1\] " + message):
+        _config(tmp_path, f"[kernel:k1]\n{body}\n")

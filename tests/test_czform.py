@@ -240,7 +240,7 @@ def test_sobolev_bench_zero_kernel(bench, rng):
                             inputs)
 
 
-# -- the stacked bench against the per-cube references ---------------------------
+# -- the batched bench against the per-cube references ---------------------------
 
 
 def _spec(kind, basis, planted):
@@ -252,6 +252,9 @@ def _spec(kind, basis, planted):
         table = np.random.default_rng(5).standard_normal(root.shape * 2)
         return KernelSpec(root, n=1, kind="tabulated", eps_trunc=2 * root.cell_width,
                           table=table)
+    if kind == "convolution_n2":
+        return KernelSpec(root, n=2, kind="convolution", eps_trunc=3 * root.cell_width,
+                          strength=1.5)
     if kind == "planted":
         return planted
     return KernelSpec(root, n=1, kind="zero")
@@ -266,39 +269,79 @@ def _assert_trees_match(got: dict, ref: dict):
             np.testing.assert_allclose(got[key].data[scale], arr, rtol=1e-12, atol=atol)
 
 
-@pytest.mark.parametrize("kind", ["convolution", "tabulated"])
-def test_stacked_form_quadrature_matches_scalar_calls(kind, bench):
-    basis, _, _ = bench
-    root = basis.root
-    spec = _spec(kind, basis, None)
-    rng = np.random.default_rng(8)
-    rows0 = rng.standard_normal((3,) + root.shape)
-    rows1 = rng.standard_normal((5,) + root.shape)
-    # either slot may be the side with fewer rows
-    for a, b in ((rows0, rows1), (rows1, rows0)):
-        rep = form_quadrature(spec._kernel, root, [a, b], spec.eps_trunc)
-        assert rep["value"].shape == rep["excluded_mass"].shape == (len(a), len(b))
-        for i, j in np.ndindex(len(a), len(b)):
-            one = form_quadrature(spec._kernel, root, [GridFunction(root, a[i]),
-                                                      GridFunction(root, b[j])],
-                                  spec.eps_trunc)
-            assert rep["value"][i, j] == pytest.approx(one["value"], rel=1e-12)
-            assert rep["excluded_mass"][i, j] == pytest.approx(one["excluded_mass"],
-                                                               rel=1e-12)
-    # a single function in one slot drops that slot's axis
-    half = form_quadrature(spec._kernel, root, [GridFunction(root, rows1[2]), rows0],
-                           spec.eps_trunc)
-    np.testing.assert_allclose(half["value"], rep["value"][2], rtol=1e-12)
-    np.testing.assert_allclose(spec.evaluate_stacks(rows1, rows0), rep["value"], rtol=1e-12)
-
-
 @pytest.mark.parametrize("kind", ["convolution", "tabulated", "planted", "zero"])
+def test_stacked_form_quadrature_matches_scalar_calls(kind, bench):
+    # a broadcast batch gets one value per member, that member's own call's
+    basis, _, planted = bench
+    root = basis.root
+    spec = _spec(kind, basis, planted)
+    rng = np.random.default_rng(8)
+    rows0 = GridFunction(root, rng.standard_normal((3,) + root.shape))
+    rows1 = GridFunction(root, rng.standard_normal((5,) + root.shape))
+    rest = [GridFunction(root, rng.standard_normal(root.shape))] * (spec.n - 1)
+    # all pairs, a[:, None] against b[None]; either slot may have fewer rows
+    for a, b in ((rows0, rows1), (rows1, rows0)):
+        fs = [GridFunction(root, a.samples[:, None]), GridFunction(root, b.samples[None])]
+        got = spec.evaluate(fs + rest)
+        assert got.shape == (len(a.samples), len(b.samples))
+        one = np.reshape([spec.evaluate([a[i], b[j]] + rest)
+                          for i, j in np.ndindex(got.shape)], got.shape)
+        assert all(type(spec.evaluate([a[i], b[i]] + rest)) is float for i in range(3))
+        if kind in ("planted", "zero"):
+            assert np.array_equal(got, one)
+            continue
+        np.testing.assert_allclose(got, one, rtol=1e-12, atol=0.0)
+        rep = form_quadrature(spec._kernel, root, fs, spec.eps_trunc)
+        assert rep["value"].shape == rep["excluded_mass"].shape == got.shape
+        for i, j in np.ndindex(got.shape):
+            single = form_quadrature(spec._kernel, root, [a[i], b[j]], spec.eps_trunc)
+            assert rep["value"][i, j] == pytest.approx(single["value"], rel=1e-12)
+            assert rep["excluded_mass"][i, j] == pytest.approx(single["excluded_mass"],
+                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["convolution", "tabulated"])
+def test_trilinear_quadrature_matches_cell_by_cell(kind):
+    root = RootBox(d=1, L=0, J=-5)
+    table = np.random.default_rng(4).standard_normal(root.shape * 3)
+    spec = KernelSpec(root, n=2, kind=kind, eps_trunc=2 * root.cell_width, strength=1.5,
+                      table=table)
+    rng = np.random.default_rng(9)
+    rows = [rng.standard_normal((3,) + root.shape) for _ in range(3)]
+    # x0 where one member of slot 0, or none, has weight
+    rows[0][0, :12] = rows[0][1, 20:] = rows[0][:, 14] = 0.0
+    fs = [GridFunction(root, r) for r in rows]
+    # slot 1 is one function, broadcast against the batches of the others
+    batched = form_quadrature(spec._kernel, root, [fs[0], fs[1][0], fs[2]], spec.eps_trunc)
+    assert batched["value"].shape == batched["excluded_mass"].shape == (3,)
+    for i in range(3):
+        ref = oracles.trilinear_form(spec._kernel, root, [fs[0][i], fs[1][0], fs[2][i]],
+                                     spec.eps_trunc)
+        assert ref["excluded_mass"] > 0.0
+        for key in ("value", "excluded_mass"):
+            assert batched[key][i] == pytest.approx(ref[key], rel=1e-12)
+        single = form_quadrature(spec._kernel, root, [fs[0][i], fs[1][i], fs[2][i]],
+                                 spec.eps_trunc)
+        ref = oracles.trilinear_form(spec._kernel, root, [fs[0][i], fs[1][i], fs[2][i]],
+                                     spec.eps_trunc)
+        assert type(single["value"]) is float
+        for key in ("value", "excluded_mass"):
+            assert single[key] == pytest.approx(ref[key], rel=1e-12)
+        # T(f1, f2) pairs with g to the form Lambda(g, f1, f2)
+        out = spec.apply_slot0([fs[1][i], fs[2][i]])
+        assert pairing(out, fs[0][i]) == pytest.approx(ref["value"], rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["convolution", "tabulated", "planted", "zero",
+                                  "convolution_n2"])
 def test_testing_symbols_match_per_cube_reference(kind, bench):
     basis, _, planted = bench
     spec = _spec(kind, basis, planted)
     cubes = [c for c in basis.root.all_cubes() if c.scale > basis.root.J]
     if kind == "planted":
         cubes = cubes[::5]
+    if kind == "convolution_n2":
+        cubes = cubes[::16]
     # boundary cubes, whose wavelet windows the box clips, are included, and
     # the n = 1 kernels take more than one stack of cubes
     got = compute_testing_symbols(spec, basis, 2, cubes=cubes)
@@ -310,7 +353,8 @@ def test_testing_symbols_match_per_cube_reference(kind, bench):
         assert ref.flagged and len(cubes) > 64
 
 
-@pytest.mark.parametrize("kind", ["convolution", "tabulated", "planted", "zero"])
+@pytest.mark.parametrize("kind", ["convolution", "tabulated", "planted", "zero",
+                                  "convolution_n2"])
 def test_wbp_check_matches_per_cube_reference(kind, bench):
     basis, dictionary, planted = bench
     spec = _spec(kind, basis, planted)

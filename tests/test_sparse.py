@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from dyadica import DyadicCube
 from dyadica.ensembles import atom_tree, mixed_function, plateau_function, wave_function
 from dyadica.funcspace import GridFunction, local_average, maximal
@@ -101,10 +102,10 @@ def test_build_sparse_packing_and_decay(dict8, basis8, cfg_intest, rng):
         coll = build_sparse(q0, {"b": b, "g": g, "fs": [f2]}, cfg_intest, dict8)
         assert all(r <= cfg_intest.packing_target
                    for r in coll.packing_by_parent.values())
-        ratios = coll.generation_ratios()
+        ratios = oracles.generation_ratios(coll)
         assert all(b2 <= a * cfg_intest.packing_target + 1e-15
                    for a, b2 in zip([1.0] + ratios, ratios))
-        assert coll.total_measure() <= q0.measure / (1 - cfg_intest.packing_target)
+        assert oracles.total_measure(coll) <= q0.measure / (1 - cfg_intest.packing_target)
         assert all(s <= bnd + 1e-9 for s, bnd in coll.stopped_square_checks)
 
 
