@@ -62,6 +62,10 @@ def _parse_tuples(s: str, cast=float, sep=";", inner=","):
     return out
 
 
+# the keys of a [kernel:NAME] section
+KERNEL_KEYS = {"type", "arity", "eps_trunc", "strength", "seed", "symbol_count"}
+
+
 @dataclass
 class KernelDef:
     name: str
@@ -264,6 +268,15 @@ class ExperimentConfig:
         return float("inf") if s == 0 else 1.0 / s
 
     def validate(self) -> None:
+        # a misspelt key would otherwise run with the default and only move the hash
+        for section in self.raw.sections():
+            known = KERNEL_KEYS if section.startswith("kernel:") else \
+                {key.lower() for key in DEFAULTS.get(section, ())}
+            if not known:
+                raise ValueError(f"unknown section [{section}]")
+            for key in self.raw.options(section):
+                if key not in known:
+                    raise ValueError(f"[{section}] unknown key {key!r}")
         if self.L <= self.J:
             raise ValueError("root scale must exceed finest scale")
         # an empty ensemble or a one-level sweep would pass its gate vacuously

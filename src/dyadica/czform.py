@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +37,19 @@ def _dot(a, b):
     return np.einsum("...n,...n->...", a, b)
 
 
-@functools.lru_cache(maxsize=4)
+# kernel callable -> {(root, eps_trunc): its n = 1 matrices}; an entry lives
+# as long as its callable, so a KernelSpec's matrices go with the spec
+_MATRICES = weakref.WeakKeyDictionary()
+
+
 def _kernel_matrix(kernel, root: RootBox, eps_trunc: float):
     """Bilinear kernel on the midpoint grid, d = 1: the matrix with cells
     within ``eps_trunc`` of the diagonal zeroed, and a sparse matrix of
-    |kernel| on those excluded off-diagonal cells.  Cached on the kernel
-    callable, so a kernel must not change after its first use."""
+    |kernel| on those excluded off-diagonal cells.  Built once per callable,
+    box and radius, so a kernel must not change after its first use."""
+    cache = _MATRICES.setdefault(kernel, {})
+    if (root, eps_trunc) in cache:
+        return cache[root, eps_trunc]
     x = root.midpoints_1d()
     xx0, xx1 = np.meshgrid(x, x, indexing="ij")
     keep = np.abs(xx0 - xx1) > eps_trunc
@@ -53,6 +61,7 @@ def _kernel_matrix(kernel, root: RootBox, eps_trunc: float):
         (np.abs(np.asarray(kernel(xx0[near], xx1[near]), dtype=float)), (rows, cols)),
         shape=K.shape)
     near_abs.data.flags.writeable = False
+    cache[root, eps_trunc] = K, near_abs
     return K, near_abs
 
 
@@ -125,7 +134,8 @@ class KernelSpec:
     kernel, a planted paraproduct form, or zero.
 
     The kernel callable is built once, at construction, and its n = 1 matrix
-    is cached on that callable, so a spec must not be mutated afterwards."""
+    is kept while that callable lives, so a spec must not be mutated
+    afterwards."""
 
     root: RootBox
     n: int

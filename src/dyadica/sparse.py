@@ -9,7 +9,6 @@ doubled globally until every parent meets the configured packing ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -78,23 +77,30 @@ class NodeStops:
     def __getitem__(self, index) -> "NodeStops":
         return NodeStops(self.bases[index], [lv[index] for lv in self.levels])
 
-    def select(self, root: RootBox, q0: DyadicCube, theta: float) -> list[DyadicCube]:
+    @classmethod
+    def stack(cls, rows) -> "NodeStops":
+        """The batch whose member i is ``rows[i]``."""
+        return cls(np.stack([r.bases for r in rows]),
+                   [np.stack(lvs) for lvs in zip(*(r.levels for r in rows))])
+
+    def select(self, root: RootBox, q0: DyadicCube, theta) -> list:
         """Maximal subcubes of q0 on which some rule fires: scale-descending,
-        lexicographic scan; descendants of selected cubes are masked out."""
-        thr = (theta * self.bases).reshape((-1,) + (1,) * root.d)
-        selected, covered = [], None
+        lexicographic scan; descendants of selected cubes are masked out.
+        Over a batch, ``theta`` holds one threshold per member and the
+        result is one list per member."""
+        if self.bases.ndim == 1:
+            return self[None].select(root, q0, [theta])[0]
+        thr = np.asarray(theta, dtype=float)[:, None] * self.bases
+        thr = thr.reshape(thr.shape + (1,) * root.d)
+        selected, covered = [[] for _ in thr], np.zeros_like(thr[:, 0], dtype=bool)
         for scale in range(q0.scale, root.J - 1, -1):
             shift = q0.scale - scale
-            cand = np.any(self.levels[scale - root.J] > thr, axis=0)
-            if covered is not None:
-                cand &= ~covered
-            if cand.any():
-                for rel in np.argwhere(cand):
-                    pos = tuple(int((p << shift) + r) for p, r in zip(q0.pos, rel))
-                    selected.append(DyadicCube(scale, pos))
-                covered = cand if covered is None else covered | cand
-            if covered is not None and scale > root.J:
-                covered = expand_blocks(covered, 2)
+            cand = np.any(self.levels[scale - root.J] > thr, axis=1) & ~covered
+            for i, *rel in np.argwhere(cand):
+                pos = tuple(int((p << shift) + r) for p, r in zip(q0.pos, rel))
+                selected[i].append(DyadicCube(scale, pos))
+            if scale > root.J:
+                covered = expand_blocks(covered | cand, 2, root.d)
         return selected
 
 
@@ -135,11 +141,13 @@ def intest_stops(q0: DyadicCube, b: GridFunction, g: GridFunction, fs,
 def gradient_stops(q0: DyadicCube, gn: GridFunction, w: int) -> NodeStops:
     """Minimum over the w-dilate of each cube (off the box counts as -inf)
     of the masked maximal function of ``gn`` = |grad^n f1|, against
-    <gn>_{1,wQ}.  Block minima over the w-dilate of q0 hold every block the
+    <gn>_{1,wQ}; for a batched ``gn``, one NodeStops whose rows are the
+    members'.  Block minima over the w-dilate of q0 hold every block the
     dilates of its subcubes read."""
     root = gn.root
     wslices = root.window_slices(q0, w)
-    mm = _masked_maximal(gn, q0, w)[wslices]
+    mm = _masked_maximal(gn, q0, w)[(...,) + wslices]
+    size = (1,) * (mm.ndim - root.d) + (w,) * root.d
     r = w // 2
     levels = []
     for t in range(q0.scale - root.J + 1):
@@ -147,31 +155,12 @@ def gradient_stops(q0: DyadicCube, gn: GridFunction, w: int) -> NodeStops:
         step = 1 << (q0.scale - root.J - t)
         own = [p * step - (s.start >> t) for p, s in zip(q0.pos, wslices)]
         ext = tuple(slice(max(a - r, 0), a + step + r) for a in own)
-        cells = tuple(slice(e.start << t, e.stop << t) for e in ext)
-        dil = ndimage.minimum_filter(block_reduce(mm[cells], 1 << t, np.min), size=w,
-                                     mode="constant", cval=-np.inf)
-        levels.append(dil[tuple(slice(a - e.start, a - e.start + step)
-                                for a, e in zip(own, ext))][None])
-    return NodeStops(np.array([local_average(gn, q0, 1.0, w)]), levels)
-
-
-def stopping_children(q0: DyadicCube, b: GridFunction, g: GridFunction, fs,
-                      cfg: StoppingConfig, dictionary: TestDictionary,
-                      theta: float | None = None,
-                      coeff_b=None, coeff_g=None) -> list[DyadicCube]:
-    """Maximal subcubes where the anchored square function of b or g, or a
-    masked maximal function of some later slot, exceeds its threshold."""
-    stops = intest_stops(q0, b, g, fs, dictionary, coeff_b, coeff_g)
-    return stops.select(b.root, q0, cfg.theta if theta is None else theta)
-
-
-def gradient_stopping_children(q0: DyadicCube, f1: GridFunction, n: int,
-                               cfg: StoppingConfig, w: int,
-                               theta: float | None = None) -> list[DyadicCube]:
-    """Maximal subcubes Z whose dilated cube lies inside the superlevel set
-    of the masked maximal function of the n-th gradient."""
-    stops = gradient_stops(q0, grad_norm(f1, n), w)
-    return stops.select(f1.root, q0, cfg.theta if theta is None else theta)
+        cells = (...,) + tuple(slice(e.start << t, e.stop << t) for e in ext)
+        dil = ndimage.minimum_filter(block_reduce(mm[cells], 1 << t, np.min, root.d),
+                                     size=size, mode="constant", cval=-np.inf)
+        inner = tuple(slice(a - e.start, a - e.start + step) for a, e in zip(own, ext))
+        levels.append(np.expand_dims(dil[(...,) + inner], -root.d - 1))
+    return NodeStops(np.asarray(local_average(gn, q0, 1.0, w))[..., None], levels)
 
 
 def _stopped_square_max(q0: DyadicCube, coeffs, root: RootBox,
@@ -191,77 +180,111 @@ def _stopped_square_max(q0: DyadicCube, coeffs, root: RootBox,
     return float(np.sqrt(np.max(acc)))
 
 
-def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
-                 dictionary: TestDictionary,
-                 coeff_b=None, coeff_g=None, node_stops=None) -> SparseCollection:
-    """Recursive stopping-time construction with global threshold doubling.
-
-    ``inputs``: for mode 'intest' keys b, g, fs; for mode 'mainiter' keys
-    f1, n, and optionally gn = ``grad_norm(f1, n)`` when the caller has it.
-    Square functions and thresholds re-anchor at every new root.  In mode
-    'intest', ``coeff_b``/``coeff_g`` are the coefficient arrays of b and g
-    when the caller already has them.  Each node's theta-free stopping data
-    is built once per call and reused by every doubling; ``node_stops``
-    maps nodes to the NodeStops the caller already built (say, a row of a
-    batched root).  The collection keeps the bases of every node it checked.
-    """
-    root = dictionary.root
+def _member_attempts(q0: DyadicCube, cfg: StoppingConfig, max_depth: int, member: int):
+    """One member's threshold doubling: yields (theta, frontier), is sent the
+    selections by (node, member), returns the collection or None at the cap."""
     theta = cfg.theta
-    max_depth = cfg.max_depth if cfg.max_depth is not None else root.depth + 1
-    if cfg.mode == "intest":
-        if coeff_b is None:
-            coeff_b = dictionary.coeff_arrays(inputs["b"])
-        if coeff_g is None:
-            coeff_g = dictionary.coeff_arrays(inputs["g"])
-        stops = partial(intest_stops, b=inputs["b"], g=inputs["g"],
-                        fs=inputs.get("fs", []), dictionary=dictionary,
-                        coeff_b=coeff_b, coeff_g=coeff_g)
-    else:
-        gn = inputs["gn"] if "gn" in inputs else grad_norm(inputs["f1"], inputs["n"])
-        stops = partial(gradient_stops, gn=gn, w=dictionary.family.w)
-    by_node = dict(node_stops or {})
-    while True:
+    while theta <= cfg.theta_cap:
         coll = SparseCollection(root_cube=q0, theta=theta)
-        parents = []
-        frontier = [q0]
-        ok = True
-        depth = 0
-        while frontier:
-            if depth >= max_depth:
+        frontier, ok = [q0], True
+        while frontier and ok:
+            if len(coll.generations) >= max_depth:
                 coll.truncated = True
                 break
+            kids_of = yield theta, frontier
             nxt = []
             for node in frontier:
-                if node not in by_node:
-                    by_node[node] = stops(node)
-                kids = by_node[node].select(root, node, theta)
+                kids = kids_of[node, member]
                 ratio = sum(c.measure for c in kids) / node.measure
                 coll.packing_by_parent[node] = ratio
                 if ratio > cfg.packing_target:
                     ok = False
                     break
-                if kids:
-                    parents.append((node, kids))
                 nxt.extend(kids)
-            if not ok:
-                break
-            if nxt:
+            if ok and nxt:
                 coll.generations.append(nxt)
             frontier = nxt
-            depth += 1
         if ok:
-            coll.bases = {node: by_node[node].bases for node in coll.packing_by_parent}
-            if cfg.mode == "intest":
-                coll.stopped_square_checks = [
-                    (_stopped_square_max(node, coeff_b, root, kids),
-                     float(theta * by_node[node].bases[0]))
-                    for node, kids in parents]
             return coll
         theta *= 2.0
-        if theta > cfg.theta_cap:
-            raise ThetaCapError(
-                f"threshold exceeded cap {cfg.theta_cap} before packing "
-                f"{cfg.packing_target} was met")
+    return None
+
+
+def build_sparse_batch(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
+                       dictionary: TestDictionary,
+                       coeff_b=None, coeff_g=None) -> list[SparseCollection]:
+    """Stopping-time collections of a batch in lockstep, each member's the
+    one it gets alone.  ``inputs`` carry one batch axis: b, g, fs (and maybe
+    their ``coeff_b``/``coeff_g``) in mode 'intest'; f1, n and optionally
+    gn = ``grad_norm(f1, n)`` in 'mainiter'.  Each round, every member still
+    building advances a generation or restarts with theta doubled; a node's
+    stopping data is built once, over the members that reach it, and one
+    scan per node selects for them, each at its own theta.  Raises
+    ThetaCapError naming the first member whose theta passes the cap."""
+    root = dictionary.root
+    max_depth = cfg.max_depth if cfg.max_depth is not None else root.depth + 1
+    if cfg.mode == "intest":
+        b, g, fs = inputs["b"], inputs["g"], list(inputs.get("fs", []))
+        coeff_b = dictionary.coeff_arrays(b) if coeff_b is None else coeff_b
+        coeff_g = dictionary.coeff_arrays(g) if coeff_g is None else coeff_g
+
+        def stops(node, idx):
+            return intest_stops(node, b[idx], g[idx], [f[idx] for f in fs], dictionary,
+                                {s: a[idx] for s, a in coeff_b.items()},
+                                {s: a[idx] for s, a in coeff_g.items()})
+    else:
+        gn = inputs["gn"] if "gn" in inputs else grad_norm(inputs["f1"], inputs["n"])
+
+        def stops(node, idx):
+            return gradient_stops(node, gn[idx], dictionary.family.w)
+    size = len((b if cfg.mode == "intest" else gn).samples)
+    runs = [_member_attempts(q0, cfg, max_depth, i) for i in range(size)]
+    asks = {i: next(run) for i, run in enumerate(runs)}  # member -> (theta, frontier)
+    # by (node, member): its NodeStops row, its selection at the latest theta
+    rows, sent, done = {}, {}, {}
+    while asks:
+        at = {}
+        for i, (_, frontier) in asks.items():
+            for node in frontier:
+                at.setdefault(node, []).append(i)
+        for node, idx in at.items():
+            missing = [i for i in idx if (node, i) not in rows]
+            take = missing if len(missing) < size else slice(None)  # a view, no copy
+            new = stops(node, take) if missing else None
+            rows.update(((node, i), new[j]) for j, i in enumerate(missing))
+            batch = new if missing == idx else NodeStops.stack([rows[node, i] for i in idx])
+            sent.update(zip([(node, i) for i in idx],
+                            batch.select(root, node, [asks[i][0] for i in idx])))
+        for i in list(asks):
+            try:
+                asks[i] = runs[i].send(sent)
+            except StopIteration as stop:
+                done[i] = stop.value
+                del asks[i]
+    for i in range(size):
+        if done[i] is None:
+            raise ThetaCapError(f"member {i}: threshold exceeded cap {cfg.theta_cap} "
+                                f"before packing {cfg.packing_target} was met")
+        coll = done[i]
+        coll.bases = {node: rows[node, i].bases for node in coll.packing_by_parent}
+        if cfg.mode == "intest":
+            cb = {s: a[i] for s, a in coeff_b.items()}
+            coll.stopped_square_checks = [
+                (_stopped_square_max(node, cb, root, sent[node, i]),
+                 float(coll.theta * coll.bases[node][0]))
+                for node in coll.packing_by_parent if sent[node, i]]
+    return [done[i] for i in range(size)]
+
+
+def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
+                 dictionary: TestDictionary,
+                 coeff_b=None, coeff_g=None) -> SparseCollection:
+    """``build_sparse_batch`` for one member, given without a batch axis."""
+    one = {k: [f[None] for f in v] if k == "fs" else
+           v[None] if isinstance(v, GridFunction) else v for k, v in inputs.items()}
+    lift = [None if c is None else {s: a[None] for s, a in c.items()}
+            for c in (coeff_b, coeff_g)]
+    return build_sparse_batch(q0, one, cfg, dictionary, *lift)[0]
 
 
 def sparse_form_eval(coll: SparseCollection, b: GridFunction, g: GridFunction,
@@ -269,25 +292,14 @@ def sparse_form_eval(coll: SparseCollection, b: GridFunction, g: GridFunction,
                      coeff_b=None, coeff_g=None) -> float:
     """Sum over the collection of |Q| <S b>_{1,Q} <S g>_{1,Q} prod <f_j>_{1,Q}.
 
-    The means of S b and S g over a cube are read from ``coll.bases`` when
-    an intest ``build_sparse`` of these b and g recorded them there (every
-    cube but those of a truncated last generation), and built otherwise."""
-    root = b.root
+    The means of S b and S g over a cube are the bases an intest build of
+    these b and g recorded (every cube but those of a truncated last
+    generation), and are built otherwise."""
     total = 0.0
     for cube in coll.cubes():
-        term = cube.measure
-        if cube in coll.bases:
-            means = coll.bases[cube][:2]
-        else:
-            if coeff_b is None:
-                coeff_b = dictionary.coeff_arrays(b)
-            if coeff_g is None:
-                coeff_g = dictionary.coeff_arrays(g)
-            sl = root.window_slices(cube)
-            means = [np.mean(square_function(f, cube, 0.0, 2.0, dictionary, c).samples[sl])
-                     for f, c in ((b, coeff_b), (g, coeff_g))]
-        term *= float(means[0])
-        term *= float(means[1])
+        means = coll.bases[cube] if cube in coll.bases else \
+            intest_stops(cube, b, g, [], dictionary, coeff_b, coeff_g).bases
+        term = cube.measure * float(means[0]) * float(means[1])
         for f in fs:
             term *= local_average(f, cube, 1.0)
         total += term
@@ -316,8 +328,7 @@ def verify_domination(q0: DyadicCube, cfg: StoppingConfig,
 
     In mode 'intest', batched b, g and fs give a list of reports, one per
     member: the coefficient arrays, the intrinsic form, the Hoelder bound
-    and the root's stopping data run once over the batch, the threshold
-    doublings and the recursion below the root once per member.
+    and the stopping-time collections run once over the batch.
     """
     p, q = exponents[0], exponents[1]
     ps = list(exponents[2:])
@@ -332,19 +343,17 @@ def verify_domination(q0: DyadicCube, cfg: StoppingConfig,
         coeff_b = dictionary.coeff_arrays(b)
         coeff_g = dictionary.coeff_arrays(g)
         lhs = intrinsic_form(q0, b, [g] + fs, dictionary, coeff_f=coeff_b, coeff_f1=coeff_g)
-        root_stops = intest_stops(q0, b, g, fs, dictionary, coeff_b, coeff_g)
         holder = q0.measure * q0.side ** (-theta_power) \
             * tl_norm(b, NormSpec(0.0, -float(theta_power), p, 2.0), dictionary, coeff_b) \
             * local_average(g, q0, q, w)
         for f, pj in zip(fs, ps):
             holder = holder * local_average(f, q0, pj, w)
         reports = []
-        for i in range(len(lhs)):
+        for i, coll in enumerate(build_sparse_batch(q0, {"b": b, "g": g, "fs": fs}, cfg,
+                                                    dictionary, coeff_b, coeff_g)):
             bi, gi, fsi = b[i], g[i], [f[i] for f in fs]
             cb = {s: a[i] for s, a in coeff_b.items()}
             cg = {s: a[i] for s, a in coeff_g.items()}
-            coll = build_sparse(q0, {"b": bi, "g": gi, "fs": fsi}, cfg, dictionary,
-                                cb, cg, node_stops={q0: root_stops[i]})
             rhs_sparse = sparse_form_eval(coll, bi, gi, fsi, dictionary, cb, cg)
             lhs_i = float(lhs[i])
             reports.append({"lhs": lhs_i, "rhs": rhs_sparse, "rhs_holder": float(holder[i]),

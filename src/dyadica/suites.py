@@ -26,7 +26,7 @@ from .funcspace import (GridFunction, derivative, lp_norm, maximal, multi_indice
                         pairing, sobolev_norm, wavelet_sobolev_norm)
 from .paraproduct import (ParaproductSpec, adjoint_apply, apply_paraproduct,
                           duality_form, form_eval)
-from .sparse import (StoppingConfig, build_sparse, intest_stops, taylor_pair_ratio,
+from .sparse import (StoppingConfig, build_sparse, build_sparse_batch, taylor_pair_ratio,
                      taylor_telescoping_ratio, verify_domination)
 from .tlnorm import NormSpec, TestDictionary, bmo_norm, tl_norm, tl_norms
 from .wavelet import AtomBasis, build_family, l2_norm
@@ -384,29 +384,20 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     stopped_ok = True
     for batch in _batches(100):
         # a batch's trials are all drawn, (b, g, f2, f1) per trial in trial
-        # order, before any is checked; build_sparse draws nothing, so each
-        # trial sees the draws it would see alone.  The coefficient arrays
-        # and the root's stopping data are built once for the batch.
+        # order, before any is checked; the builds draw nothing, so each
+        # trial sees the draws it would see alone
         draws = [[mixed_function(rng, ws.basis, kind=i + k) for k in range(3)]
                  + [GridFunction(ws.root, plateau_function(rng, ws.root).samples
                                  + wave_function(rng, ws.root).samples)]
                  for i in batch]
-        bs, gs, f2s = (GridFunction.stack(col) for col in list(zip(*draws))[:3])
-        coeff_b, coeff_g = ws.dictionary.coeff_arrays(bs), ws.dictionary.coeff_arrays(gs)
-        root_stops = intest_stops(q0, bs, gs, [f2s], ws.dictionary, coeff_b, coeff_g)
-        for i, (b, g, f2, f1) in enumerate(draws):
-            coll = build_sparse(q0, {"b": b, "g": g, "fs": [f2]}, cfg_i, ws.dictionary,
-                                {s: a[i] for s, a in coeff_b.items()},
-                                {s: a[i] for s, a in coeff_g.items()},
-                                node_stops={q0: root_stops[i]})
-            ratios = list(coll.packing_by_parent.values())
-            worst_pack["intest"] = max(worst_pack["intest"], max(ratios, default=0.0))
-            theta_max["intest"] = max(theta_max["intest"], coll.theta)
-            stopped_ok &= all(s <= bnd + 1e-9 for s, bnd in coll.stopped_square_checks)
-            coll_m = build_sparse(q0, {"f1": f1, "n": 1}, cfg_m, ws.dictionary)
-            ratios = list(coll_m.packing_by_parent.values())
-            worst_pack["mainiter"] = max(worst_pack["mainiter"], max(ratios, default=0.0))
-            theta_max["mainiter"] = max(theta_max["mainiter"], coll_m.theta)
+        bs, gs, f2s, f1s = (GridFunction.stack(col) for col in zip(*draws))
+        for stop_cfg, inputs in ((cfg_i, {"b": bs, "g": gs, "fs": [f2s]}),
+                                 (cfg_m, {"f1": f1s, "n": 1})):
+            mode = stop_cfg.mode
+            for coll in build_sparse_batch(q0, inputs, stop_cfg, ws.dictionary):
+                worst_pack[mode] = max([worst_pack[mode], *coll.packing_by_parent.values()])
+                theta_max[mode] = max(theta_max[mode], coll.theta)
+                stopped_ok &= all(s <= bnd + 1e-9 for s, bnd in coll.stopped_square_checks)
     rows.append(CriterionRow.check(
         "sparse", "packing_intest", worst_pack["intest"], cfg.packing_intest,
         detail=f"theta up to {theta_max['intest']}"))

@@ -6,8 +6,9 @@ transpose ``strided_spread``.  A family is given by its per-cube values,
 ``cube -> (slices, values)`` with ``(None, None)`` for an atom off the box.
 Then come the Gram check and the testing bench with one full-box grid or
 form per cube, with a cell-by-cell n = 2 kernel form; the per-scale maximal
-function and the stopping-time construction that rebuilds every node on
-each threshold doubling; and the per-trial suite loops.  The last section
+function, the stopping-time construction that rebuilds every node on each
+threshold doubling and the one-trial recursion that keeps each node's data
+across doublings; and the per-trial suite loops.  The last section
 holds helpers that only the tests call.
 """
 
@@ -540,6 +541,84 @@ def build_sparse(q0, inputs, cfg, dictionary) -> SparseCollection:
             raise ThetaCapError("threshold exceeded its cap")
 
 
+def select_one(stops, root, q0, theta):
+    """One member's maximal-cube scan over an unbatched ``NodeStops``:
+    scale-descending, lexicographic, descendants of selected cubes masked."""
+    thr = (theta * stops.bases).reshape((-1,) + (1,) * root.d)
+    selected, covered = [], None
+    for scale in range(q0.scale, root.J - 1, -1):
+        shift = q0.scale - scale
+        cand = np.any(stops.levels[scale - root.J] > thr, axis=0)
+        if covered is not None:
+            cand &= ~covered
+        for rel in np.argwhere(cand):
+            selected.append(DyadicCube(scale, tuple(int((p << shift) + r)
+                                                    for p, r in zip(q0.pos, rel))))
+        covered = cand if covered is None else covered | cand
+        if scale > root.J:
+            covered = expand_blocks(covered, 2)
+    return selected
+
+
+def build_sparse_trial(q0, inputs, cfg, dictionary) -> SparseCollection:
+    """One trial's recursion with each node's stopping data built once and
+    kept across doublings, node by node: the construction the batched
+    build replaced.  Records the bases of every node it checked."""
+    from dyadica.sparse import _stopped_square_max, gradient_stops, intest_stops
+    root = dictionary.root
+    theta = cfg.theta
+    max_depth = cfg.max_depth if cfg.max_depth is not None else root.depth + 1
+    if cfg.mode == "intest":
+        b, g, fs = inputs["b"], inputs["g"], inputs.get("fs", [])
+        coeff_b, coeff_g = dictionary.coeff_arrays(b), dictionary.coeff_arrays(g)
+
+        def stops(node):
+            return intest_stops(node, b, g, fs, dictionary, coeff_b, coeff_g)
+    else:
+        gn = grad_norm(inputs["f1"], inputs["n"])
+
+        def stops(node):
+            return gradient_stops(node, gn, dictionary.family.w)
+    by_node = {}
+    while True:
+        coll = SparseCollection(root_cube=q0, theta=theta)
+        parents, frontier, ok, depth = [], [q0], True, 0
+        while frontier:
+            if depth >= max_depth:
+                coll.truncated = True
+                break
+            nxt = []
+            for node in frontier:
+                if node not in by_node:
+                    by_node[node] = stops(node)
+                kids = select_one(by_node[node], root, node, theta)
+                ratio = sum(c.measure for c in kids) / node.measure
+                coll.packing_by_parent[node] = ratio
+                if ratio > cfg.packing_target:
+                    ok = False
+                    break
+                if kids:
+                    parents.append((node, kids))
+                nxt.extend(kids)
+            if not ok:
+                break
+            if nxt:
+                coll.generations.append(nxt)
+            frontier = nxt
+            depth += 1
+        if ok:
+            coll.bases = {node: by_node[node].bases for node in coll.packing_by_parent}
+            if cfg.mode == "intest":
+                coll.stopped_square_checks = [
+                    (_stopped_square_max(node, coeff_b, root, kids),
+                     float(theta * by_node[node].bases[0]))
+                    for node, kids in parents]
+            return coll
+        theta *= 2.0
+        if theta > cfg.theta_cap:
+            raise ThetaCapError("threshold exceeded its cap")
+
+
 # -- per-trial domination check and suite loops ---------------------------------
 
 
@@ -639,9 +718,9 @@ def sparse_suite_values(cfg):
     """The sparse suite's criterion values with every trial drawn and
     checked in turn: worst packing ratios and thetas of both modes, the
     stopped-square flag, the worst domination ratio per sweep level, and
-    the packing loop's collections in the order it built them."""
+    the packing loop's collections of each mode in trial order."""
     from dyadica.ensembles import mixed_function, plateau_function, wave_function
-    from dyadica.sparse import StoppingConfig, build_sparse as fast_build
+    from dyadica.sparse import StoppingConfig
     from dyadica.suites import workspace
     ws = workspace(cfg.d, cfg.L, cfg.J, cfg.wavelet_order, cfg.dictionary_size, cfg.refine)
     rng = np.random.default_rng([cfg.seed, 5])
@@ -653,18 +732,18 @@ def sparse_suite_values(cfg):
     worst = {"intest": 0.0, "mainiter": 0.0}
     theta = {"intest": 0.0, "mainiter": 0.0}
     stopped_ok = True
-    built = []
+    built = {"intest": [], "mainiter": []}
     for i in range(100):
         b, g, f2 = (mixed_function(rng, ws.basis, kind=i + k) for k in range(3))
-        coll = fast_build(q0, {"b": b, "g": g, "fs": [f2]}, cfg_i, ws.dictionary)
-        built.append(coll)
+        coll = build_sparse_trial(q0, {"b": b, "g": g, "fs": [f2]}, cfg_i, ws.dictionary)
+        built["intest"].append(coll)
         worst["intest"] = max(worst["intest"], max(coll.packing_by_parent.values(), default=0.0))
         theta["intest"] = max(theta["intest"], coll.theta)
         stopped_ok &= all(s <= bnd + 1e-9 for s, bnd in coll.stopped_square_checks)
         f1 = GridFunction(ws.root, plateau_function(rng, ws.root).samples
                           + wave_function(rng, ws.root).samples)
-        coll = fast_build(q0, {"f1": f1, "n": 1}, cfg_m, ws.dictionary)
-        built.append(coll)
+        coll = build_sparse_trial(q0, {"f1": f1, "n": 1}, cfg_m, ws.dictionary)
+        built["mainiter"].append(coll)
         worst["mainiter"] = max(worst["mainiter"], max(coll.packing_by_parent.values(),
                                                        default=0.0))
         theta["mainiter"] = max(theta["mainiter"], coll.theta)

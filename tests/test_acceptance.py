@@ -8,9 +8,6 @@ lines and timings.
 
 import time
 
-import numpy as np
-import pytest
-
 from dyadica.config import ExperimentConfig
 from dyadica.suites import (suite_norms, suite_paraproduct, suite_sparse,
                             suite_testbench, suite_theorem, suite_wavelet)

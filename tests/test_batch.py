@@ -214,22 +214,38 @@ def test_theorem_probe_matches_member_loop(tmp_path):
     assert rows == oracles.run_theorem_probe(cfg)
 
 
-@pytest.mark.parametrize("batch", [2, 50])
-def test_sparse_suite_matches_trial_loop(tmp_path, monkeypatch, batch):
+@pytest.mark.parametrize("batch, text", [
+    (2, ""), (50, ""),
+    # most intest packing builds then reach nodes below the root, where a
+    # row mix-up between members shows
+    (7, "packing_intest = 0.25\n")], ids=["2", "50", "7-intest0.25"])
+def test_sparse_suite_matches_trial_loop(tmp_path, monkeypatch, batch, text):
     monkeypatch.setattr(suites, "_BATCH", batch)
-    built = []
-    build = suites.build_sparse
-    monkeypatch.setattr(suites, "build_sparse",
-                        lambda *args, **kw: built.append(build(*args, **kw)) or built[-1])
-    cfg = _small(tmp_path, "[sparse]\ntrials = 5\nj_sweep = -5, -6\n")
+    built = {"intest": [], "mainiter": []}
+    build = suites.build_sparse_batch
+
+    def recording(q0, inputs, cfg, *args, **kw):
+        colls = build(q0, inputs, cfg, *args, **kw)
+        built[cfg.mode].extend(colls)
+        return colls
+
+    monkeypatch.setattr(suites, "build_sparse_batch", recording)
+    cfg = _small(tmp_path, "[sparse]\ntrials = 5\nj_sweep = -5, -6\n" + text)
     rows = {r.name: r for r in suites.suite_sparse(cfg, tmp_path)}
     worst, theta, stopped_ok, per_j, ref_built = oracles.sparse_suite_values(cfg)
-    # the packing loop's collections, trial by trial (the sweep's come after)
-    assert len(ref_built) == 200
-    for coll, ref in zip(built, ref_built):
-        assert coll.generations == ref.generations
-        assert list(coll.packing_by_parent.items()) == list(ref.packing_by_parent.items())
-        assert (coll.theta, coll.stopped_square_checks) == (ref.theta, ref.stopped_square_checks)
+    # the packing loop's collections, member by member in each mode
+    deep = 0
+    for mode in ("intest", "mainiter"):
+        assert len(built[mode]) == len(ref_built[mode]) == 100
+        for coll, ref in zip(built[mode], ref_built[mode]):
+            assert coll.generations == ref.generations
+            assert list(coll.packing_by_parent.items()) == list(ref.packing_by_parent.items())
+            assert (coll.theta, coll.truncated) == (ref.theta, ref.truncated)
+            assert coll.stopped_square_checks == ref.stopped_square_checks
+            assert list(coll.bases) == list(ref.bases)
+            assert all(np.array_equal(coll.bases[n], ref.bases[n]) for n in ref.bases)
+            deep += mode == "intest" and len(ref.packing_by_parent) > 1
+    assert deep >= (90 if text else 10)
     assert rows["packing_intest"].value == worst["intest"]
     assert rows["packing_intest"].detail == f"theta up to {theta['intest']}"
     assert rows["packing_mainiter"].value == worst["mainiter"]

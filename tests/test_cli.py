@@ -1,10 +1,9 @@
 import csv
-import os
 
 import numpy as np
 import pytest
 
-from dyadica import DyadicCube, RootBox
+from dyadica import DyadicCube
 from dyadica import cli
 from dyadica.cli import load_symbol_csv, main, save_symbol_csv
 from dyadica.config import ExperimentConfig

@@ -3,7 +3,7 @@ able to fail it."""
 
 import pytest
 
-from dyadica.config import ExperimentConfig
+from dyadica.config import DEFAULTS, ExperimentConfig
 
 
 def _config(tmp_path, text):
@@ -54,3 +54,26 @@ def test_rejects_malformed_kernel_section(tmp_path, body, message):
     # at load, naming the section, not inside the testbench after the workspace
     with pytest.raises(ValueError, match=r"\[kernel:k1\] " + message):
         _config(tmp_path, f"[kernel:k1]\n{body}\n")
+
+
+@pytest.mark.parametrize("section", list(DEFAULTS) + ["kernel:k1"])
+def test_rejects_misspelt_key(tmp_path, section):
+    # a misspelt key would run with the default and only move the hash
+    head = "type = convolution\n" if section.startswith("kernel:") else ""
+    with pytest.raises(ValueError, match=rf"\[{section}\] unknown key 'strenght'"):
+        _config(tmp_path, f"[{section}]\n{head}strenght = 2\n")
+
+
+def test_rejects_unknown_section(tmp_path):
+    with pytest.raises(ValueError, match=r"unknown section \[sprase\]"):
+        _config(tmp_path, "[sprase]\ntrials = 3\n")
+
+
+def test_valid_files_keep_their_hash(tmp_path):
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in DEFAULTS.items())
+    assert _config(tmp_path, text).config_hash == ExperimentConfig.defaults().config_hash
+    kernel = "[kernel:k1]\n" + "".join(f"{k} = {v}\n" for k, v in (
+        ("type", "convolution"), ("arity", 2), ("eps_trunc", 0.01), ("strength", 2.0),
+        ("seed", 3), ("symbol_count", 4)))
+    assert _config(tmp_path, kernel).kernels[0].symbol_count == 4

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 import oracles
-from dyadica import AtomBasis, DyadicCube, RootBox, build_family
+from dyadica import AtomBasis, DyadicCube, RootBox, build_family, czform
 from dyadica.czform import (KernelSpec, SingularConfigurationError, _kernel_matrix,
                             form_quadrature, input_orders, sobolev_bound_bench,
                             wbp_check)
@@ -104,16 +107,27 @@ def test_form_quadrature_cached_kernel_matches_fresh(kind):
     f1 = GridFunction.from_callable(root, smooth_bump(0.55, 0.25))
     expect = form_quadrature(fresh, root, [f0, f1], spec.eps_trunc)
     assert expect["excluded_mass"] > 0.0
-    hits = _kernel_matrix.cache_info().hits
     for _ in range(2):
         got = form_quadrature(spec._kernel, root, [f0, f1], spec.eps_trunc)
         assert got == expect
-    assert _kernel_matrix.cache_info().hits >= hits + 1
+    # the spec's kernel owns one matrix per box and radius, built once
+    owned = czform._MATRICES[spec._kernel]
+    assert list(owned) == [(root, spec.eps_trunc)]
+    matrix = owned[root, spec.eps_trunc][0]
     assert spec.evaluate([f0, f1]) == expect["value"]
+    assert _kernel_matrix(spec._kernel, root, spec.eps_trunc)[0] is matrix
     # the truncation radius is part of the key
     wider = form_quadrature(spec._kernel, root, [f0, f1], 2 * spec.eps_trunc)
     assert wider == form_quadrature(fresh, root, [f0, f1], 2 * spec.eps_trunc)
     assert wider["excluded_mass"] > expect["excluded_mass"]
+    assert len(owned) == 2
+    # and its matrices go with it (so do those of the fresh callable)
+    gc.collect()  # earlier tests' garbage first, so only these two go below
+    kernel, held = weakref.ref(spec._kernel), len(czform._MATRICES)
+    del spec, owned, fresh
+    gc.collect()
+    assert kernel() is None
+    assert len(czform._MATRICES) == held - 2
 
 
 def test_apply_slot0_bilinear_matches_hand_matrix(rng):

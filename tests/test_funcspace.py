@@ -8,12 +8,11 @@ import pytest
 from scipy import integrate
 
 import oracles
-from dyadica import AtomBasis, DyadicCube, RootBox, build_family
-from dyadica.funcspace import (ExponentTuple, GridFunction, anti_ibp_check,
-                               derivative, grad_norm, lp_norm, load_gridfunction,
-                               local_average, maximal, multi_indices, pairing,
-                               save_gridfunction, save_gridfunction_csv,
-                               sobolev_norm, taylor_poly, theta_weights)
+from dyadica import AtomBasis, DyadicCube, RootBox
+from dyadica.funcspace import (ExponentTuple, GridFunction, anti_ibp_check, grad_norm,
+                               load_gridfunction, local_average, maximal, multi_indices,
+                               save_gridfunction, save_gridfunction_csv, sobolev_norm,
+                               taylor_poly, theta_weights)
 
 
 def test_local_average_examples(root8):

@@ -7,8 +7,7 @@ from dyadica.ensembles import atom_tree, mixed_function, plateau_function, wave_
 from dyadica.funcspace import GridFunction, local_average, maximal
 from dyadica.paraproduct import ParaproductSpec, intrinsic_form
 from dyadica.sparse import (SparseCollection, StoppingConfig, ThetaCapError,
-                            build_sparse, gradient_stopping_children,
-                            sparse_form_eval, stopping_children,
+                            build_sparse, intest_stops, sparse_form_eval,
                             taylor_telescoping_ratio, verify_domination)
 from dyadica.tlnorm import square_function
 from dyadica.wavelet import CoefficientTree
@@ -24,6 +23,11 @@ def cfg_main():
     return StoppingConfig(theta=16.0, packing_target=0.25, mode="mainiter")
 
 
+def _children(q0, b, g, fs, dictionary, theta):
+    """One node's selection at one theta."""
+    return intest_stops(q0, b, g, fs, dictionary).select(dictionary.root, q0, theta)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         StoppingConfig(theta=0.5)
@@ -36,14 +40,14 @@ def test_config_validation():
 def test_stopping_constants_empty(dict8, basis8, cfg_intest):
     ones = GridFunction.from_callable(basis8.root, lambda x: 1.0)
     q0 = basis8.root.root_cube
-    assert stopping_children(q0, ones, ones, [ones], cfg_intest, dict8) == []
+    assert _children(q0, ones, ones, [ones], dict8, cfg_intest.theta) == []
 
 
 def test_stopping_theta_infinite_empty(dict8, basis8, cfg_intest, rng):
     b = mixed_function(rng, basis8, kind=0)
     g = mixed_function(rng, basis8, kind=1)
     q0 = basis8.root.root_cube
-    kids = stopping_children(q0, b, g, [], cfg_intest, dict8, theta=1e30)
+    kids = _children(q0, b, g, [], dict8, theta=1e30)
     assert kids == []
 
 
@@ -59,7 +63,7 @@ def test_stopping_children_brute_force_predicate(dict8, basis8, cfg_intest, rng)
     f2 = mixed_function(rng, basis8, kind=2)
     q0 = DyadicCube(-1, (1,))
     theta = 8.0
-    kids = stopping_children(q0, b, g, [f2], cfg_intest, dict8, theta)
+    kids = _children(q0, b, g, [f2], dict8, theta)
 
     sb = square_function(b, q0, 0.0, 2.0, dict8).samples
     sg = square_function(g, q0, 0.0, 2.0, dict8).samples

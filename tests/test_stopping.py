@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from dyadica import AtomBasis, DyadicCube, RootBox, build_family
 from dyadica.ensembles import mixed_function, plateau_function, wave_function
-from dyadica.funcspace import GridFunction, maximal
-from dyadica.sparse import (StoppingConfig, ThetaCapError, build_sparse,
-                            gradient_stopping_children, stopping_children)
+from dyadica.funcspace import GridFunction, grad_norm, maximal
+from dyadica.sparse import (StoppingConfig, ThetaCapError, build_sparse, build_sparse_batch,
+                            gradient_stops, intest_stops)
 from dyadica.tlnorm import TestDictionary
 from dyadica.wavelet import CoefficientTree
 
@@ -42,6 +42,13 @@ def _assert_same(coll, ref):
     assert coll.theta == ref.theta
     assert coll.truncated == ref.truncated
     assert coll.stopped_square_checks == ref.stopped_square_checks
+
+
+def _assert_same_trial(coll, ref):
+    """Equal to the one-trial recursion, the recorded bases included."""
+    _assert_same(coll, ref)
+    assert list(coll.bases) == list(ref.bases)
+    assert all(np.array_equal(coll.bases[node], ref.bases[node]) for node in ref.bases)
 
 
 def _boundary_cube(root):
@@ -146,6 +153,98 @@ def test_build_sparse_theta_cap_matches_reference(spaces):
             build(dic.root.root_cube, inputs, cfg, dic)
 
 
+# -- the batched build against the one-trial recursion -------------------------
+
+def _member_inputs(dictionary, mode, seed):
+    """Odd seeds swap white noise into b (intest) or f1 (mainiter), so the
+    members of a batch need different numbers of doublings."""
+    data = _inputs(dictionary, seed)
+    if mode == "intest":
+        return {"b": data["noise"] if seed % 2 else data["b"], "g": data["g"],
+                "fs": data["fs"][:1]}
+    return {"f1": data["noise"] if seed % 2 else data["f1"], "n": 1}
+
+
+def _stacked(members):
+    """The members' inputs as one batch; ``n`` is shared."""
+    return {key: [GridFunction.stack(col) for col in zip(*(m[key] for m in members))]
+            if key == "fs" else members[0][key] if key == "n"
+            else GridFunction.stack([m[key] for m in members])
+            for key in members[0]}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("mode", ["intest", "mainiter"])
+@pytest.mark.parametrize("size", [1, 2, 7])
+@pytest.mark.parametrize("target, max_depth", [(2.0 ** -4, None), (0.25, None), (0.9, 1)])
+def test_build_sparse_batch_matches_trial_reference(spaces, d, mode, size, target, max_depth):
+    dic = spaces[d]
+    q0 = dic.root.root_cube
+    cfg = StoppingConfig(theta=2.0, packing_target=target, max_depth=max_depth, mode=mode)
+    members = [_member_inputs(dic, mode, seed) for seed in range(size)]
+    colls = build_sparse_batch(q0, _stacked(members), cfg, dic)
+    assert len(colls) == size
+    refs = [oracles.build_sparse_trial(q0, m, cfg, dic) for m in members]
+    for coll, ref in zip(colls, refs):
+        _assert_same_trial(coll, ref)
+    if size == 7 and max_depth is None and target < 0.25:
+        assert len({ref.theta for ref in refs}) > 1, "every member doubled alike"
+        assert any(ref.generations for ref in refs)
+    if max_depth is not None:
+        assert any(ref.truncated for ref in refs)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("mode", ["intest", "mainiter"])
+def test_batched_select_matches_row_scans(spaces, d, mode):
+    """One scan over a batch, each row at its own theta, selects what the
+    one-member scan selects row by row."""
+    dic = spaces[d]
+    root = dic.root
+    members = [_member_inputs(dic, mode, seed) for seed in range(6)]
+    batch = _stacked(members)
+    thetas = [2.0, 64.0, 4.0, 2.0, 16.0, 8.0]
+    for q0 in (root.root_cube, _boundary_cube(root)):
+        stops = (intest_stops(q0, batch["b"], batch["g"], batch["fs"], dic) if mode == "intest"
+                 else gradient_stops(q0, grad_norm(batch["f1"], 1), dic.family.w))
+        picks = stops.select(root, q0, thetas)
+        rows = [oracles.select_one(stops[i], root, q0, t) for i, t in enumerate(thetas)]
+        assert picks == rows
+        assert len({len(p) for p in picks}) > 1
+
+
+def test_build_sparse_batch_theta_cap_names_first_member(spaces):
+    """The trial loop raises at its first member past the cap; so does the
+    batch, whatever the members after it do."""
+    dic = spaces[1]
+    tree = CoefficientTree(dic.root)
+    tree[DyadicCube(-6, (38,))] = 5.0
+    spike = GridFunction(dic.root, dic.basis.synthesize(tree))
+    cfg = StoppingConfig(theta=2.0, packing_target=2.0 ** -6, theta_cap=64.0, mode="intest")
+    members = [_member_inputs(dic, "intest", seed) for seed in (1, 2, 5, 6)]
+    members.insert(2, {"b": spike, "g": spike, "fs": [spike]})
+    members.append({"b": spike, "g": members[0]["g"], "fs": [spike]})
+
+    def first_capped(batch):
+        for i, m in enumerate(batch):
+            try:
+                oracles.build_sparse_trial(dic.root.root_cube, m, cfg, dic)
+            except ThetaCapError:
+                return i
+        return None
+
+    batches = (members, members[:2] + members[3:], members[:2])
+    firsts = [first_capped(batch) for batch in batches]
+    assert firsts == [2, 4, None]
+    for batch, first in zip(batches, firsts):
+        if first is None:
+            colls = build_sparse_batch(dic.root.root_cube, _stacked(batch), cfg, dic)
+            assert len(colls) == len(batch)
+            continue
+        with pytest.raises(ThetaCapError, match=rf"^member {first}: threshold exceeded cap"):
+            build_sparse_batch(dic.root.root_cube, _stacked(batch), cfg, dic)
+
+
 # -- monotonicity in theta -----------------------------------------------------
 
 @settings(max_examples=30, deadline=None)
@@ -162,10 +261,11 @@ def test_selection_shrinks_as_theta_doubles(spaces, seed, d, mode, log_theta, dr
     theta = 2.0 ** log_theta
     cfg = StoppingConfig(theta=theta, packing_target=0.25, mode=mode)
 
+    stops = (intest_stops(q0, data["b"], data["g"], data["fs"], dic) if mode == "intest"
+             else gradient_stops(q0, grad_norm(data["f1"], 1), dic.family.w))
+
     def kids(t):
-        if mode == "intest":
-            return stopping_children(q0, data["b"], data["g"], data["fs"], cfg, dic, t)
-        return gradient_stopping_children(q0, data["f1"], 1, cfg, dic.family.w, t)
+        return stops.select(root, q0, t)
 
     low, high = kids(theta), kids(2.0 * theta)
     assert all(any(z.contains(c) for z in low) for c in high)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadica import AtomBasis, DyadicCube, RootBox, build_family
-from dyadica.funcspace import GridFunction, local_average
+from dyadica.funcspace import GridFunction
 from dyadica.tlnorm import (NormSpec, TestDictionary, bmo_norm,
                             square_function, tl_norm, tl_norms)
 from dyadica.wavelet import CoefficientTree
