@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _parse_float
 from .dyadic import DyadicCube, RootBox
 from .funcspace import (GridFunction, load_gridfunction, lp_norm,
                         save_gridfunction)
@@ -34,14 +34,6 @@ def _load_config(path) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig.defaults()
     return ExperimentConfig.from_file(path)
-
-
-def _workspace_for(cfg: ExperimentConfig, root: RootBox | None = None):
-    if root is None:
-        return workspace(cfg.d, cfg.L, cfg.J, cfg.wavelet_order,
-                         cfg.dictionary_size, cfg.refine)
-    return workspace(root.d, root.L, root.J, cfg.wavelet_order,
-                     cfg.dictionary_size, cfg.refine)
 
 
 def load_symbol_csv(path, root: RootBox) -> CoefficientTree:
@@ -66,21 +58,28 @@ def load_symbol_csv(path, root: RootBox) -> CoefficientTree:
     return tree
 
 
-def save_symbol_csv(path, tree: CoefficientTree) -> None:
-    rows = [[cube.token(), repr(float(np.real(val))), repr(float(np.imag(val)))]
-            for cube, val in tree.items()]
-    write_csv(path, ["cube", "re", "im"], rows)
+def _parse_numbers(text: str) -> list[float]:
+    """Comma-separated numbers, inf spelt inf, infinity or oo as in config files."""
+    try:
+        return [_parse_float(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"group {text.strip()!r}: {exc}") from None
 
 
 def _parse_norm_specs(text: str) -> list[NormSpec]:
+    """``n,m,p,q`` groups separated by semicolons."""
     out = []
-    for group in text.split(";"):
-        group = group.strip()
-        if not group:
-            continue
-        n, m, p, q = (float(tok) if tok.strip().lower() not in ("inf",) else np.inf
-                      for tok in group.split(","))
-        out.append(NormSpec(n, m, p, q))
+    for group in filter(None, (g.strip() for g in text.split(";"))):
+        vals = _parse_numbers(group)
+        if len(vals) != 4:
+            raise argparse.ArgumentTypeError(
+                f"group {group!r}: expected n,m,p,q, got {len(vals)} value(s)")
+        try:
+            out.append(NormSpec(*vals))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"group {group!r}: {exc}") from None
+    if not out:
+        raise argparse.ArgumentTypeError("no n,m,p,q group")
     return out
 
 
@@ -98,10 +97,10 @@ def cmd_suite(args) -> int:
 def cmd_norms(args) -> int:
     cfg = _load_config(args.config)
     f = load_gridfunction(args.input)
-    ws = _workspace_for(cfg, f.root)
-    specs = _parse_norm_specs(args.specs)
+    ws = workspace(f.root.d, f.root.L, f.root.J, cfg.wavelet_order,
+                   cfg.dictionary_size, cfg.refine)
     rows = [[spec.n, spec.m, spec.p, spec.q, repr(val), cfg.config_hash]
-            for spec, val in zip(specs, tl_norms(f, specs, ws.dictionary).tolist())]
+            for spec, val in zip(args.specs, tl_norms(f, args.specs, ws.dictionary).tolist())]
     write_csv(os.path.join(args.out, "norms.csv"),
               ["n", "m", "p", "q", "value", "config_hash"], rows)
     for row in rows:
@@ -111,15 +110,17 @@ def cmd_norms(args) -> int:
 
 def cmd_paraproduct(args) -> int:
     cfg = _load_config(args.config)
-    inputs = [load_gridfunction(p) for p in args.inputs.split(",")]
-    ws = _workspace_for(cfg, inputs[0].root)
+    paths, exps = args.inputs.split(","), args.exponents
+    if len(exps) != len(paths):
+        raise SystemExit(f"--exponents gives {len(exps)} exponent(s) for "
+                         f"{len(paths)} input(s); one exponent per input")
+    inputs = [load_gridfunction(p) for p in paths]
+    root = inputs[0].root
+    ws = workspace(root.d, root.L, root.J, cfg.wavelet_order, cfg.dictionary_size,
+                   cfg.refine)
     symbol = load_symbol_csv(args.symbol, ws.root)
     spec = ParaproductSpec(ws.basis, symbol, arity=len(inputs))
     out = apply_paraproduct(spec, inputs)
-    exps = [float(t) if t.strip().lower() != "inf" else np.inf
-            for t in args.exponents.split(",")]
-    if len(exps) != len(inputs):
-        raise SystemExit("one exponent per input")
     r = ExperimentConfig.holder_r(exps)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "paraproduct_output.gfn")
@@ -136,7 +137,9 @@ def cmd_paraproduct(args) -> int:
 def cmd_sparse(args) -> int:
     cfg = _load_config(args.config)
     inputs = [load_gridfunction(p) for p in args.inputs.split(",")]
-    ws = _workspace_for(cfg, inputs[0].root)
+    root = inputs[0].root
+    ws = workspace(root.d, root.L, root.J, cfg.wavelet_order, cfg.dictionary_size,
+                   cfg.refine)
     q0 = ws.root.root_cube
     target = cfg.packing_intest if args.mode == "intest" else cfg.packing_mainiter
     stop_cfg = StoppingConfig(theta=cfg.sparse_theta, packing_target=target,
@@ -204,14 +207,17 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("norms", help="evaluate symbol norms of a function file")
     p.add_argument("--input", required=True)
-    p.add_argument("--specs", default="0,0,2,2")
+    p.add_argument("--specs", default="0,0,2,2", type=_parse_norm_specs,
+                   help='n,m,p,q groups separated by ";"')
     common(p)
     p.set_defaults(fn=cmd_norms)
 
     p = sub.add_parser("paraproduct", help="apply a paraproduct to input files")
     p.add_argument("--symbol", required=True, help="symbol CSV (cube,re,im)")
     p.add_argument("--inputs", required=True, help="comma-separated .gfn files")
-    p.add_argument("--exponents", default="4,4")
+    p.add_argument("--exponents", default="4,4",
+                   type=_parse_numbers,
+                   help="one exponent per input, comma-separated")
     common(p)
     p.set_defaults(fn=cmd_paraproduct)
 

@@ -12,7 +12,7 @@ import numpy as np
 
 DEFAULTS = {
     "root": {"d": "1", "L": "0", "J": "-8"},
-    "wavelet": {"N": "3", "k": "", "refine": "8", "w": ""},
+    "wavelet": {"N": "3", "refine": "8"},
     "dictionary": {"size": "8"},
     "ensemble": {"count": "100", "seed": "20240817"},
     "probe": {
@@ -23,7 +23,6 @@ DEFAULTS = {
         "exponents": "4, 4; 2, inf",
         "epsilon": "0.25",
         "j_sweep": "-6, -7, -8",
-        "growth_cap": "1.25",
         "bmo_depths": "4, 6, 8",
     },
     "sparse": {
@@ -35,10 +34,9 @@ DEFAULTS = {
         "exponents": "4, 2, 4",
         "j_sweep": "-6, -7, -8",
     },
-    "tolerances": {"eq_eps": "1e-8", "growth_cap": "1.25"},
+    "tolerances": {"growth_cap": "1.25"},
     "testbench": {"truncation_scale": "8", "k": "2", "bench_q": "4",
                   "sample_count": "24"},
-    "output": {"dir": "out"},
 }
 
 
@@ -119,9 +117,6 @@ class ExperimentConfig:
 
     # -- typed accessors -----------------------------------------------------
 
-    def get(self, section: str, key: str) -> str:
-        return self.raw.get(section, key)
-
     @property
     def d(self) -> int:
         return self.raw.getint("root", "d")
@@ -137,11 +132,6 @@ class ExperimentConfig:
     @property
     def wavelet_order(self) -> int:
         return self.raw.getint("wavelet", "N")
-
-    @property
-    def smoothness_budget(self) -> int:
-        raw = self.raw.get("wavelet", "k").strip()
-        return int(raw) if raw else self.wavelet_order - 1
 
     @property
     def refine(self) -> int:
@@ -197,10 +187,6 @@ class ExperimentConfig:
         return self.raw.getfloat("tolerances", "growth_cap")
 
     @property
-    def eq_eps(self) -> float:
-        return self.raw.getfloat("tolerances", "eq_eps")
-
-    @property
     def sparse_theta(self) -> float:
         return self.raw.getfloat("sparse", "theta")
 
@@ -244,10 +230,6 @@ class ExperimentConfig:
     def testbench_samples(self) -> int:
         return self.raw.getint("testbench", "sample_count")
 
-    @property
-    def output_dir(self) -> str:
-        return self.raw.get("output", "dir")
-
     # -- probe exponent derivations ------------------------------------------
 
     @staticmethod
@@ -273,7 +255,8 @@ class ExperimentConfig:
             known = KERNEL_KEYS if section.startswith("kernel:") else \
                 {key.lower() for key in DEFAULTS.get(section, ())}
             if not known:
-                raise ValueError(f"unknown section [{section}]")
+                raise ValueError(f"unknown section [{section}] (keys "
+                                 f"{', '.join(map(repr, self.raw.options(section)))})")
             for key in self.raw.options(section):
                 if key not in known:
                     raise ValueError(f"[{section}] unknown key {key!r}")

@@ -142,7 +142,6 @@ class KernelSpec:
     kind: str
     eps_trunc: float = 0.0
     strength: float = 1.0
-    smoothness: tuple = (1, 0.5)
     planted: ParaproductSpec | None = None
     table: np.ndarray | None = None
 
@@ -310,11 +309,9 @@ _STACK = 64
 
 @dataclass
 class TestingSymbols:
-    order: int
     trees: dict = field(default_factory=dict)   # gamma tuple -> CoefficientTree
     star: dict = field(default_factory=dict)    # slot j -> CoefficientTree
     flagged: list = field(default_factory=list)
-    truncation_scale: float = 8.0
 
 
 def input_orders(n: int, d: int, k: int):
@@ -326,18 +323,18 @@ def input_orders(n: int, d: int, k: int):
 
 
 def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
-                    truncation_scale: float = 8.0,
-                    stabilization_tol: float = 1e-6,
-                    cubes=None) -> TestingSymbols:
+                    truncation_scale: float = 8.0, cubes=None) -> TestingSymbols:
     """Paraproduct symbols of the form: pairings with wavelets against
-    truncated monomials, and adjoint pairings against stabilized cutoffs.
+    truncated monomials, and adjoint pairings against stabilized cutoffs:
+    a cube is flagged when its adjoint pairings at the two outer radii
+    differ by more than 1e-6 of their size.
 
     The cubes go in stacks of at most ``_STACK``.  Each stack takes one
     evaluation for the gamma-trees, over the batch (cube x gamma), and one
     adjoint evaluation per slot, over the batch (cube x cutoff radius)."""
     root = basis.root
-    A = truncation_scale
-    out = TestingSymbols(order=k, truncation_scale=A)
+    out = TestingSymbols()
+    radii = _CUT_RADII * truncation_scale
     if cubes is None:
         cubes = [c for c in root.all_cubes() if c.scale > root.J]
     gammas = list(input_orders(spec.n, root.d, k))
@@ -356,7 +353,7 @@ def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
         phi = GridFunction(root, phi[:, None])
         # nested cutoffs; the innermost truncates the monomials
         cuts = _radial_bumps(root, np.array([c.center() for c, _, _ in part]),
-                             _CUT_RADII * A * np.array([[c.side] for c, _, _ in part]))
+                             radii * np.array([[c.side] for c, _, _ in part]))
         inputs = {g: monomials[g] * cuts[:, 0] for g in monomials}
         tree_vals = spec.evaluate([phi] + [
             GridFunction(root, np.stack([inputs[gamma[j]] for gamma in gammas], axis=1))
@@ -374,7 +371,7 @@ def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
                 vals_by_radius = vals[i]
                 v2, v4 = vals_by_radius[1], vals_by_radius[2]
                 scale_ref = max(max(abs(v) for v in vals_by_radius), floor)
-                if abs(v4 - v2) > stabilization_tol * scale_ref:
+                if abs(v4 - v2) > 1e-6 * scale_ref:
                     out.flagged.append((j, cube))
                 out.star[j][cube] = scale_k * v4
     return out

@@ -41,9 +41,6 @@ class DyadicCube:
     def measure(self) -> float:
         return 2.0 ** (self.scale * self.dim)
 
-    def corner(self) -> np.ndarray:
-        return np.asarray(self.pos, dtype=float) * self.side
-
     def center(self) -> np.ndarray:
         return (np.asarray(self.pos, dtype=float) + 0.5) * self.side
 
@@ -56,11 +53,11 @@ class DyadicCube:
         return DyadicCube(self.scale - 1,
                           tuple(2 * p + o for p, o in zip(self.pos, off)))
 
-    def contains(self, other: "DyadicCube") -> bool:
-        if other.scale > self.scale:
-            return False
-        shift = self.scale - other.scale
-        return all((q >> shift) == p for p, q in zip(self.pos, other.pos))
+    def block(self, scale: int) -> tuple:
+        """Per-axis slices of the positions of this cube's scale-``scale``
+        subcubes, in the position array of that scale."""
+        shift = self.scale - scale
+        return tuple(slice(p << shift, (p + 1) << shift) for p in self.pos)
 
     def token(self) -> str:
         return f"{self.dim}:{self.scale}:" + ",".join(str(p) for p in self.pos)
@@ -178,25 +175,11 @@ class RootBox:
         for scale in range(self.L, self.J - 1, -1):
             yield from self.cubes_at_scale(scale)
 
-    def descendants(self, cube: DyadicCube, include_self: bool = True):
-        """Admissible subcubes of ``cube``, canonical order."""
-        for scale in range(cube.scale, self.J - 1, -1):
-            if not include_self and scale == cube.scale:
-                continue
-            shift = cube.scale - scale
-            ranges = [range(p << shift, (p + 1) << shift) for p in cube.pos]
-            for pos in itertools.product(*ranges):
-                yield DyadicCube(scale, pos)
-
     def children(self, cube: DyadicCube) -> list[DyadicCube]:
         if cube.scale <= self.J:
             raise ScaleFloorError(
                 f"cube at scale {cube.scale} is already at the finest level {self.J}")
         return children(cube)
-
-    def cube_of_cell(self, cell: tuple[int, ...], scale: int) -> DyadicCube:
-        shift = scale - self.J
-        return DyadicCube(scale, tuple(c >> shift for c in cell))
 
     def cell_window(self, cube: DyadicCube, dilation: int = 1):
         """Per-axis (start, stop) cell ranges of the dilated cube, clipped to the box.
@@ -224,9 +207,3 @@ class RootBox:
         half = (dilation - 1) // 2
         n = self.positions_per_side(cube.scale)
         return all(p - half >= 0 and p + 1 + half <= n for p in cube.pos)
-
-    def count_descendants(self, cube: DyadicCube) -> int:
-        """|{admissible R subset of Q}| counting Q itself."""
-        t = cube.scale - self.J + 1
-        twod = 1 << self.d
-        return (twod ** t - 1) // (twod - 1)

@@ -20,14 +20,15 @@ def interior_positions(basis: AtomBasis, scale: int) -> range:
     return range(half, npos - half)
 
 
-def default_atom_scales(basis: AtomBasis, depth: int = 3) -> list[int]:
-    """Scales (relative to the top) with interior positions available."""
-    root, w = basis.root, basis.family.w
+def default_atom_scales(basis: AtomBasis) -> list[int]:
+    """Up to three of the coarsest scales below the top with interior
+    positions, coarsest first."""
+    root = basis.root
     out = []
     for scale in range(root.L - 1, root.J, -1):
         if len(interior_positions(basis, scale)) > 0:
             out.append(scale)
-        if len(out) == depth:
+        if len(out) == 3:
             break
     if not out:
         raise ValueError("box too small for interior atoms of this family")
@@ -49,14 +50,11 @@ def atom_tree(rng: np.random.Generator, basis: AtomBasis,
     return tree
 
 
-def atom_function(rng, basis: AtomBasis, scales=None, count: int = 6,
-                  amplitude: float = 1.0) -> GridFunction:
-    return GridFunction(basis.root,
-                        basis.synthesize(atom_tree(rng, basis, scales, count, amplitude)))
+def atom_function(rng, basis: AtomBasis, scales=None, count: int = 6) -> GridFunction:
+    return GridFunction(basis.root, basis.synthesize(atom_tree(rng, basis, scales, count)))
 
 
-def plateau_function(rng, root: RootBox, terms: int = 2,
-                     amplitude: float = 1.0) -> GridFunction:
+def plateau_function(rng, root: RootBox, terms: int = 2) -> GridFunction:
     """Sum of smooth compactly supported plateaus in the middle of the box.
 
     Radii never drop below a few cells, so derivative norms stay meaningful
@@ -71,7 +69,7 @@ def plateau_function(rng, root: RootBox, terms: int = 2,
     for _ in range(terms):
         center = rng.uniform(0.35, 0.65, size=root.d) * side
         radius = rng.uniform(r_lo, r_hi) * side
-        height = amplitude * rng.standard_normal()
+        height = rng.standard_normal()
         r2 = np.zeros(root.shape)
         for gax, c in zip(grids, center):
             r2 += ((gax - c) / radius) ** 2
@@ -82,9 +80,9 @@ def plateau_function(rng, root: RootBox, terms: int = 2,
     return GridFunction(root, samples)
 
 
-def wave_function(rng, root: RootBox, amplitude: float = 1.0) -> GridFunction:
+def wave_function(rng, root: RootBox) -> GridFunction:
     """Windowed oscillation: bounded derivatives of every order used here."""
-    envelope = plateau_function(rng, root, terms=1, amplitude=1.0)
+    envelope = plateau_function(rng, root, terms=1)
     envelope.samples = np.abs(envelope.samples)
     side = 2.0 ** root.L
     max_freq = min(12.0, root.cells_per_side / 4.0)
@@ -93,25 +91,23 @@ def wave_function(rng, root: RootBox, amplitude: float = 1.0) -> GridFunction:
     phase = np.zeros(root.shape)
     for gax in grids:
         phase += rng.uniform(2.0, max_freq) * gax / side
-    return GridFunction(root, amplitude * np.sin(2 * np.pi * phase + rng.uniform(0, 2 * np.pi))
+    return GridFunction(root, np.sin(2 * np.pi * phase + rng.uniform(0, 2 * np.pi))
                         * envelope.samples)
 
 
-def mixed_function(rng, basis: AtomBasis, kind: int | None = None,
-                   amplitude: float = 1.0) -> GridFunction:
+def mixed_function(rng, basis: AtomBasis, kind: int | None = None) -> GridFunction:
     """Rotating generator: atom combinations, plateaus, windowed waves."""
     kind = int(rng.integers(0, 3)) if kind is None else kind % 3
     if kind == 0:
-        return atom_function(rng, basis, amplitude=amplitude)
+        return atom_function(rng, basis)
     if kind == 1:
-        return plateau_function(rng, basis.root, amplitude=amplitude)
-    return wave_function(rng, basis.root, amplitude=amplitude)
+        return plateau_function(rng, basis.root)
+    return wave_function(rng, basis.root)
 
 
-def lacunary_tower(basis: AtomBasis, exponent: float,
-                   scale_floor_offset: int = 2, span: int = 2) -> CoefficientTree:
-    """Nested tower over the finest ``span`` symbol scales with coefficients
-    side(Q)^{-exponent}: the norm-saturating rough symbol.
+def lacunary_tower(basis: AtomBasis, exponent: float) -> CoefficientTree:
+    """Nested tower over the two scales J + 2 and J + 3 (below the top) with
+    coefficients side(Q)^{-exponent}: the norm-saturating rough symbol.
 
     At the borderline exponent 1/p the scale-weighted symbol norm at local
     exponent p stays level under refinement while the mean oscillation
@@ -119,8 +115,8 @@ def lacunary_tower(basis: AtomBasis, exponent: float,
     scales that refine together with the grid."""
     root = basis.root
     tree = CoefficientTree(root)
-    lo = root.J + scale_floor_offset
-    hi = min(lo + span - 1, root.L - 1)
+    lo = root.J + 2
+    hi = min(lo + 1, root.L - 1)
     for scale in range(hi, lo - 1, -1):
         pos = 1 << (root.L - 1 - scale)  # the chain through the box center
         tree[DyadicCube(scale, (pos,) * root.d)] = (2.0 ** scale) ** (-exponent)
@@ -129,9 +125,7 @@ def lacunary_tower(basis: AtomBasis, exponent: float,
 
 def random_interior_function(rng, basis: AtomBasis) -> GridFunction:
     """Atom combination plus a smooth plateau, interior-supported."""
-    f = atom_function(rng, basis)
-    g = plateau_function(rng, basis.root, terms=1)
-    return GridFunction(basis.root, f.samples + g.samples)
+    return atom_function(rng, basis) + plateau_function(rng, basis.root, terms=1)
 
 
 def dilate_tree(tree: CoefficientTree, shift: int) -> CoefficientTree:

@@ -8,7 +8,6 @@ stencils on the test classes (interior-supported inputs).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import stat
@@ -170,30 +169,6 @@ def dilated_scale_averages(f: GridFunction, scale: int, p: float,
     return summed ** (1.0 / p)
 
 
-@dataclass(frozen=True)
-class ExponentTuple:
-    """Hoelder tuple (p_1, ..., p_m) with every p_j in (1, inf]."""
-
-    p: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        for v in self.p:
-            if not v > 1.0:
-                raise ValueError(f"exponent {v} must exceed 1")
-
-    @property
-    def m(self) -> int:
-        return len(self.p)
-
-    @property
-    def r(self) -> float:
-        s = sum(0.0 if np.isinf(v) else 1.0 / v for v in self.p)
-        if s == 0.0:
-            return float("inf")
-        return 1.0 / s
-
-
 def maximal(fs, ps=None) -> GridFunction:
     """Dyadic multilinear maximal function: at each grid point the sup over
     admissible cubes containing it of the product of local p_j-means.  One
@@ -347,8 +322,7 @@ def anti_ibp_check(f: GridFunction, cube: DyadicCube, k: int,
     k-th derivative.  Exact path is one-dimensional.
 
     The antiderivative is the cumulative sum dual to the forward difference,
-    so the two sides agree by exact summation by parts; a central-difference
-    variant of the right side is reported as the finite-difference floor.
+    so the two sides agree by exact summation by parts.
     """
     root = f.root
     if root.d != 1:
@@ -369,12 +343,11 @@ def anti_ibp_check(f: GridFunction, cube: DyadicCube, k: int,
         anti = np.cumsum(anti) * h
     phi_minus = ((-1.0) ** k) * anti / cube.side ** k
     rhs = cube.side ** k * np.sum(phi_minus * _forward_diff(f.samples, h, k)) * h
-    rhs_central = cube.side ** k * np.sum(phi_minus * central_diff(f.samples, root, 0, k)) * h
 
     denom = max(abs(lhs), abs(rhs), 1e-300)
     const = float(cube.side * np.max(np.abs(phi_minus)))
-    return {"lhs": float(lhs), "rhs": float(rhs), "rhs_central": float(rhs_central),
-            "rel_gap": abs(lhs - rhs) / denom, "class_constant": const}
+    return {"lhs": float(lhs), "rhs": float(rhs), "rel_gap": abs(lhs - rhs) / denom,
+            "class_constant": const}
 
 
 # -- Sobolev norms ----------------------------------------------------------
@@ -407,11 +380,16 @@ def wavelet_sobolev_norm(f: GridFunction, kappa: int, r: float, basis: AtomBasis
     return lp_norm(GridFunction(f.root, np.sqrt(acc)), r)
 
 
-# -- binary / CSV I/O -------------------------------------------------------
+# -- binary I/O -------------------------------------------------------------
 
 def save_gridfunction(path, f: GridFunction) -> None:
+    """One function per file: a batch would write a sample count that
+    ``load_gridfunction`` rejects."""
     if np.iscomplexobj(f.samples):
         raise ValueError("binary format stores real samples only")
+    if f.samples.shape != f.root.shape:
+        raise ValueError(f"sample shape {f.samples.shape} is a batch; the binary format "
+                         f"stores one function on the box {f.root.shape}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(f.root.d, f.root.L, f.root.J, f.samples.size))
         fh.write(np.ascontiguousarray(f.samples, dtype="<f8").tobytes())
@@ -443,11 +421,3 @@ def load_gridfunction(path) -> GridFunction:
         data = np.frombuffer(payload, dtype="<f8", count=count)
     return GridFunction(root, data.reshape(root.shape).copy())
 
-
-def save_gridfunction_csv(path, f: GridFunction) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"i{ax}" for ax in range(f.root.d)] + ["value"])
-        for idx in itertools.product(*(range(n) for n in f.root.shape)):
-            writer.writerow(list(idx) + [repr(float(f.samples[idx]))])

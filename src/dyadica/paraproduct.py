@@ -23,25 +23,6 @@ class ArityError(ValueError):
     """Number of input functions does not match the spec arity."""
 
 
-def canonical_family(basis: AtomBasis, kind: str) -> AtomFamily:
-    """The canonical discrete atoms of ``kind`` ("wavelet" or "scaling")."""
-    return basis.atoms(kind)
-
-
-def dictionary_family(dictionary: TestDictionary, member: int,
-                      cancellative: bool) -> AtomFamily:
-    """A dictionary member at every cube: cancellative (``member_family``)
-    or a normalized bump (``bump_values``)."""
-    if cancellative:
-        return dictionary.member_family(member)
-    return dictionary.bump_family(member)
-
-
-def unit_bump_family(dictionary: TestDictionary, member: int = 0) -> AtomFamily:
-    """Smooth averaging family renormalized to exact unit discrete integral."""
-    return dictionary.bump_family(member, unit=True)
-
-
 @dataclass
 class ParaproductSpec:
     """Symbol plus atom families: output atoms beta_Q (cancellative) and the
@@ -58,9 +39,9 @@ class ParaproductSpec:
         if self.arity < 1:
             raise ArityError("paraproduct arity must be >= 1")
         if self.beta is None:
-            self.beta = canonical_family(self.basis, "wavelet")
+            self.beta = self.basis.atoms("wavelet")
         if self.chi is None:
-            self.chi = canonical_family(self.basis, "scaling")
+            self.chi = self.basis.atoms("scaling")
 
     def zeta(self, scale: int, fs) -> np.ndarray:
         """zeta_Q(f) at every position of ``scale``."""
@@ -121,7 +102,7 @@ class WaveletFormSpec:
 
     def __post_init__(self):
         if self.phi is None:
-            self.phi = canonical_family(self.basis, "wavelet")
+            self.phi = self.basis.atoms("wavelet")
         if not self.slots:
             raise ValueError("per-slot atom families required")
         if len(self.slots) != self.arity:
@@ -141,13 +122,7 @@ class WaveletFormSpec:
             return [(scale, tuple(np.array(pos).T)) for scale, pos in by_scale.items()]
         root = self.basis.root
         top = root.root_cube if self.localization is None else self.localization
-        return [(scale, _block(top, scale)) for scale in range(top.scale, root.J, -1)]
-
-
-def _block(q0: DyadicCube, scale: int):
-    """Position slices of the scale-``scale`` subcubes of ``q0``."""
-    shift = q0.scale - scale
-    return tuple(slice(p << shift, (p + 1) << shift) for p in q0.pos)
+        return [(scale, top.block(scale)) for scale in range(top.scale, root.J, -1)]
 
 
 def duality_form(spec: ParaproductSpec) -> WaveletFormSpec:
@@ -158,28 +133,18 @@ def duality_form(spec: ParaproductSpec) -> WaveletFormSpec:
         slots=[spec.beta] + [spec.chi] * spec.arity, support=spec.symbol)
 
 
-def _form_terms(form: WaveletFormSpec, f: GridFunction, fs, modulus):
+def form_eval(form: WaveletFormSpec, f: GridFunction, fs) -> float:
+    """Sum over cubes of |Q| phi_Q(f) prod_j slot_j(f_j), a scale at a time."""
     if len(fs) != form.arity:
         raise ArityError(f"expected {form.arity} trailing inputs, got {len(fs)}")
     d = form.basis.root.d
     total = 0.0
     for scale, index in form.scale_positions():
-        term = modulus(form.phi.pair(f.samples, scale)[index])
+        term = form.phi.pair(f.samples, scale)[index]
         for slot, g in zip(form.slots, fs):
-            term = term * modulus(slot.pair(g.samples, scale)[index])
+            term = term * slot.pair(g.samples, scale)[index]
         total += 2.0 ** (scale * d) * np.sum(term)
     return total
-
-
-def form_eval(form: WaveletFormSpec, f: GridFunction, fs) -> float:
-    """Sum over cubes of |Q| phi_Q(f) prod_j slot_j(f_j), a scale at a time."""
-    return _form_terms(form, f, fs, lambda x: x)
-
-
-def form_mass(form: WaveletFormSpec, f: GridFunction, fs) -> float:
-    """Triangle-inequality majorant of form_eval: the scale against which a
-    cancellation-dominated value counts as degenerate."""
-    return _form_terms(form, f, fs, np.abs)
 
 
 def intrinsic_form(q0: DyadicCube, f: GridFunction, fs,
@@ -196,7 +161,7 @@ def intrinsic_form(q0: DyadicCube, f: GridFunction, fs,
         coeff_f1 = dictionary.coeff_arrays(fs[0])
     total = 0.0
     for scale in range(root.J, q0.scale + 1):
-        pos_slices = (...,) + _block(q0, scale)
+        pos_slices = (...,) + q0.block(scale)
         prod = coeff_f[scale][pos_slices] * coeff_f1[scale][pos_slices]
         for f_j in fs[1:]:
             prod = prod * dilated_scale_averages(f_j, scale, 1.0, w)[pos_slices]
@@ -211,7 +176,7 @@ def localized_form(symbol: CoefficientTree, q0: DyadicCube, g: GridFunction,
     for scale, measure, arr in _symbol_scales(symbol):
         if scale > q0.scale:
             continue
-        block = _block(q0, scale)
+        block = q0.block(scale)
         b = arr[block]
         if b.any():
             term = b * spec.beta.pair(g.samples, scale)[block] * spec.zeta(scale, fs)[block]

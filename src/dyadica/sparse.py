@@ -104,11 +104,6 @@ class NodeStops:
         return selected
 
 
-def _position_slices(q0: DyadicCube, scale: int):
-    shift = q0.scale - scale
-    return tuple(slice(p << shift, (p + 1) << shift) for p in q0.pos)
-
-
 def _masked_maximal(f: GridFunction, q0: DyadicCube, w: int) -> np.ndarray:
     """Maximal function of f restricted to the w-dilate of q0 (zero elsewhere)."""
     masked = GridFunction(f.root, np.zeros(f.samples.shape))
@@ -173,7 +168,7 @@ def _stopped_square_max(q0: DyadicCube, coeffs, root: RootBox,
         for cube in selected:
             if cube.scale == scale:
                 blocked[tuple(c - b for c, b in zip(cube.pos, base))] = True
-        vals = np.where(blocked, 0.0, coeffs[scale][_position_slices(q0, scale)])
+        vals = np.where(blocked, 0.0, coeffs[scale][q0.block(scale)])
         acc = acc + expand_blocks(vals ** 2, 1 << (scale - root.J))
         if scale > root.J:
             blocked = expand_blocks(blocked, 2)
@@ -277,14 +272,11 @@ def build_sparse_batch(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
 
 
 def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
-                 dictionary: TestDictionary,
-                 coeff_b=None, coeff_g=None) -> SparseCollection:
+                 dictionary: TestDictionary) -> SparseCollection:
     """``build_sparse_batch`` for one member, given without a batch axis."""
     one = {k: [f[None] for f in v] if k == "fs" else
            v[None] if isinstance(v, GridFunction) else v for k, v in inputs.items()}
-    lift = [None if c is None else {s: a[None] for s, a in c.items()}
-            for c in (coeff_b, coeff_g)]
-    return build_sparse_batch(q0, one, cfg, dictionary, *lift)[0]
+    return build_sparse_batch(q0, one, cfg, dictionary)[0]
 
 
 def sparse_form_eval(coll: SparseCollection, b: GridFunction, g: GridFunction,
@@ -391,7 +383,7 @@ def taylor_telescoping_ratio(q0: DyadicCube, f1: GridFunction, n: int,
     scale_factor = q0.side ** n
     for scale in range(root.J, q0.scale + 1):
         factor = 1 << (scale - root.J)
-        sl = _position_slices(q0, scale)
+        sl = q0.block(scale)
         lhs = dilated_scale_averages(resid, scale, 1.0, w)[sl]
         rhs = scale_factor * block_reduce(mm, factor, np.min)[sl]
         mask = rhs > 1e-14
@@ -415,7 +407,7 @@ def taylor_pair_ratio(q0: DyadicCube, children, f1: GridFunction, n: int,
         if rhs <= 1e-14:
             continue
         for scale in range(root.J, z.scale + 1):
-            sl = _position_slices(z, scale)
+            sl = z.block(scale)
             lhs = dilated_scale_averages(gap, scale, 1.0, w)[sl]
             best = max(best, float(np.max(lhs)) / rhs)
     return best

@@ -67,11 +67,10 @@ _WORKSPACES: dict = {}
 
 
 def workspace(d: int, L: int, J: int, N: int, dict_size: int,
-              refine: int = 8, k: int | None = None,
-              w: int | None = None) -> Workspace:
-    key = (d, L, J, N, dict_size, refine, k, w)
+              refine: int = 8) -> Workspace:
+    key = (d, L, J, N, dict_size, refine)
     if key not in _WORKSPACES:
-        fam = build_family(N, refine=refine, k=k, w=w)
+        fam = build_family(N, refine=refine)
         root = RootBox(d=d, L=L, J=J)
         basis = AtomBasis(fam, root)
         _WORKSPACES[key] = Workspace(root, basis, TestDictionary(basis, dict_size))
@@ -139,9 +138,7 @@ def suite_wavelet(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     consts = []
     evaluated = skipped = 0
     for i in range(60):
-        f = GridFunction(ws.root,
-                         plateau_function(rng, ws.root).samples
-                         + wave_function(rng, ws.root).samples)
+        f = plateau_function(rng, ws.root) + wave_function(rng, ws.root)
         k = 1 + (i % 2)
         scale = int(rng.integers(ws.root.J + 3, ws.root.L - 1))
         band = range((ws.basis.family.w - 1) // 2,
@@ -206,9 +203,7 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     k = ws.basis.family.k
     two_sided = []
     for i in range(12):
-        f = GridFunction(ws.root,
-                         plateau_function(rng, ws.root).samples
-                         + wave_function(rng, ws.root).samples)
+        f = plateau_function(rng, ws.root) + wave_function(rng, ws.root)
         n = min(1, k)
         scale = ws.root.L - 2
         for pos in list(ws.root.cubes_at_scale(scale))[:4]:
@@ -227,9 +222,7 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     # finite-difference vs wavelet-surrogate comparability at kappa >= 0
     factors = []
     for i in range(16):
-        f = GridFunction(ws.root,
-                         plateau_function(rng, ws.root).samples
-                         + wave_function(rng, ws.root).samples)
+        f = plateau_function(rng, ws.root) + wave_function(rng, ws.root)
         fd = sobolev_norm(f, 0, 2.0)
         surro = wavelet_sobolev_norm(f, 0, 2.0, ws.basis)
         if fd > 1e-12:
@@ -387,8 +380,7 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         # order, before any is checked; the builds draw nothing, so each
         # trial sees the draws it would see alone
         draws = [[mixed_function(rng, ws.basis, kind=i + k) for k in range(3)]
-                 + [GridFunction(ws.root, plateau_function(rng, ws.root).samples
-                                 + wave_function(rng, ws.root).samples)]
+                 + [plateau_function(rng, ws.root) + wave_function(rng, ws.root)]
                  for i in batch]
         bs, gs, f2s, f1s = (GridFunction.stack(col) for col in zip(*draws))
         for stop_cfg, inputs in ((cfg_i, {"b": bs, "g": gs, "fs": [f2s]}),
@@ -429,9 +421,7 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
                 if rep["rhs"] > 1e-12:
                     worst_ratio = max(worst_ratio, rep["ratio"])
         per_j.append(worst_ratio)
-        f1 = GridFunction(wsj.root,
-                          plateau_function(rngj, wsj.root).samples
-                          + wave_function(rngj, wsj.root).samples)
+        f1 = plateau_function(rngj, wsj.root) + wave_function(rngj, wsj.root)
         tele3.append(taylor_telescoping_ratio(q0j, f1, 1, wsj.basis.family.w))
         coll = build_sparse(q0j, {"f1": f1, "n": 1}, cfg_m, wsj.dictionary)
         if coll.generations:
@@ -591,15 +581,14 @@ def _probe_member(ws: Workspace, seed_key, member: int, scales=None,
     norms are resolved at every sweep level; the symbol's function avatar
     stays the canonical expansion.
     """
-    from .paraproduct import dictionary_family, unit_bump_family
     if atom_source is None:
         atom_source = ws.dictionary
     rng = np.random.default_rng(seed_key + [member])
     tree = atom_tree(rng, ws.basis, scales=scales, count=6)
     bfunc = GridFunction(ws.root, ws.basis.synthesize(tree))
     spec = ParaproductSpec(ws.basis, tree, arity=2,
-                           beta=dictionary_family(atom_source, 1, True),
-                           chi=unit_bump_family(atom_source, 0))
+                           beta=atom_source.member_family(1),
+                           chi=atom_source.bump_family(0, unit=True))
     fs = []
     for j in range(2):
         kind = (member + j) % 3
@@ -785,9 +774,7 @@ def suite_theorem(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         rngd = np.random.default_rng([cfg.seed, 10])
         worst = 0.0
         for i in range(24):
-            f1 = GridFunction(ws.root,
-                              plateau_function(rngd, ws.root).samples
-                              + wave_function(rngd, ws.root).samples)
+            f1 = plateau_function(rngd, ws.root) + wave_function(rngd, ws.root)
             f2 = plateau_function(rngd, ws.root)
             out = apply_paraproduct(spec, [f1, f2])
             rhs = fnorms[-1] * sobolev_norm(f1, smooth_n, exps[0]) \

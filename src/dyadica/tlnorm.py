@@ -204,10 +204,6 @@ class TestDictionary:
             cached.flags.writeable = False
         return cached
 
-    def n_members(self, scale: int) -> int:
-        extra = 1 if scale > self.root.J else 0
-        return len(self._templates[scale]) + extra
-
     # -- atom realizations --------------------------------------------------
 
     def bump_values(self, cube: DyadicCube, member: int = 0):
@@ -369,9 +365,7 @@ def scale_profile(coeffs: dict[int, np.ndarray], root, n: float, q: float,
     finite_q = not np.isinf(q)
     acc = None
     for scale in range(root.J, region.scale + 1):
-        shift = region.scale - scale
-        pos = (...,) + tuple(slice(p << shift, (p + 1) << shift) for p in region.pos)
-        term = expand_blocks(coeffs[scale][pos] / 2.0 ** (scale * n),
+        term = expand_blocks(coeffs[scale][(...,) + region.block(scale)] / 2.0 ** (scale * n),
                              1 << (scale - root.J), root.d)
         if finite_q:
             term = term ** q

@@ -63,12 +63,13 @@ def mirror_filter(h: np.ndarray) -> np.ndarray:
     return np.array([(-1) ** n * h[M - 1 - n] for n in range(M)])
 
 
-def cascade_table(h: np.ndarray, refine: int, cap: int = 500, tol: float = 1e-11):
+def cascade_table(h: np.ndarray, refine: int, cap: int = 500):
     """Fixed-point cascade for scaling/wavelet values on the grid 2^-refine * Z.
 
     Returns (x, phi, psi, residual, iterations).  The iteration map reads
     values of the previous iterate at the coarser half-grid, so the dyadic
-    table is closed under it; the start is the unit box indicator.
+    table is closed under it; the start is the unit box indicator.  It
+    stops once an iterate moves by less than 1e-11.
     """
     M = len(h)
     width = M - 1
@@ -87,7 +88,7 @@ def cascade_table(h: np.ndarray, refine: int, cap: int = 500, tol: float = 1e-11
             vn[m] += SQRT2 * hk * v[idx[m]]
         residual = float(np.max(np.abs(vn - v)))
         v = vn
-        if residual < tol:
+        if residual < 1e-11:
             break
     g = mirror_filter(h)
     psi = np.zeros_like(v)
@@ -98,19 +99,18 @@ def cascade_table(h: np.ndarray, refine: int, cap: int = 500, tol: float = 1e-11
     return x, v, psi, residual, iterations
 
 
-def _table_class_constant(x: np.ndarray, vals: np.ndarray, rho: float,
-                          probe: float = 2.0 ** -6) -> float:
+def _table_class_constant(x: np.ndarray, vals: np.ndarray, rho: float) -> float:
     """Measured size-and-smoothness constant of a tabulated profile.
 
     Centered coordinates; the Lipschitz quotient is probed at dyadic strides
-    down to ``probe`` (a measurement, never an assertion: rough families
-    have resolution-limited quotients).
+    down to 2^-6 (a measurement, never an assertion: rough families have
+    resolution-limited quotients).
     """
     xc = x - 0.5 * (x[0] + x[-1])
     weight = (1.0 + np.abs(xc)) ** (1.0 + rho)
     const = float(np.max(weight * np.abs(vals)))
     dx = x[1] - x[0]
-    stride = max(1, int(round(probe / dx)))
+    stride = max(1, int(round(2.0 ** -6 / dx)))
     while stride < len(x):
         q = np.abs(vals[stride:] - vals[:-stride]) / (stride * dx)
         w = np.minimum(weight[stride:], weight[:-stride])
@@ -121,19 +121,12 @@ def _table_class_constant(x: np.ndarray, vals: np.ndarray, rho: float,
 
 @dataclass(frozen=True)
 class WaveletFamily:
-    """Daubechies filter pair plus cascaded point values.
-
-    ``k`` is the smoothness budget callers may spend: atoms carry k+1 exact
-    discrete vanishing moments (orders 0..k), which requires k + 1 <= N.
-    ``w`` is the odd dilation factor with supp(phi_Q) inside wQ.
-    """
+    """Daubechies filter pair plus cascaded point values."""
 
     N: int
-    k: int
     refine: int
     lowpass: np.ndarray
     highpass: np.ndarray
-    w: int
     xgrid: np.ndarray
     phi_table: np.ndarray
     psi_table: np.ndarray
@@ -141,46 +134,34 @@ class WaveletFamily:
     cascade_iterations: int
     class_constant: float
 
-    def table_moment(self, alpha: int, kind: str = "psi") -> float:
-        """Riemann-sum moment of a tabulated profile (the quadrature oracle)."""
-        vals = self.psi_table if kind == "psi" else self.phi_table
-        dx = self.xgrid[1] - self.xgrid[0]
-        return float(np.sum(self.xgrid ** alpha * vals) * dx)
+    @property
+    def k(self) -> int:
+        """The smoothness budget: atoms carry k + 1 = N exact discrete
+        vanishing moments (orders 0..k)."""
+        return self.N - 1
 
-    def table_values(self, pts: np.ndarray, kind: str = "psi") -> np.ndarray:
-        """Linear interpolation of the point-value table (zero outside)."""
-        vals = self.psi_table if kind == "psi" else self.phi_table
-        return np.interp(pts, self.xgrid, vals, left=0.0, right=0.0)
+    @property
+    def w(self) -> int:
+        """The odd dilation factor with supp(phi_Q) inside wQ."""
+        return 2 * self.N - 1
 
 
-def build_family(N: int, refine: int = 8, k: int | None = None,
-                 w: int | None = None, cap: int = 500) -> WaveletFamily:
+def build_family(N: int, refine: int = 8, cap: int = 500) -> WaveletFamily:
     """Construct the order-N family with point values at resolution 2^-refine."""
     if N < 1:
         raise ValueError("order must be >= 1")
     if refine < 6:
         raise ValueError("refinement must be >= 6")
-    if k is None:
-        k = N - 1
-    if not (0 <= k <= N - 1):
-        raise ValueError(f"smoothness budget k={k} needs k + 1 <= N={N}")
     h = daubechies_filter(N)
     g = mirror_filter(h)
     x, phi, psi, residual, iterations = cascade_table(h, refine, cap=cap)
     if residual > 1e-10:
         raise CascadeError(
             f"cascade residual {residual:.3e} above 1e-10 after {iterations} iterations")
-    if w is None:
-        w = max(2 * N - 1, 1)
-        if w % 2 == 0:
-            w += 1
-    if w % 2 != 1 or w < 2 * N - 1:
-        raise ValueError("dilation w must be odd and cover the atom support")
-    const = _table_class_constant(x, psi, rho=float(k + 1))
-    return WaveletFamily(N=N, k=k, refine=refine, lowpass=h, highpass=g, w=w,
-                         xgrid=x, phi_table=phi, psi_table=psi,
-                         cascade_residual=residual, cascade_iterations=iterations,
-                         class_constant=const)
+    const = _table_class_constant(x, psi, rho=float(N))
+    return WaveletFamily(N=N, refine=refine, lowpass=h, highpass=g, xgrid=x,
+                         phi_table=phi, psi_table=psi, cascade_residual=residual,
+                         cascade_iterations=iterations, class_constant=const)
 
 
 class CoefficientTree:
@@ -223,9 +204,6 @@ class CoefficientTree:
 
     def support(self):
         return [cube for cube, _ in self.items()]
-
-    def n_nonzero(self) -> int:
-        return int(sum(np.count_nonzero(a) for a in self.data.values()))
 
     def copy(self) -> "CoefficientTree":
         out = CoefficientTree(self.root, dtype=self.dtype)
@@ -413,13 +391,12 @@ class AtomBasis:
         coeffs = strided_pairings(samples, template[None], template, first, m, npos=npos, d=1)
         return strided_spread(coeffs, template[None], template, first, m, n)
 
-    def high_low_residual(self, samples: np.ndarray, ell: int,
-                          tail_levels: int = 64, tail_tol: float = 1e-9) -> float:
+    def high_low_residual(self, samples: np.ndarray, ell: int) -> float:
         """L^2 residual between the coarse wavelet sum and the scaling sum.
 
         The wavelet side runs over all cubes with side > 2^ell meeting the
-        box; scales above the root are included until the remaining coarse
-        tail is provably below ``tail_tol`` relative to ||f||_2.
+        box; scales above the root are included, at most 64 of them, until
+        the remaining coarse tail is provably below 1e-9 relative to ||f||_2.
         """
         if self.root.d != 1:
             raise NotImplementedError("high-low residual is implemented for d = 1")
@@ -428,12 +405,12 @@ class AtomBasis:
         samples = np.asarray(samples, dtype=float)
         lhs = np.zeros_like(samples)
         fnorm = l2_norm(samples, self.root)
-        smax = self.root.L + tail_levels
+        smax = self.root.L + 64
         for scale in range(ell + 1, smax + 1):
             lhs += self._projection_1d(samples, scale, "wavelet")
             if scale >= self.root.L:
                 tail = self._projection_1d(samples, scale, "scaling")
-                if l2_norm(tail, self.root) < tail_tol * max(fnorm, 1e-300):
+                if l2_norm(tail, self.root) < 1e-9 * max(fnorm, 1e-300):
                     break
         rhs = self._projection_1d(samples, ell, "scaling")
         return l2_norm(lhs - rhs, self.root)

@@ -14,6 +14,7 @@ holds helpers that only the tests call.
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 
@@ -99,7 +100,7 @@ def member_values(dictionary, member):
 def intrinsic_coeff(f: GridFunction, cube, dictionary) -> float:
     """Max over dictionary atoms at the cube of |atom(f)|."""
     best = 0.0
-    for member in range(dictionary.n_members(cube.scale)):
+    for member in range(n_members(dictionary, cube.scale)):
         slices, vals = member_window(dictionary, cube, member)
         if slices is not None:
             val = abs(np.sum(f.samples[slices] * vals) * f.root.cell_measure)
@@ -298,12 +299,11 @@ def radial_bump(root, center, radius: float) -> GridFunction:
     return GridFunction.from_callable(root, fn)
 
 
-def testing_symbols(spec, basis, k, truncation_scale=8.0, stabilization_tol=1e-6,
-                    cubes=None):
+def testing_symbols(spec, basis, k, truncation_scale=8.0, cubes=None):
     """Testing symbols with six (for n = 1) full-box forms per cube."""
     root = basis.root
     A = truncation_scale
-    out = TestingSymbols(order=k, truncation_scale=A)
+    out = TestingSymbols()
     if cubes is None:
         cubes = [c for c in root.all_cubes() if c.scale > root.J]
     gammas = list(input_orders(spec.n, root.d, k))
@@ -333,7 +333,7 @@ def testing_symbols(spec, basis, k, truncation_scale=8.0, stabilization_tol=1e-6
                 vals_by_radius.append(spec.evaluate_adjoint(j, fs))
             v2, v4 = vals_by_radius[1], vals_by_radius[2]
             scale_ref = max(max(abs(v) for v in vals_by_radius), floor)
-            if abs(v4 - v2) > stabilization_tol * scale_ref:
+            if abs(v4 - v2) > 1e-6 * scale_ref:
                 out.flagged.append((j, cube))
             out.star[j][cube] = scale_k * v4
     return out
@@ -740,8 +740,7 @@ def sparse_suite_values(cfg):
         worst["intest"] = max(worst["intest"], max(coll.packing_by_parent.values(), default=0.0))
         theta["intest"] = max(theta["intest"], coll.theta)
         stopped_ok &= all(s <= bnd + 1e-9 for s, bnd in coll.stopped_square_checks)
-        f1 = GridFunction(ws.root, plateau_function(rng, ws.root).samples
-                          + wave_function(rng, ws.root).samples)
+        f1 = plateau_function(rng, ws.root) + wave_function(rng, ws.root)
         coll = build_sparse_trial(q0, {"f1": f1, "n": 1}, cfg_m, ws.dictionary)
         built["mainiter"].append(coll)
         worst["mainiter"] = max(worst["mainiter"], max(coll.packing_by_parent.values(),
@@ -786,3 +785,71 @@ def neighbor_taylor_gap(f: GridFunction, p_cube, q_cube, r_cube, k: int, basis) 
     rhs = q_cube.side * long_distance(q_cube, r_cube) ** (k - 1) \
         * local_average(gk, q_cube, 1.0, dilation=w)
     return {"lhs": float(lhs), "rhs": float(rhs)}
+
+
+def contains(a: DyadicCube, b: DyadicCube) -> bool:
+    """True iff cube ``b`` lies in cube ``a``."""
+    shift = a.scale - b.scale
+    return shift >= 0 and all((q >> shift) == p for p, q in zip(a.pos, b.pos))
+
+
+def descendants(root, cube: DyadicCube, include_self: bool = True):
+    """Admissible subcubes of ``cube``, canonical order."""
+    for scale in range(cube.scale, root.J - 1, -1):
+        if include_self or scale != cube.scale:
+            shift = cube.scale - scale
+            ranges = [range(p << shift, (p + 1) << shift) for p in cube.pos]
+            for pos in itertools.product(*ranges):
+                yield DyadicCube(scale, pos)
+
+
+def cube_of_cell(root, cell, scale: int) -> DyadicCube:
+    """The scale-``scale`` cube holding the grid cell ``cell``."""
+    shift = scale - root.J
+    return DyadicCube(scale, tuple(c >> shift for c in cell))
+
+
+def n_members(dictionary, scale: int) -> int:
+    """Dictionary members at a scale: the sampled ones, plus the canonical
+    wavelet where one refinement level is available."""
+    return len(dictionary._templates[scale]) + (1 if scale > dictionary.root.J else 0)
+
+
+def n_nonzero(tree: CoefficientTree) -> int:
+    return int(sum(np.count_nonzero(a) for a in tree.data.values()))
+
+
+def table_moment(family, alpha: int, kind: str = "psi") -> float:
+    """Riemann-sum moment of a tabulated profile (the quadrature oracle)."""
+    vals = family.psi_table if kind == "psi" else family.phi_table
+    dx = family.xgrid[1] - family.xgrid[0]
+    return float(np.sum(family.xgrid ** alpha * vals) * dx)
+
+
+def table_values(family, pts, kind: str = "psi"):
+    """Linear interpolation of a point-value table (zero outside)."""
+    vals = family.psi_table if kind == "psi" else family.phi_table
+    return np.interp(pts, family.xgrid, vals, left=0.0, right=0.0)
+
+
+def form_mass(form, f: GridFunction, fs) -> float:
+    """Triangle-inequality majorant of ``form_eval``: the sum over the
+    form's cubes of |Q| |phi_Q(f)| prod_j |slot_j(f_j)|."""
+    d = form.basis.root.d
+    total = 0.0
+    for scale, index in form.scale_positions():
+        term = np.abs(form.phi.pair(f.samples, scale)[index])
+        for slot, g in zip(form.slots, fs):
+            term = term * np.abs(slot.pair(g.samples, scale)[index])
+        total += 2.0 ** (scale * d) * np.sum(term)
+    return total
+
+
+def save_symbol_csv(path, tree: CoefficientTree) -> None:
+    """The symbol CSV that ``dyadica paraproduct --symbol`` reads."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cube", "re", "im"])
+        for cube, val in tree.items():
+            writer.writerow([cube.token(), repr(float(np.real(val))),
+                             repr(float(np.imag(val)))])

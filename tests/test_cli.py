@@ -1,14 +1,18 @@
 import csv
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyadica import DyadicCube
+from dyadica import DyadicCube, RootBox
 from dyadica import cli
-from dyadica.cli import load_symbol_csv, main, save_symbol_csv
+from dyadica.cli import load_symbol_csv, main
 from dyadica.config import ExperimentConfig
 from dyadica.funcspace import GridFunction, save_gridfunction
 from dyadica.wavelet import CoefficientTree
+from oracles import save_symbol_csv
 
 
 def test_config_defaults_validate_and_hash():
@@ -56,6 +60,30 @@ def test_symbol_csv_roundtrip(tmp_path, root8):
     assert back[DyadicCube(-5, (9,))] == pytest.approx(-0.25)
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), depth=st.integers(1, 3), complex_=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_symbol_csv_roundtrip_property(tmp_path_factory, d, depth, complex_, seed):
+    # repr of a float reads back exactly, so the tree comes back bit for bit
+    root = RootBox(d=d, L=0, J=-depth)
+    rng = np.random.default_rng(seed)
+    tree = CoefficientTree(root, dtype=complex if complex_ else float)
+    for scale in range(root.J + 1, root.L + 1):
+        n = root.positions_per_side(scale)
+        vals = rng.standard_normal((n,) * d) * (rng.random((n,) * d) < 0.5)
+        if complex_:
+            vals = vals + 1j * rng.standard_normal((n,) * d) * (vals != 0)
+        tree.data[scale] = vals
+    path = tmp_path_factory.mktemp("sym") / "sym.csv"
+    save_symbol_csv(path, tree)
+    back = load_symbol_csv(path, root)
+    is_complex = any(np.any(a.imag != 0) for a in tree.data.values()) if complex_ else False
+    assert back.dtype is (complex if is_complex else float)
+    assert sorted(back.data) == sorted(s for s, a in tree.data.items() if a.any())
+    for scale, arr in back.data.items():
+        assert np.array_equal(arr, tree.data[scale])
+
+
 def _write_inputs(tmp_path, root, count, seed=5):
     rng = np.random.default_rng(seed)
     paths = []
@@ -72,13 +100,15 @@ def _write_inputs(tmp_path, root, count, seed=5):
 def test_cli_norms_subcommand(tmp_path, root8):
     paths = _write_inputs(tmp_path, root8, 1)
     out = tmp_path / "out"
-    code = main(["norms", "--input", paths[0], "--specs", "0,0,2,2; 1,-1,4,2",
-                 "--out", str(out)])
+    code = main(["norms", "--input", paths[0], "--specs",
+                 "0,0,2,2; 1,-1,4,2; 0,0,2,inf; 0,0,2,oo", "--out", str(out)])
     assert code == 0
     rows = list(csv.reader(open(out / "norms.csv")))
     assert rows[0][:4] == ["n", "m", "p", "q"]
-    assert len(rows) == 3
+    assert len(rows) == 5
     assert float(rows[1][4]) > 0.0
+    # oo reads as inf, as in config files
+    assert rows[3][3] == rows[4][3] == "inf" and rows[3][4] == rows[4][4]
 
 
 def test_cli_paraproduct_subcommand(tmp_path, root8):
@@ -95,6 +125,12 @@ def test_cli_paraproduct_subcommand(tmp_path, root8):
     assert (out / "paraproduct_output.gfn").exists()
     rows = list(csv.reader(open(out / "paraproduct_ratio.csv")))
     assert float(rows[1][1]) >= 0.0
+    ratios = []
+    for exps in ("2,inf", "2,oo"):
+        assert main(["paraproduct", "--symbol", str(sym), "--inputs", ",".join(paths),
+                     "--exponents", exps, "--out", str(out / exps[2:])]) == 0
+        ratios.append(list(csv.reader(open(out / exps[2:] / "paraproduct_ratio.csv")))[1][:2])
+    assert ratios[0] == ratios[1] and ratios[0][0] == "2.0"  # r of (2, inf)
 
 
 def test_cli_sparse_subcommand(tmp_path, root8):
@@ -171,3 +207,37 @@ def test_symbol_csv_malformed_input(tmp_path, root8, text, line, what):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"sym.csv, line {line}: .*{what}"):
         load_symbol_csv(path, root8)
+
+
+@pytest.mark.parametrize("specs, what", [
+    ("0,0,2", "group '0,0,2': expected n,m,p,q, got 3 value"),
+    ("0,0,2,2,1", "group '0,0,2,2,1': expected n,m,p,q, got 5 value"),
+    ("0,0,2,2; 0,x,2,2", "group '0,x,2,2': could not convert"),
+    ("0,0,0.5,2", r"group '0,0,0.5,2': exponents must lie in \[1, inf\]"),
+    (" ; ", "no n,m,p,q group")])
+def test_cli_norms_rejects_malformed_specs(tmp_path, capsys, specs, what):
+    # a usage error that names the group, before any input file is read
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--input", str(tmp_path / "missing.gfn"), "--specs", specs,
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert re.search("argument --specs: " + what, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("exponents, what", [
+    ("4", "--exponents gives 1 exponent"),
+    ("4,4,4", "--exponents gives 3 exponent"),
+    ("4,x", "argument --exponents: group '4,x': could not convert")])
+def test_cli_paraproduct_rejects_malformed_exponents(tmp_path, root8, capsys,
+                                                     monkeypatch, exponents, what):
+    tree = CoefficientTree(root8)
+    tree[DyadicCube(-3, (3,))] = 1.0
+    sym = tmp_path / "sym.csv"
+    save_symbol_csv(sym, tree)
+    paths = _write_inputs(tmp_path, root8, 2)
+    # the count is checked before the paraproduct is applied
+    monkeypatch.setattr(cli, "apply_paraproduct", lambda *a: pytest.fail("applied"))
+    with pytest.raises(SystemExit) as exc:
+        main(["paraproduct", "--symbol", str(sym), "--inputs", ",".join(paths),
+              "--exponents", exponents, "--out", str(tmp_path / "out")])
+    assert what in str(exc.value.code) + capsys.readouterr().err

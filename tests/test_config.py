@@ -1,9 +1,16 @@
 """Configuration validation: every ensemble and sweep a gate reads must be
-able to fail it."""
+able to fail it, and every key must be read."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+from dyadica import config
+from dyadica.cli import main
 from dyadica.config import DEFAULTS, ExperimentConfig
+
+SRC = Path(config.__file__).resolve().parent
 
 
 def _config(tmp_path, text):
@@ -14,7 +21,7 @@ def _config(tmp_path, text):
 
 def test_defaults_validate_and_keep_their_hash():
     # the defaults are unchanged, so is the hash every report echoes
-    assert ExperimentConfig.defaults().config_hash == "76ce0245927b3ea4"
+    assert ExperimentConfig.defaults().config_hash == "46a2f1343fda1771"
 
 
 @pytest.mark.parametrize("section, key", [("probe", "members"), ("sparse", "trials")])
@@ -77,3 +84,50 @@ def test_valid_files_keep_their_hash(tmp_path):
         ("type", "convolution"), ("arity", 2), ("eps_trunc", 0.01), ("strength", 2.0),
         ("seed", 3), ("symbol_count", 4)))
     assert _config(tmp_path, kernel).kernels[0].symbol_count == 4
+
+
+def _property_reads() -> dict:
+    """(section, key) -> the ExperimentConfig properties that read it."""
+    tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+               and n.name == "ExperimentConfig")
+    out: dict = {}
+    for fn in cls.body:
+        if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list):
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and len(call.args) >= 2 and all(
+                        isinstance(a, ast.Constant) for a in call.args[:2]):
+                    out.setdefault(tuple(a.value for a in call.args[:2]), []).append(fn.name)
+    return out
+
+
+def test_every_default_key_is_read():
+    # a key that nothing reads changes the hash but no value
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "config.py":
+            used |= {n.attr for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(n, ast.Attribute)}
+    reads = _property_reads()
+    unread = [(section, key) for section, keys in DEFAULTS.items() for key in keys
+              if not used.intersection(reads.get((section, key), ()))]
+    assert unread == []
+
+
+@pytest.mark.parametrize("section, key", [("wavelet", "k"), ("wavelet", "w"),
+                                          ("tolerances", "eq_eps"), ("output", "dir"),
+                                          ("probe", "growth_cap")])
+def test_rejects_removed_key(tmp_path, section, key):
+    # nothing reads them, so accepting them would move only the hash
+    with pytest.raises(ValueError, match=rf"\[{section}\].* '{key}'"):
+        _config(tmp_path, f"[{section}]\n{key} = 3\n")
+
+
+def test_config_echo_reproduces_the_run(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["suite", "wavelet", "--out", str(first)]) == 0
+    assert main(["suite", "wavelet", "--config", str(first / "config_echo.cfg"),
+                 "--out", str(second)]) == 0
+    for name in ("summary.csv", "config_echo.cfg"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -5,14 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import oracles
 from dyadica import AtomBasis, DyadicCube, RootBox
-from dyadica.funcspace import (ExponentTuple, GridFunction, anti_ibp_check, grad_norm,
+from dyadica.funcspace import (GridFunction, anti_ibp_check, grad_norm,
                                load_gridfunction, local_average, maximal, multi_indices,
-                               save_gridfunction, save_gridfunction_csv, sobolev_norm,
-                               taylor_poly, theta_weights)
+                               save_gridfunction, sobolev_norm, taylor_poly, theta_weights)
 
 
 def test_local_average_examples(root8):
@@ -45,7 +46,7 @@ def test_maximal_brute_force_oracle():
     for cell in (3, 40, 100):
         best = 0.0
         for scale in range(root.J, root.L + 1):
-            cube = root.cube_of_cell((cell,), scale)
+            cube = oracles.cube_of_cell(root, (cell,), scale)
             best = max(best, local_average(f, cube, 1.0))
         assert m.samples[cell] == pytest.approx(best)
 
@@ -191,14 +192,6 @@ def test_grad_norm_multiindices():
     assert np.allclose(inner, np.sqrt(10.0))
 
 
-def test_exponent_tuple():
-    t = ExponentTuple((4.0, 4.0))
-    assert t.r == pytest.approx(2.0)
-    assert ExponentTuple((2.0, np.inf)).r == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        ExponentTuple((1.0, 4.0))
-
-
 def test_gridfunction_io_roundtrip(tmp_path, root8, rng):
     f = GridFunction(root8, rng.standard_normal(root8.shape))
     path = tmp_path / "f.gfn"
@@ -207,9 +200,27 @@ def test_gridfunction_io_roundtrip(tmp_path, root8, rng):
     g = load_gridfunction(path)
     assert g.root == root8
     assert np.array_equal(f.samples, g.samples)
-    save_gridfunction_csv(tmp_path / "f.csv", f)
-    lines = (tmp_path / "f.csv").read_text().strip().splitlines()
-    assert len(lines) == root8.n_cells + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 3), L=st.integers(-2, 2), depth=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gridfunction_io_roundtrip_property(tmp_path_factory, d, L, depth, seed):
+    root = RootBox(d=d, L=L, J=L - depth)
+    f = GridFunction(root, np.random.default_rng(seed).standard_normal(root.shape))
+    path = tmp_path_factory.mktemp("gfn") / "f.gfn"
+    save_gridfunction(path, f)
+    g = load_gridfunction(path)
+    assert g.root == root
+    assert np.array_equal(f.samples, g.samples)
+
+
+def test_gridfunction_save_rejects_a_batch(tmp_path, root_small):
+    # the header would count batch x cells samples, which the loader rejects
+    batch = GridFunction(root_small, np.ones((3,) + root_small.shape))
+    with pytest.raises(ValueError, match=r"sample shape \(3, 64\) is a batch"):
+        save_gridfunction(tmp_path / "b.gfn", batch)
+    assert not (tmp_path / "b.gfn").exists()
 
 
 def test_gridfunction_load_rejects_truncated_payload(tmp_path, root8, rng):

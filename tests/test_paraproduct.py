@@ -6,11 +6,10 @@ from dyadica.ensembles import atom_tree, mixed_function
 from dyadica.funcspace import GridFunction, pairing
 from dyadica.paraproduct import (ArityError, ParaproductSpec, WaveletFormSpec,
                                  adjoint_apply, apply_paraproduct,
-                                 dictionary_family, duality_form, form_eval,
-                                 form_mass, intrinsic_form, localized_form,
-                                 unit_bump_family)
+                                 duality_form, form_eval, intrinsic_form,
+                                 localized_form)
 from dyadica.wavelet import CoefficientTree
-from oracles import atom_pair, intrinsic_coeff
+from oracles import atom_pair, descendants, form_mass, intrinsic_coeff
 
 
 @pytest.fixture()
@@ -153,14 +152,13 @@ def test_intrinsic_form_dominates_localized_dictionary_forms(dict8, basis8, rng)
     h = mixed_function(rng, basis8, kind=0)
     dom = intrinsic_form(q0, f, [g, h], dict8)
     # restrict to scales where the sampled members exist (resolution floor)
-    support = [c for c in basis8.root.descendants(q0)
+    support = [c for c in descendants(basis8.root, q0)
                if c.scale >= basis8.root.J + 2]
     for member in range(1, 3):
         spec = WaveletFormSpec(
             basis8, arity=2, support=support,
-            phi=dictionary_family(dict8, member, True),
-            slots=[dictionary_family(dict8, member + 1, True),
-                   unit_bump_family(dict8, member)])
+            phi=dict8.member_family(member),
+            slots=[dict8.member_family(member + 1), dict8.bump_family(member, unit=True)])
         val = abs(form_eval(spec, f, [g, h]))
         # the bump slot is unit-integral rather than class-normalized, so
         # allow its measured renormalization factor

@@ -81,12 +81,12 @@ def test_stopping_children_brute_force_predicate(dict8, basis8, cfg_intest, rng)
                 or np.min(mm[sl]) > thr_2)
 
     expected = []
-    for cube in root.descendants(q0):
-        if predicate(cube) and not any(k.contains(cube) for k in expected):
+    for cube in oracles.descendants(root, q0):
+        if predicate(cube) and not any(oracles.contains(k, cube) for k in expected):
             expected.append(cube)
     assert set(kids) == set(expected)
     assert kids, "the planted spike should trigger selections"
-    assert all(q0.contains(k) for k in kids)
+    assert all(oracles.contains(q0, k) for k in kids)
 
 
 def test_build_sparse_constant_inputs(dict8, basis8, cfg_intest):
@@ -147,7 +147,7 @@ def test_gradient_stopping_mainiter(dict8, basis8, cfg_main, rng):
     for gen in coll.generations:
         for a in gen:
             for b in gen:
-                assert a == b or not a.contains(b)
+                assert a == b or not oracles.contains(a, b)
 
 
 def test_sparse_form_eval_examples(dict8, basis8, rng):

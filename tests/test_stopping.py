@@ -268,7 +268,7 @@ def test_selection_shrinks_as_theta_doubles(spaces, seed, d, mode, log_theta, dr
         return stops.select(root, q0, t)
 
     low, high = kids(theta), kids(2.0 * theta)
-    assert all(any(z.contains(c) for z in low) for c in high)
+    assert all(any(oracles.contains(z, c) for z in low) for c in high)
     mass = [sum(c.measure for c in cubes) / q0.measure for cubes in (low, high)]
     assert mass[1] <= mass[0]
     inputs = {"f1": data["f1"], "n": 1} if mode == "mainiter" else \

@@ -10,7 +10,7 @@ from dyadica.funcspace import GridFunction
 from dyadica.tlnorm import (NormSpec, TestDictionary, bmo_norm,
                             square_function, tl_norm, tl_norms)
 from dyadica.wavelet import CoefficientTree
-from oracles import intrinsic_coeff, member_window
+from oracles import cube_of_cell, intrinsic_coeff, member_window, n_members
 
 
 def brute_force_tl_norm(f, spec, dictionary):
@@ -27,7 +27,7 @@ def brute_force_tl_norm(f, spec, dictionary):
         for cell in cells:
             chain = []
             for scale in range(root.J, q.scale + 1):
-                z = root.cube_of_cell(cell, scale)
+                z = cube_of_cell(root, cell, scale)
                 chain.append(coeffs[z] / z.side ** spec.n)
             if np.isinf(spec.q):
                 svals.append(max(chain))
@@ -84,7 +84,7 @@ def test_dictionary_moment_and_support_invariants(dict8, basis8):
     for q in [DyadicCube(-4, (3,)), DyadicCube(-5, (0,)), DyadicCube(-6, (63,))]:
         window = np.zeros(root.shape, dtype=bool)
         window[root.window_slices(q, w)] = True
-        for member in range(dict8.n_members(q.scale)):
+        for member in range(n_members(dict8, q.scale)):
             slices, vals = member_window(dict8, q, member)
             if slices is None:
                 continue
