@@ -264,9 +264,14 @@ class ExperimentConfig:
             raise ValueError("root scale must exceed finest scale")
         # an empty ensemble or a one-level sweep would pass its gate vacuously
         for key, count in (("[probe] members", self.probe_members),
-                           ("[sparse] trials", self.sparse_trials)):
+                           ("[sparse] trials", self.sparse_trials),
+                           ("[ensemble] count", self.ensemble_count),
+                           ("[testbench] sample_count", self.testbench_samples)):
             if count < 1:
                 raise ValueError(f"{key} = {count} must be at least 1")
+        # the Sobolev bench measures W^{k,2} and its testing norm needs q > 2
+        if not self.bench_q > 2.0:
+            raise ValueError(f"[testbench] bench_q = {self.bench_q:g} must exceed 2")
         for key, levels in (("[probe] j_sweep", self.probe_j_sweep),
                             ("[sparse] j_sweep", self.sparse_j_sweep),
                             ("[probe] bmo_depths", self.bmo_depths)):
@@ -295,7 +300,7 @@ class ExperimentConfig:
             where = f"[kernel:{kdef.name}]"
             if kdef.kind not in ("convolution", "planted", "zero"):
                 raise ValueError(f"{where} type = {kdef.kind} must be convolution, planted "
-                                 "or zero (a tabulated kernel needs a table)")
+                                 "or zero")
             if kdef.arity < 1 or (kdef.kind == "convolution" and kdef.arity > 2):
                 raise ValueError(f"{where} arity = {kdef.arity} must be "
                                  + ("1 or 2" if kdef.kind == "convolution" else "at least 1"))

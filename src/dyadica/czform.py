@@ -1,5 +1,5 @@
 """Singular-integral form ingestion: kernel quadrature, weak boundedness,
-testing symbols built from pairings with wavelets and truncated monomials,
+testing symbols built from pairings with wavelets and cut-off monomials,
 the associated norms, and the Sobolev bench.
 
 Planted wavelet/paraproduct forms evaluate by exact summation; closed-form
@@ -130,8 +130,8 @@ def form_quadrature(kernel, root: RootBox, fs, eps_trunc: float) -> dict:
 
 @dataclass
 class KernelSpec:
-    """A registered (n+1)-linear form: closed-form kernel, tabulated grid
-    kernel, a planted paraproduct form, or zero.
+    """A registered (n+1)-linear form: closed-form kernel, a planted
+    paraproduct form, or zero.
 
     The kernel callable is built once, at construction, and its n = 1 matrix
     is kept while that callable lives, so a spec must not be mutated
@@ -143,26 +143,16 @@ class KernelSpec:
     eps_trunc: float = 0.0
     strength: float = 1.0
     planted: ParaproductSpec | None = None
-    table: np.ndarray | None = None
 
     def __post_init__(self):
-        kinds = ("zero", "planted", "convolution", "tabulated")
+        kinds = ("zero", "planted", "convolution")
         if self.kind not in kinds:
             raise ValueError(f"kernel kind must be one of {kinds}")
         if self.kind == "planted":
             if self.planted is None:
                 raise ValueError("planted kernels wrap a paraproduct spec")
             self.n = self.planted.arity
-        if self.kind == "tabulated":
-            if self.table is None:
-                raise ValueError("tabulated kernels need a value table")
-            want = (self.root.cells_per_side,) * (self.n + 1)
-            if np.shape(self.table) != want:
-                raise ValueError(f"tabulated kernel table has shape {np.shape(self.table)}, "
-                                 f"the box and arity need {want}")
-        self._kernel = (self._convolution_kernel() if self.kind == "convolution"
-                        else self._tabulated_kernel() if self.kind == "tabulated"
-                        else None)
+        self._kernel = self._convolution_kernel() if self.kind == "convolution" else None
 
     # -- kernel callables ---------------------------------------------------
 
@@ -181,18 +171,6 @@ class KernelSpec:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = s * sign / total ** n
             return np.where(total > 0, out, 0.0)
-
-        return kernel
-
-    def _tabulated_kernel(self):
-        x = self.root.midpoints_1d()
-        h = self.root.cell_width
-
-        def kernel(x0, *xs):
-            idx0 = np.clip((np.asarray(x0) / h - 0.5).astype(int), 0, len(x) - 1)
-            idxs = [np.clip((np.asarray(xi) / h - 0.5).astype(int), 0, len(x) - 1)
-                    for xi in xs]
-            return self.table[(idx0, *idxs)]
 
         return kernel
 
@@ -222,24 +200,6 @@ class KernelSpec:
         swapped = list(fs)
         swapped[0], swapped[j] = swapped[j], swapped[0]
         return self.evaluate(swapped)
-
-    def apply_slot0(self, fs) -> GridFunction:
-        """The function T(f_1,...,f_n) with <T(f), g> = Lambda(g, f)."""
-        if self.kind == "zero":
-            return GridFunction.zeros(self.root)
-        if self.kind == "planted":
-            return apply_paraproduct(self.planted, list(fs))
-        if self.root.d != 1:
-            raise NotImplementedError("kernel application is d = 1")
-        h = self.root.cell_width
-        if self.n == 1:
-            K = _kernel_matrix(self._kernel, self.root, self.eps_trunc)[0]
-            return GridFunction(self.root, (K @ fs[0].samples) * h)
-        if self.n == 2:
-            out, _ = _trilinear_slot0(self._kernel, self.root, self.eps_trunc, fs[0].samples,
-                                      fs[1].samples, range(self.root.cells_per_side))
-            return GridFunction(self.root, out * h ** 2)
-        raise NotImplementedError(f"kernel arity n = {self.n} not supported")
 
 
 def wbp_check(spec: KernelSpec, dictionary: TestDictionary,
@@ -275,7 +235,7 @@ def _radial_bumps(root: RootBox, centers: np.ndarray, radii: np.ndarray) -> np.n
     """Smooth cutoffs: identically 1 inside half the radius, C^inf decay to 0.
 
     ``centers`` is (m, d) and ``radii`` (m, r); the result is (m, r, *shape),
-    one cutoff per center and radius.  The inner plateau makes truncated
+    one cutoff per center and radius.  The inner plateau makes cut-off
     pairings saturate exactly once the plateau covers the relevant support.
     """
     grids = np.meshgrid(*[root.midpoints_1d()] * root.d, indexing="ij")
@@ -325,7 +285,7 @@ def input_orders(n: int, d: int, k: int):
 def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
                     truncation_scale: float = 8.0, cubes=None) -> TestingSymbols:
     """Paraproduct symbols of the form: pairings with wavelets against
-    truncated monomials, and adjoint pairings against stabilized cutoffs:
+    cut-off monomials, and adjoint pairings against stabilized cutoffs:
     a cube is flagged when its adjoint pairings at the two outer radii
     differ by more than 1e-6 of their size.
 
@@ -410,7 +370,10 @@ def sobolev_bound_bench(spec: KernelSpec, exponents, k: int, q: float,
                         basis: AtomBasis, dictionary: TestDictionary,
                         inputs_list, symbols: TestingSymbols | None = None) -> dict:
     """Ratio of ||T(f)||_{W^{k,p}} against (1 + testing norm) times the
-    Leibniz-type product of input Sobolev norms, over an input ensemble."""
+    Leibniz-type product of input Sobolev norms, over an input ensemble.
+    T is the planted form's paraproduct."""
+    if spec.kind != "planted":
+        raise ValueError(f"the Sobolev bench applies planted forms, not {spec.kind!r} ones")
     p = exponents[0]
     ps = list(exponents[1:])
     if len(ps) != spec.n:
@@ -425,7 +388,7 @@ def sobolev_bound_bench(spec: KernelSpec, exponents, k: int, q: float,
     tnorm = testing_norm(symbols, k, p, q, basis, dictionary)["total"]
     ratios = []
     for fs in inputs_list:
-        out = spec.apply_slot0(list(fs))
+        out = apply_paraproduct(spec.planted, list(fs))
         lhs = sobolev_norm(out, k, p)
         rhs = 0.0
         for beta in multi_indices(spec.n, k):

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ScaleFloorError(ValueError):
-    """Requested children below the finest admissible scale."""
-
-
 @dataclass(frozen=True)
 class DyadicCube:
     """Half-open dyadic cube with side ``2**scale`` and corner ``pos * 2**scale``."""
@@ -174,12 +170,6 @@ class RootBox:
         """Canonical enumeration: scale-descending, lexicographic position."""
         for scale in range(self.L, self.J - 1, -1):
             yield from self.cubes_at_scale(scale)
-
-    def children(self, cube: DyadicCube) -> list[DyadicCube]:
-        if cube.scale <= self.J:
-            raise ScaleFloorError(
-                f"cube at scale {cube.scale} is already at the finest level {self.J}")
-        return children(cube)
 
     def cell_window(self, cube: DyadicCube, dilation: int = 1):
         """Per-axis (start, stop) cell ranges of the dilated cube, clipped to the box.

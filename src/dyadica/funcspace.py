@@ -169,30 +169,22 @@ def dilated_scale_averages(f: GridFunction, scale: int, p: float,
     return summed ** (1.0 / p)
 
 
-def maximal(fs, ps=None) -> GridFunction:
+def maximal(fs) -> GridFunction:
     """Dyadic multilinear maximal function: at each grid point the sup over
-    admissible cubes containing it of the product of local p_j-means.  One
+    admissible cubes containing it of the product of local 1-means.  One
     top-down pass with the running max at block resolution; bit-identical
     to the max over scales of the expanded products."""
     if isinstance(fs, GridFunction):
         fs = [fs]
     root = fs[0].root
-    if ps is None:
-        ps = [1.0] * len(fs)
-    if len(ps) != len(fs):
-        raise ValueError("one exponent per function")
     if any(f.root != root for f in fs):
         raise ValueError("functions on different root boxes")
-    plain = [p == 1.0 or np.isinf(p) for p in ps]
-    powered = [np.abs(f.samples) if s else np.abs(f.samples) ** p
-               for f, p, s in zip(fs, ps, plain)]
+    absolute = [np.abs(f.samples) for f in fs]
     best = None
     for scale in range(root.L, root.J - 1, -1):
         prod = None
-        for a, p, s in zip(powered, ps, plain):
-            avg = block_reduce(a, 1 << (scale - root.J),
-                               np.max if np.isinf(p) else np.mean, root.d)
-            avg = avg if s else avg ** (1.0 / p)
+        for a in absolute:
+            avg = block_reduce(a, 1 << (scale - root.J), d=root.d)
             prod = avg if prod is None else prod * avg
         best = prod if best is None else np.maximum(expand_blocks(best, 2, root.d), prod)
     return GridFunction(root, best)
@@ -277,7 +269,7 @@ def theta_weights(root: RootBox, cube: DyadicCube) -> np.ndarray:
 
 def taylor_poly(f: GridFunction, cube: DyadicCube, k: int,
                 dilation: int = 1) -> GridFunction:
-    """Taylor-type polynomial of order k adapted to f on Q, tabulated on the
+    """Taylor-type polynomial of order k adapted to f on Q, sampled on the
     dilated cube (zero elsewhere).  k = 0 gives the zero function."""
     root = f.root
     out = GridFunction.zeros(root, dtype=f.samples.dtype)

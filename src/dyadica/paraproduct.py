@@ -9,7 +9,7 @@ the shared grid quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,39 +90,20 @@ def adjoint_apply(spec: ParaproductSpec, j: int, fs) -> GridFunction:
 
 @dataclass
 class WaveletFormSpec:
-    """(m+1)-linear wavelet form: cancellative first slot against phi_Q, the
-    rest against per-slot atoms; optionally localized to a cube."""
+    """(m+1)-linear wavelet form over the nonzero cubes of ``support``:
+    cancellative first slot against phi_Q, the rest against per-slot atoms."""
 
     basis: AtomBasis
     arity: int  # number of trailing slots m; the form is (m+1)-linear
+    support: CoefficientTree
+    slots: list  # one atom family per trailing slot
     phi: AtomFamily = None
-    slots: list = field(default_factory=list)
-    localization: DyadicCube | None = None
-    support: list | CoefficientTree | None = None  # cubes, or a tree's nonzero ones
 
     def __post_init__(self):
         if self.phi is None:
             self.phi = self.basis.atoms("wavelet")
-        if not self.slots:
-            raise ValueError("per-slot atom families required")
         if len(self.slots) != self.arity:
             raise ArityError("one atom family per trailing slot")
-
-    def scale_positions(self):
-        """(scale, index) of the form's cubes, one index per scale: position
-        arrays for an explicit support, else the block of the localization
-        (or the box) at every scale above J."""
-        if isinstance(self.support, CoefficientTree):
-            return [(scale, np.nonzero(arr)) for scale, arr in self.support.data.items()
-                    if arr.any()]
-        if self.support is not None:
-            by_scale: dict = {}
-            for cube in self.support:
-                by_scale.setdefault(cube.scale, []).append(cube.pos)
-            return [(scale, tuple(np.array(pos).T)) for scale, pos in by_scale.items()]
-        root = self.basis.root
-        top = root.root_cube if self.localization is None else self.localization
-        return [(scale, top.block(scale)) for scale in range(top.scale, root.J, -1)]
 
 
 def duality_form(spec: ParaproductSpec) -> WaveletFormSpec:
@@ -139,7 +120,10 @@ def form_eval(form: WaveletFormSpec, f: GridFunction, fs) -> float:
         raise ArityError(f"expected {form.arity} trailing inputs, got {len(fs)}")
     d = form.basis.root.d
     total = 0.0
-    for scale, index in form.scale_positions():
+    for scale, arr in form.support.data.items():
+        if not arr.any():
+            continue
+        index = np.nonzero(arr)
         term = form.phi.pair(f.samples, scale)[index]
         for slot, g in zip(form.slots, fs):
             term = term * slot.pair(g.samples, scale)[index]

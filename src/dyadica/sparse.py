@@ -29,7 +29,6 @@ class ThetaCapError(RuntimeError):
 class StoppingConfig:
     theta: float = 16.0
     packing_target: float = 0.25
-    max_depth: int | None = None
     theta_cap: float = 2.0 ** 20
     mode: str = "intest"
 
@@ -42,8 +41,6 @@ class StoppingConfig:
             raise ValueError(f"unknown stopping mode {self.mode!r}")
         if self.theta_cap < self.theta:
             raise ValueError(f"theta_cap {self.theta_cap} is below theta {self.theta}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth {self.max_depth} must be at least 1")
 
 
 @dataclass
@@ -52,9 +49,9 @@ class SparseCollection:
     generations: list = field(default_factory=list)
     packing_by_parent: dict = field(default_factory=dict)
     theta: float = 0.0
-    truncated: bool = False
     stopped_square_checks: list = field(default_factory=list)
-    # NodeStops.bases of every node the accepted attempt checked, in order
+    # NodeStops.bases of every node the accepted attempt checked, in order;
+    # that is every cube of the collection
     bases: dict = field(default_factory=dict)
 
     def cubes(self):
@@ -175,17 +172,16 @@ def _stopped_square_max(q0: DyadicCube, coeffs, root: RootBox,
     return float(np.sqrt(np.max(acc)))
 
 
-def _member_attempts(q0: DyadicCube, cfg: StoppingConfig, max_depth: int, member: int):
+def _member_attempts(q0: DyadicCube, cfg: StoppingConfig, member: int):
     """One member's threshold doubling: yields (theta, frontier), is sent the
-    selections by (node, member), returns the collection or None at the cap."""
+    selections by (node, member), returns the collection or None at the cap.
+    A node that selects itself has packing 1, so accepted generations are
+    strictly finer and every attempt ends."""
     theta = cfg.theta
     while theta <= cfg.theta_cap:
         coll = SparseCollection(root_cube=q0, theta=theta)
         frontier, ok = [q0], True
         while frontier and ok:
-            if len(coll.generations) >= max_depth:
-                coll.truncated = True
-                break
             kids_of = yield theta, frontier
             nxt = []
             for node in frontier:
@@ -217,7 +213,6 @@ def build_sparse_batch(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
     scan per node selects for them, each at its own theta.  Raises
     ThetaCapError naming the first member whose theta passes the cap."""
     root = dictionary.root
-    max_depth = cfg.max_depth if cfg.max_depth is not None else root.depth + 1
     if cfg.mode == "intest":
         b, g, fs = inputs["b"], inputs["g"], list(inputs.get("fs", []))
         coeff_b = dictionary.coeff_arrays(b) if coeff_b is None else coeff_b
@@ -233,7 +228,7 @@ def build_sparse_batch(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
         def stops(node, idx):
             return gradient_stops(node, gn[idx], dictionary.family.w)
     size = len((b if cfg.mode == "intest" else gn).samples)
-    runs = [_member_attempts(q0, cfg, max_depth, i) for i in range(size)]
+    runs = [_member_attempts(q0, cfg, i) for i in range(size)]
     asks = {i: next(run) for i, run in enumerate(runs)}  # member -> (theta, frontier)
     # by (node, member): its NodeStops row, its selection at the latest theta
     rows, sent, done = {}, {}, {}
@@ -279,18 +274,12 @@ def build_sparse(q0: DyadicCube, inputs: dict, cfg: StoppingConfig,
     return build_sparse_batch(q0, one, cfg, dictionary)[0]
 
 
-def sparse_form_eval(coll: SparseCollection, b: GridFunction, g: GridFunction,
-                     fs, dictionary: TestDictionary,
-                     coeff_b=None, coeff_g=None) -> float:
-    """Sum over the collection of |Q| <S b>_{1,Q} <S g>_{1,Q} prod <f_j>_{1,Q}.
-
-    The means of S b and S g over a cube are the bases an intest build of
-    these b and g recorded (every cube but those of a truncated last
-    generation), and are built otherwise."""
+def sparse_form_eval(coll: SparseCollection, fs) -> float:
+    """Sum over the collection of |Q| <S b>_{1,Q} <S g>_{1,Q} prod <f_j>_{1,Q},
+    the means of S b and S g being the bases its intest build recorded."""
     total = 0.0
     for cube in coll.cubes():
-        means = coll.bases[cube] if cube in coll.bases else \
-            intest_stops(cube, b, g, [], dictionary, coeff_b, coeff_g).bases
+        means = coll.bases[cube]
         term = cube.measure * float(means[0]) * float(means[1])
         for f in fs:
             term *= local_average(f, cube, 1.0)
@@ -309,8 +298,7 @@ def verify_domination(q0: DyadicCube, cfg: StoppingConfig,
                       dictionary: TestDictionary, *, exponents,
                       b: GridFunction | None = None, g: GridFunction = None,
                       fs=(), spec: ParaproductSpec | None = None,
-                      f1: GridFunction | None = None, n: int = 0,
-                      theta_power: int = 0) -> dict:
+                      f1: GridFunction | None = None, n: int = 0) -> dict:
     """Sparse-domination report {lhs, rhs, ratio, ...} in either mode.
 
     mode 'intest': lhs is the intrinsic form of (b, g, fs); rhs both the
@@ -335,18 +323,14 @@ def verify_domination(q0: DyadicCube, cfg: StoppingConfig,
         coeff_b = dictionary.coeff_arrays(b)
         coeff_g = dictionary.coeff_arrays(g)
         lhs = intrinsic_form(q0, b, [g] + fs, dictionary, coeff_f=coeff_b, coeff_f1=coeff_g)
-        holder = q0.measure * q0.side ** (-theta_power) \
-            * tl_norm(b, NormSpec(0.0, -float(theta_power), p, 2.0), dictionary, coeff_b) \
+        holder = q0.measure * tl_norm(b, NormSpec(0.0, 0.0, p, 2.0), dictionary, coeff_b) \
             * local_average(g, q0, q, w)
         for f, pj in zip(fs, ps):
             holder = holder * local_average(f, q0, pj, w)
         reports = []
         for i, coll in enumerate(build_sparse_batch(q0, {"b": b, "g": g, "fs": fs}, cfg,
                                                     dictionary, coeff_b, coeff_g)):
-            bi, gi, fsi = b[i], g[i], [f[i] for f in fs]
-            cb = {s: a[i] for s, a in coeff_b.items()}
-            cg = {s: a[i] for s, a in coeff_g.items()}
-            rhs_sparse = sparse_form_eval(coll, bi, gi, fsi, dictionary, cb, cg)
+            rhs_sparse = sparse_form_eval(coll, [f[i] for f in fs])
             lhs_i = float(lhs[i])
             reports.append({"lhs": lhs_i, "rhs": rhs_sparse, "rhs_holder": float(holder[i]),
                             "ratio": lhs_i / rhs_sparse if rhs_sparse > 0 else np.inf,

@@ -201,17 +201,14 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         detail=f"median {np.median(jn_values):.3f}"))
     # square function vs polynomial-oscillation comparison, logged
     k = ws.basis.family.k
+    n = min(1, k)
+    regions = ws.basis.interior_cubes(smax=ws.root.L - 2)[:4]
     two_sided = []
     for i in range(12):
         f = plateau_function(rng, ws.root) + wave_function(rng, ws.root)
-        n = min(1, k)
-        scale = ws.root.L - 2
-        for pos in list(ws.root.cubes_at_scale(scale))[:4]:
-            if not ws.root.is_interior(pos, ws.basis.family.w):
-                continue
-            region = pos
-            sq = tl_region_average(f, region, n, ws.dictionary, 2.0)
-            osc = poly_oscillation(f, region, n, k - n, 2.0, ws.basis.family.w)
+        for region in regions:
+            sq = tl_region_average(f, region, n, ws.dictionary)
+            osc = poly_oscillation(f, region, n, k - n, ws.basis.family.w)
             if sq > 1e-12 and osc > 1e-12:
                 two_sided.append(osc / sq)
     if two_sided:
@@ -240,16 +237,17 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
 
 
 def tl_region_average(f: GridFunction, region: DyadicCube, n: float,
-                      dictionary: TestDictionary, p: float) -> float:
+                      dictionary: TestDictionary) -> float:
+    """L^2 mean over the cube of the square function anchored at it."""
     from .tlnorm import square_function
     sq = square_function(f, region, n, 2.0, dictionary)
-    sl = f.root.window_slices(region)
-    return float(np.mean(np.abs(sq.samples[sl]) ** p) ** (1.0 / p))
+    return float(np.sqrt(np.mean(sq.samples[f.root.window_slices(region)] ** 2)))
 
 
 def poly_oscillation(f: GridFunction, region: DyadicCube, n: int,
-                     degree: int, p: float, w: int) -> float:
-    """Least-squares distance of grad^n f to polynomials on the dilated cube."""
+                     degree: int, w: int) -> float:
+    """L^2 mean least-squares distance of grad^n f to polynomials on the
+    dilated cube."""
     root = f.root
     sl = root.window_slices(region, w)
     comps = [derivative(f, alpha).samples[sl].ravel()
@@ -269,7 +267,7 @@ def poly_oscillation(f: GridFunction, region: DyadicCube, n: int,
     for comp in comps:
         sol, *_ = np.linalg.lstsq(V, comp, rcond=None)
         resid2 += np.abs(comp - V @ sol) ** 2
-    return float(np.mean(resid2 ** (p / 2.0)) ** (1.0 / p))
+    return float(np.sqrt(np.mean(resid2)))
 
 
 # -- paraproduct suite (criterion 2 plus Lebesgue/maximal probes) -------------

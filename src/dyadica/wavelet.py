@@ -100,7 +100,7 @@ def cascade_table(h: np.ndarray, refine: int, cap: int = 500):
 
 
 def _table_class_constant(x: np.ndarray, vals: np.ndarray, rho: float) -> float:
-    """Measured size-and-smoothness constant of a tabulated profile.
+    """Measured size-and-smoothness constant of a profile given by point values.
 
     Centered coordinates; the Lipschitz quotient is probed at dyadic strides
     down to 2^-6 (a measurement, never an assertion: rough families have

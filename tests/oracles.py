@@ -5,7 +5,8 @@ package did before its operators went through ``strided_pairings`` and its
 transpose ``strided_spread``.  A family is given by its per-cube values,
 ``cube -> (slices, values)`` with ``(None, None)`` for an atom off the box.
 Then come the Gram check and the testing bench with one full-box grid or
-form per cube, with a cell-by-cell n = 2 kernel form; the per-scale maximal
+form per cube, with a cell-by-cell n = 2 kernel form and a kernel looked up
+in a value table, for tests that want an arbitrary kernel; the per-scale maximal
 function, the stopping-time construction that rebuilds every node on each
 threshold doubling and the one-trial recursion that keeps each node's data
 across doublings; and the per-trial suite loops.  The last section
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from dyadica import DyadicCube
-from dyadica.czform import TestingSymbols, _monomial, input_orders
+from dyadica.czform import KernelSpec, TestingSymbols, _monomial, input_orders
 from dyadica.dyadic import long_distance
 from dyadica.funcspace import (GridFunction, block_reduce, expand_blocks, grad_norm,
                                local_average, multi_indices_upto, taylor_poly)
@@ -358,6 +359,27 @@ def trilinear_form(kernel, root, fs, eps_trunc) -> dict:
     return {"value": value * cell, "excluded_mass": excluded * cell}
 
 
+def table_kernel(root, table):
+    """A d = 1 kernel callable that looks K(x0, ..., xn) up in ``table``,
+    indexed by the cells of the midpoints, one table axis per slot."""
+    h = root.cell_width
+    last = root.cells_per_side - 1
+
+    def kernel(*xs):
+        return table[tuple(np.clip((np.asarray(x) / h - 0.5).astype(int), 0, last)
+                           for x in xs)]
+
+    return kernel
+
+
+def table_spec(root, table, eps_trunc: float) -> KernelSpec:
+    """A registered form whose kernel is ``table_kernel``: a convolution
+    spec with its kernel callable exchanged before first use."""
+    spec = KernelSpec(root, n=table.ndim - 1, kind="convolution", eps_trunc=eps_trunc)
+    spec._kernel = table_kernel(root, table)
+    return spec
+
+
 # -- maximal function and stopping rules ---------------------------------------
 
 
@@ -493,7 +515,6 @@ def build_sparse(q0, inputs, cfg, dictionary) -> SparseCollection:
     scratch and checks the stopped square function of every parent."""
     root = dictionary.root
     theta = cfg.theta
-    max_depth = cfg.max_depth if cfg.max_depth is not None else root.depth + 1
     coeff_b = coeff_g = None
     if cfg.mode == "intest":
         coeff_b = dictionary.coeff_arrays(inputs["b"])
@@ -502,11 +523,7 @@ def build_sparse(q0, inputs, cfg, dictionary) -> SparseCollection:
         coll = SparseCollection(root_cube=q0, theta=theta)
         frontier = [q0]
         ok = True
-        depth = 0
         while frontier:
-            if depth >= max_depth:
-                coll.truncated = True
-                break
             nxt = []
             for node in frontier:
                 if cfg.mode == "intest":
@@ -533,7 +550,6 @@ def build_sparse(q0, inputs, cfg, dictionary) -> SparseCollection:
             if nxt:
                 coll.generations.append(nxt)
             frontier = nxt
-            depth += 1
         if ok:
             return coll
         theta *= 2.0
@@ -567,7 +583,6 @@ def build_sparse_trial(q0, inputs, cfg, dictionary) -> SparseCollection:
     from dyadica.sparse import _stopped_square_max, gradient_stops, intest_stops
     root = dictionary.root
     theta = cfg.theta
-    max_depth = cfg.max_depth if cfg.max_depth is not None else root.depth + 1
     if cfg.mode == "intest":
         b, g, fs = inputs["b"], inputs["g"], inputs.get("fs", [])
         coeff_b, coeff_g = dictionary.coeff_arrays(b), dictionary.coeff_arrays(g)
@@ -582,11 +597,8 @@ def build_sparse_trial(q0, inputs, cfg, dictionary) -> SparseCollection:
     by_node = {}
     while True:
         coll = SparseCollection(root_cube=q0, theta=theta)
-        parents, frontier, ok, depth = [], [q0], True, 0
+        parents, frontier, ok = [], [q0], True
         while frontier:
-            if depth >= max_depth:
-                coll.truncated = True
-                break
             nxt = []
             for node in frontier:
                 if node not in by_node:
@@ -605,7 +617,6 @@ def build_sparse_trial(q0, inputs, cfg, dictionary) -> SparseCollection:
             if nxt:
                 coll.generations.append(nxt)
             frontier = nxt
-            depth += 1
         if ok:
             coll.bases = {node: by_node[node].bases for node in coll.packing_by_parent}
             if cfg.mode == "intest":
@@ -622,7 +633,7 @@ def build_sparse_trial(q0, inputs, cfg, dictionary) -> SparseCollection:
 # -- per-trial domination check and suite loops ---------------------------------
 
 
-def verify_domination_intest(q0, cfg, dictionary, exponents, b, g, fs, theta_power=0):
+def verify_domination_intest(q0, cfg, dictionary, exponents, b, g, fs):
     """One trial of the intest domination check, every piece from scratch:
     the rebuilding ``build_sparse`` above, two square functions per cube of
     the collection, the Hoelder bound from its own coefficient arrays."""
@@ -646,8 +657,7 @@ def verify_domination_intest(q0, cfg, dictionary, exponents, b, g, fs, theta_pow
         for f in fs:
             term *= local_average(f, cube, 1.0)
         rhs += term
-    holder = q0.measure * q0.side ** (-theta_power) \
-        * tl_norm(b, NormSpec(0.0, -float(theta_power), p, 2.0), dictionary, coeff_b) \
+    holder = q0.measure * tl_norm(b, NormSpec(0.0, 0.0, p, 2.0), dictionary, coeff_b) \
         * local_average(g, q0, q, w)
     for f, pj in zip(fs, ps):
         holder *= local_average(f, q0, pj, w)
@@ -815,6 +825,14 @@ def n_members(dictionary, scale: int) -> int:
     return len(dictionary._templates[scale]) + (1 if scale > dictionary.root.J else 0)
 
 
+def ones_tree(root, cubes) -> CoefficientTree:
+    """The tree that is 1 on ``cubes`` and 0 elsewhere."""
+    tree = CoefficientTree(root)
+    for cube in cubes:
+        tree[cube] = 1.0
+    return tree
+
+
 def n_nonzero(tree: CoefficientTree) -> int:
     return int(sum(np.count_nonzero(a) for a in tree.data.values()))
 
@@ -837,7 +855,8 @@ def form_mass(form, f: GridFunction, fs) -> float:
     form's cubes of |Q| |phi_Q(f)| prod_j |slot_j(f_j)|."""
     d = form.basis.root.d
     total = 0.0
-    for scale, index in form.scale_positions():
+    for scale, arr in form.support.data.items():
+        index = np.nonzero(arr)
         term = np.abs(form.phi.pair(f.samples, scale)[index])
         for slot, g in zip(form.slots, fs):
             term = term * np.abs(slot.pair(g.samples, scale)[index])

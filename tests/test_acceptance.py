@@ -26,7 +26,8 @@ def rows_for(suite_fn):
 def require(suite_fn, names, runtime_cap=None):
     rows, elapsed = rows_for(suite_fn)
     selected = [r for r in rows if any(r.name.startswith(n) for n in names)]
-    assert selected, f"no criterion rows matched {names}"
+    missing = [n for n in names if not any(r.name.startswith(n) for r in selected)]
+    assert not missing, f"no criterion rows matched {missing}"
     for r in selected:
         status = "pass" if r.passed else "FAIL"
         print(f"[{status}] {r.suite}/{r.name}: {r.value:.6g} {r.comparator} "
@@ -108,6 +109,8 @@ def test_lebesgue_and_maximal_probes():
 
 
 def test_norm_comparability_probes():
-    # square-function vs finite-difference comparability stays in [1/8, 8]
+    # square-function vs finite-difference comparability stays in [1/8, 8];
+    # the square-function vs oscillation spread is logged, bounded by 1e6
     require(suite_norms, ["surrogate_vs_fd_factor_high",
-                          "surrogate_vs_fd_factor_low"])
+                          "surrogate_vs_fd_factor_low",
+                          "square_vs_oscillation_spread"])

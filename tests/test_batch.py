@@ -85,8 +85,8 @@ def test_maximal_and_local_averages(spaces, d, size):
     root = dic.root
     fs, gs = _batch(dic, size, 1), _batch(dic, size, 2)
     _equal(maximal(fs).samples, [maximal(f).samples for f in _rows(fs)])
-    _equal(maximal([fs, gs], [2.0, np.inf]).samples,
-           [maximal([f, g], [2.0, np.inf]).samples for f, g in zip(_rows(fs), _rows(gs))])
+    _equal(maximal([fs, gs]).samples,
+           [maximal([f, g]).samples for f, g in zip(_rows(fs), _rows(gs))])
     cube = DyadicCube(root.L - 1, (0,) * d)
     for p in (1.0, 2.0, 4.0, np.inf):
         _equal(local_average(fs, cube, p, 3), [local_average(f, cube, p, 3) for f in _rows(fs)])
@@ -131,37 +131,37 @@ def _same_report(rep, ref):
     assert coll.generations == other.generations
     assert list(coll.packing_by_parent.items()) == list(other.packing_by_parent.items())
     assert coll.stopped_square_checks == other.stopped_square_checks
-    assert coll.truncated == other.truncated
 
 
 @pytest.mark.parametrize("d, size", CASES, ids=IDS)
-@pytest.mark.parametrize("theta_power", [0, 1])
-def test_verify_domination_reports(spaces, d, size, theta_power):
+@pytest.mark.parametrize("nfs", [0, 1])
+def test_verify_domination_reports(spaces, d, size, nfs):
     dic = spaces[d]
     cfg = StoppingConfig(theta=4.0, packing_target=0.25, mode="intest")
     b, g, f2 = (_batch(dic, size, seed) for seed in (7, 8, 9))
+    fs, exponents = ([f2], (4.0, 2.0, 4.0)) if nfs else ([], (2.0, 2.0))
     q0 = dic.root.root_cube
-    reps = verify_domination(q0, cfg, dic, exponents=(4.0, 2.0, 4.0), b=b, g=g, fs=[f2],
-                             theta_power=theta_power)
+    reps = verify_domination(q0, cfg, dic, exponents=exponents, b=b, g=g, fs=fs)
     assert isinstance(reps, list) and len(reps) == size
-    for rep, bi, gi, fi in zip(reps, _rows(b), _rows(g), _rows(f2)):
-        single = verify_domination(q0, cfg, dic, exponents=(4.0, 2.0, 4.0), b=bi, g=gi,
-                                   fs=[fi], theta_power=theta_power)
+    for i, (rep, bi, gi) in enumerate(zip(reps, _rows(b), _rows(g))):
+        fsi = [f[i] for f in fs]
+        single = verify_domination(q0, cfg, dic, exponents=exponents, b=bi, g=gi, fs=fsi)
         _same_report(rep, single)
-        _same_report(rep, oracles.verify_domination_intest(
-            q0, cfg, dic, (4.0, 2.0, 4.0), bi, gi, [fi], theta_power))
+        _same_report(rep, oracles.verify_domination_intest(q0, cfg, dic, exponents, bi, gi,
+                                                           fsi))
 
 
 def test_sparse_form_eval_reads_recorded_means(dict8):
-    """Every cube of an untruncated collection was a node, so its means come
-    from the build; a truncated one rebuilds the last generation's."""
-    cfg = StoppingConfig(theta=2.0, packing_target=0.5, mode="intest", max_depth=1)
+    """Every cube of a collection was a node of its build, so its means are
+    the build's."""
+    cfg = StoppingConfig(theta=2.0, packing_target=0.5, mode="intest")
     b, g = (_batch(dict8, 1, seed)[0] for seed in (10, 11))
     q0 = dict8.root.root_cube
     rep = verify_domination(q0, cfg, dict8, exponents=(2.0, 2.0), b=b, g=g)
     coll = rep["collection"]
-    assert coll.truncated and coll.generations
-    assert set(coll.bases) == {q0}
+    assert coll.generations
+    assert list(coll.bases) == list(coll.packing_by_parent)
+    assert set(coll.bases) == set(coll.cubes())
     assert rep["rhs"] == oracles.verify_domination_intest(
         q0, cfg, dict8, (2.0, 2.0), b, g, [])["rhs"]
 
@@ -181,7 +181,7 @@ def test_random_stacks_match_rows(spaces, d, size, seed, kappa, r):
     _equal(tl_norms(fs, SPECS, dic, coeffs), [tl_norms(f, SPECS, dic) for f in rows])
     _equal(sobolev_norm(fs, kappa, r, dic.basis),
            [sobolev_norm(f, kappa, r, dic.basis) for f in rows])
-    _equal(maximal(fs, [r]).samples, [maximal(f, [r]).samples for f in rows])
+    _equal(maximal(fs).samples, [maximal(f).samples for f in rows])
 
 
 def test_grid_function_batch_shape(root8):
@@ -240,7 +240,7 @@ def test_sparse_suite_matches_trial_loop(tmp_path, monkeypatch, batch, text):
         for coll, ref in zip(built[mode], ref_built[mode]):
             assert coll.generations == ref.generations
             assert list(coll.packing_by_parent.items()) == list(ref.packing_by_parent.items())
-            assert (coll.theta, coll.truncated) == (ref.theta, ref.truncated)
+            assert coll.theta == ref.theta
             assert coll.stopped_square_checks == ref.stopped_square_checks
             assert list(coll.bases) == list(ref.bases)
             assert all(np.array_equal(coll.bases[n], ref.bases[n]) for n in ref.bases)

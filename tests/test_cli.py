@@ -40,6 +40,11 @@ def test_config_validation_errors(tmp_path):
     path.write_text("[sparse]\nexponents = 4, 4, 4\n", encoding="utf-8")
     with pytest.raises(ValueError):
         ExperimentConfig.from_file(path)
+    # the Sobolev bench would refuse these only after the testing symbols
+    for value in ("2", "1.5", "nan"):
+        path.write_text(f"[testbench]\nbench_q = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"\[testbench\] bench_q = {value} must exceed 2"):
+            ExperimentConfig.from_file(path)
 
 
 def test_probe_pi_conventions():
@@ -133,15 +138,22 @@ def test_cli_paraproduct_subcommand(tmp_path, root8):
     assert ratios[0] == ratios[1] and ratios[0][0] == "2.0"  # r of (2, inf)
 
 
-def test_cli_sparse_subcommand(tmp_path, root8):
+@pytest.mark.parametrize("mode", ["intest", "mainiter"])
+def test_cli_sparse_subcommand(tmp_path, root8, mode):
     paths = _write_inputs(tmp_path, root8, 3)
     out = tmp_path / "out"
-    code = main(["sparse", "--inputs", ",".join(paths), "--mode", "intest",
+    code = main(["sparse", "--inputs", ",".join(paths), "--mode", mode,
                  "--out", str(out)])
     assert code == 0
     rows = list(csv.reader(open(out / "sparse_collection.csv")))
     assert rows[0] == ["cube", "generation", "children_packing_ratio"]
     assert rows[1][0].startswith("1:0:")
+    # every node's packing is within the mode's default target
+    target = {"intest": 2.0 ** -6, "mainiter": 0.25}[mode]
+    assert all(float(r[2]) <= target for r in rows[1:] if r[2])
+    (report,) = list(csv.DictReader(open(out / "sparse_domination.csv")))
+    assert float(report["theta"]) >= 16.0
+    assert (report["ratio"] == "") == (mode == "mainiter")
 
 
 def test_cli_unknown_suite_usage_error(tmp_path):

@@ -24,7 +24,8 @@ def test_defaults_validate_and_keep_their_hash():
     assert ExperimentConfig.defaults().config_hash == "46a2f1343fda1771"
 
 
-@pytest.mark.parametrize("section, key", [("probe", "members"), ("sparse", "trials")])
+@pytest.mark.parametrize("section, key", [("probe", "members"), ("sparse", "trials"),
+                                          ("ensemble", "count"), ("testbench", "sample_count")])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_rejects_empty_ensemble(tmp_path, section, key, value):
     with pytest.raises(ValueError, match=rf"\[{section}\] {key} = {value} must be at least 1"):
@@ -42,6 +43,9 @@ def test_rejects_one_level_sweep(tmp_path, section, key, value):
 @pytest.mark.parametrize("text", ["[probe]\nmembers = 1\nj_sweep = -5, -6\n",
                                   "[sparse]\ntrials = 1\nj_sweep = -7, -6\n",
                                   "[probe]\nbmo_depths = 4, 6\n",
+                                  "[ensemble]\ncount = 1\n",
+                                  "[testbench]\nsample_count = 1\n",
+                                  "[testbench]\nbench_q = 2.001\n",
                                   "[kernel:k1]\ntype = convolution\narity = 2\n",
                                   "[kernel:k1]\ntype = planted\n",
                                   "[kernel:k1]\ntype = zero\narity = 3\n"])
@@ -51,7 +55,7 @@ def test_accepts_smallest_valid_values(tmp_path, text):
 
 @pytest.mark.parametrize("body, message", [
     ("type = hilbert", r"type = hilbert must be convolution, planted or zero"),
-    ("type = tabulated", r"type = tabulated .* needs a table"),
+    ("type = tabulated", r"type = tabulated must be convolution, planted or zero"),
     ("type = convolution\narity = 3", r"arity = 3 must be 1 or 2"),
     ("type = convolution\narity = 0", r"arity = 0 must be 1 or 2"),
     ("type = planted\narity = 0", r"arity = 0 must be at least 1"),

@@ -13,7 +13,7 @@ from dyadica.czform import (KernelSpec, SingularConfigurationError, _kernel_matr
 from dyadica.czform import testing_norm as compute_testing_norm
 from dyadica.czform import testing_symbols as compute_testing_symbols
 from dyadica.ensembles import atom_tree, mixed_function
-from dyadica.funcspace import GridFunction, pairing
+from dyadica.funcspace import GridFunction
 from dyadica.paraproduct import ParaproductSpec, duality_form, form_eval
 from dyadica.tlnorm import NormSpec, TestDictionary, tl_norm
 from dyadica.wavelet import CoefficientTree
@@ -87,22 +87,40 @@ def test_singular_configuration_refused():
     assert np.isfinite(spec2.evaluate([f, f]))
 
 
-def test_form_quadrature_reports_excluded_mass():
+def test_form_quadrature_reports_excluded_mass(rng):
     root = RootBox(d=1, L=0, J=-6)
     f = GridFunction.from_callable(root, smooth_bump(0.5, 0.2))
     rep = form_quadrature(lambda x, y: 1.0 / np.where(x == y, np.inf, x - y),
                           root, [f, f], eps_trunc=4 * root.cell_width)
     assert rep["excluded_mass"] > 0.0
+    # against the hand matrix: the value keeps the cells beyond the radius,
+    # the excluded mass sums |K g f| over the dropped off-diagonal ones
+    eps = 2 * root.cell_width
+    spec = KernelSpec(root, n=1, kind="convolution", eps_trunc=eps, strength=2.0)
+    x = root.midpoints_1d()
+    h = root.cell_width
+    diff = x[:, None] - x[None, :]
+    with np.errstate(divide="ignore"):
+        K = np.where(np.abs(diff) > eps, 2.0 / diff, 0.0)
+    f, g = (GridFunction(root, rng.standard_normal(root.shape)) for _ in range(2))
+    rep = form_quadrature(spec._kernel, root, [g, f], eps)
+    assert rep["value"] == pytest.approx(g.samples @ K @ f.samples * h ** 2, rel=1e-13)
+    near = (np.abs(diff) <= eps) & (diff != 0)
+    mass = np.sum(np.abs(2.0 / diff[near] * np.outer(g.samples, f.samples)[near])) * h ** 2
+    assert rep["excluded_mass"] == pytest.approx(mass, rel=1e-13)
 
 
 @pytest.mark.parametrize("kind", ["convolution", "tabulated"])
 def test_form_quadrature_cached_kernel_matches_fresh(kind):
     root = RootBox(d=1, L=0, J=-6)
-    table = np.random.default_rng(3).standard_normal(root.shape * 2)
-    spec = KernelSpec(root, n=1, kind=kind, eps_trunc=3 * root.cell_width,
-                      strength=1.5, table=table)
-    fresh = (spec._convolution_kernel() if kind == "convolution"
-             else spec._tabulated_kernel())
+    eps = 3 * root.cell_width
+    if kind == "convolution":
+        spec = KernelSpec(root, n=1, kind=kind, eps_trunc=eps, strength=1.5)
+        fresh = spec._convolution_kernel()
+    else:
+        table = np.random.default_rng(3).standard_normal(root.shape * 2)
+        spec = oracles.table_spec(root, table, eps)
+        fresh = oracles.table_kernel(root, table)
     f0 = GridFunction.from_callable(root, smooth_bump(0.45, 0.2))
     f1 = GridFunction.from_callable(root, smooth_bump(0.55, 0.25))
     expect = form_quadrature(fresh, root, [f0, f1], spec.eps_trunc)
@@ -128,27 +146,6 @@ def test_form_quadrature_cached_kernel_matches_fresh(kind):
     gc.collect()
     assert kernel() is None
     assert len(czform._MATRICES) == held - 2
-
-
-def test_apply_slot0_bilinear_matches_hand_matrix(rng):
-    root = RootBox(d=1, L=0, J=-6)
-    eps = 2 * root.cell_width
-    spec = KernelSpec(root, n=1, kind="convolution", eps_trunc=eps, strength=2.0)
-    x = root.midpoints_1d()
-    h = root.cell_width
-    diff = x[:, None] - x[None, :]
-    with np.errstate(divide="ignore"):
-        K = np.where(np.abs(diff) > eps, 2.0 / diff, 0.0)
-    f, g = (GridFunction(root, rng.standard_normal(root.shape)) for _ in range(2))
-    out = spec.apply_slot0([f])
-    np.testing.assert_allclose(out.samples, K @ f.samples * h, rtol=1e-14, atol=0.0)
-    # the form shares the matrix; its excluded mass sums the dropped cells
-    rep = form_quadrature(spec._kernel, root, [g, f], eps)
-    assert rep["value"] == pytest.approx(g.samples @ K @ f.samples * h ** 2, rel=1e-13)
-    near = (np.abs(diff) <= eps) & (diff != 0)
-    mass = np.sum(np.abs(2.0 / diff[near] * np.outer(g.samples, f.samples)[near])) * h ** 2
-    assert rep["excluded_mass"] == pytest.approx(mass, rel=1e-13)
-    assert pairing(out, g) == pytest.approx(rep["value"], rel=1e-12)
 
 
 def test_wbp_zero_and_homogeneity(bench):
@@ -242,16 +239,22 @@ def test_single_cube_testing_norm_brute_force(bench):
 
 
 def test_sobolev_bench_zero_kernel(bench, rng):
+    # the bench applies a planted form: the zero form is the zero symbol's
     basis, dictionary, _ = bench
-    zero = KernelSpec(basis.root, n=2, kind="zero")
+    zero = KernelSpec(basis.root, n=2, kind="planted", planted=ParaproductSpec(
+        basis, CoefficientTree(basis.root), arity=2))
     inputs = [tuple(mixed_function(rng, basis, kind=k + 1) for k in range(2))
               for _ in range(3)]
     rep = sobolev_bound_bench(zero, (2.0, 4.0, 4.0), 2, 4.0, basis, dictionary,
                               inputs)
     assert rep["max_ratio"] == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need q > p"):
         sobolev_bound_bench(zero, (2.0, 4.0, 4.0), 2, 1.5, basis, dictionary,
                             inputs)
+    for kind in ("zero", "convolution"):
+        with pytest.raises(ValueError, match=f"planted forms, not '{kind}'"):
+            sobolev_bound_bench(KernelSpec(basis.root, n=2, kind=kind, eps_trunc=0.1),
+                                (2.0, 4.0, 4.0), 2, 4.0, basis, dictionary, inputs)
 
 
 # -- the batched bench against the per-cube references ---------------------------
@@ -264,8 +267,7 @@ def _spec(kind, basis, planted):
                           strength=1.5)
     if kind == "tabulated":
         table = np.random.default_rng(5).standard_normal(root.shape * 2)
-        return KernelSpec(root, n=1, kind="tabulated", eps_trunc=2 * root.cell_width,
-                          table=table)
+        return oracles.table_spec(root, table, 2 * root.cell_width)
     if kind == "convolution_n2":
         return KernelSpec(root, n=2, kind="convolution", eps_trunc=3 * root.cell_width,
                           strength=1.5)
@@ -318,8 +320,8 @@ def test_stacked_form_quadrature_matches_scalar_calls(kind, bench):
 def test_trilinear_quadrature_matches_cell_by_cell(kind):
     root = RootBox(d=1, L=0, J=-5)
     table = np.random.default_rng(4).standard_normal(root.shape * 3)
-    spec = KernelSpec(root, n=2, kind=kind, eps_trunc=2 * root.cell_width, strength=1.5,
-                      table=table)
+    spec = (KernelSpec(root, n=2, kind=kind, eps_trunc=2 * root.cell_width, strength=1.5)
+            if kind == "convolution" else oracles.table_spec(root, table, 2 * root.cell_width))
     rng = np.random.default_rng(9)
     rows = [rng.standard_normal((3,) + root.shape) for _ in range(3)]
     # x0 where one member of slot 0, or none, has weight
@@ -341,9 +343,6 @@ def test_trilinear_quadrature_matches_cell_by_cell(kind):
         assert type(single["value"]) is float
         for key in ("value", "excluded_mass"):
             assert single[key] == pytest.approx(ref[key], rel=1e-12)
-        # T(f1, f2) pairs with g to the form Lambda(g, f1, f2)
-        out = spec.apply_slot0([fs[1][i], fs[2][i]])
-        assert pairing(out, fs[0][i]) == pytest.approx(ref["value"], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["convolution", "tabulated", "planted", "zero",
@@ -400,12 +399,3 @@ def test_testing_norm_checks_exponents(bench, p, q, ok):
     else:
         with pytest.raises(ValueError):
             compute_testing_norm(syms, 1, p, q, basis, dictionary)
-
-
-@pytest.mark.parametrize("shape", [(64, 64), (4, 4), (32, 32, 32)])
-def test_tabulated_kernel_rejects_table_shape(shape):
-    root = RootBox(d=1, L=0, J=-5)
-    with pytest.raises(ValueError) as exc:
-        KernelSpec(root, n=1, kind="tabulated", eps_trunc=2 * root.cell_width,
-                   table=np.ones(shape))
-    assert str(shape) in str(exc.value) and "(32, 32)" in str(exc.value)

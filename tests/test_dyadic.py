@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyadica.dyadic import (DyadicCube, RootBox, ScaleFloorError, children,
-                            long_distance, rescale_point)
+from dyadica.dyadic import DyadicCube, RootBox, children, long_distance, rescale_point
 from oracles import contains, descendants
 
 
@@ -22,12 +21,6 @@ def test_children_quadrisection_corner_order():
     kids = children(q)
     # side 1, so the corners are the positions
     assert [k.pos for k in kids] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-
-
-def test_children_scale_floor_error():
-    root = RootBox(d=1, L=0, J=-3)
-    with pytest.raises(ScaleFloorError):
-        root.children(DyadicCube(-3, (0,)))
 
 
 def test_parent_child_roundtrip():

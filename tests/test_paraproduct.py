@@ -9,7 +9,7 @@ from dyadica.paraproduct import (ArityError, ParaproductSpec, WaveletFormSpec,
                                  duality_form, form_eval, intrinsic_form,
                                  localized_form)
 from dyadica.wavelet import CoefficientTree
-from oracles import atom_pair, descendants, form_mass, intrinsic_coeff
+from oracles import atom_pair, descendants, form_mass, intrinsic_coeff, ones_tree
 
 
 @pytest.fixture()
@@ -152,8 +152,8 @@ def test_intrinsic_form_dominates_localized_dictionary_forms(dict8, basis8, rng)
     h = mixed_function(rng, basis8, kind=0)
     dom = intrinsic_form(q0, f, [g, h], dict8)
     # restrict to scales where the sampled members exist (resolution floor)
-    support = [c for c in descendants(basis8.root, q0)
-               if c.scale >= basis8.root.J + 2]
+    support = ones_tree(basis8.root, [c for c in descendants(basis8.root, q0)
+                                     if c.scale >= basis8.root.J + 2])
     for member in range(1, 3):
         spec = WaveletFormSpec(
             basis8, arity=2, support=support,

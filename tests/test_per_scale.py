@@ -125,14 +125,13 @@ def test_forms_match_per_cube(d, fam, kind):
     wav = oracles.canonical_values(basis, "wavelet")
     corner = DyadicCube(root.L - 1, (0,) * d)
     above = [c for c in root.all_cubes() if c.scale >= smin]
+    below = [c for c in oracles.descendants(root, corner) if c.scale > root.J]
     forms = [  # (form, phi, slots, cubes, trailing inputs), per cube
         (duality_form(spec), wav, [beta_v, chi_v, chi_v], symbol.support(), [g, h1, h2]),
-        (WaveletFormSpec(basis, 2, slots=[chi, chi], localization=corner), wav,
-         [chi_v, chi_v], [c for c in oracles.descendants(root, corner) if c.scale > root.J],
-         [h1, h2]),
-        # every cube above J, or from smin up where the members start
-        (WaveletFormSpec(basis, 1, phi=beta, slots=[chi],
-                         support=above if smin > root.J + 1 else None),
+        (WaveletFormSpec(basis, 2, oracles.ones_tree(root, below), slots=[chi, chi]), wav,
+         [chi_v, chi_v], below, [h1, h2]),
+        # from smin up, where the members start
+        (WaveletFormSpec(basis, 1, oracles.ones_tree(root, above), phi=beta, slots=[chi]),
          beta_v, [chi_v], above, [g])]
     for form, phi, slots, cubes, inputs in forms:
         terms = oracles.form_terms(phi, slots, cubes, f, inputs)

@@ -124,19 +124,6 @@ def test_build_sparse_theta_cap(dict8, basis8, rng):
                      {"b": g, "g": g, "fs": []}, cfg, dict8)
 
 
-def test_build_sparse_truncation_flag(dict8, basis8, rng):
-    cfg = StoppingConfig(theta=16.0, packing_target=0.9, max_depth=1,
-                         mode="intest")
-    tree = CoefficientTree(basis8.root)
-    tree[DyadicCube(-6, (38,))] = 8.0
-    g = GridFunction(basis8.root, basis8.synthesize(tree))
-    b = mixed_function(rng, basis8, kind=1)
-    coll = build_sparse(basis8.root.root_cube, {"b": b, "g": g, "fs": []},
-                        cfg, dict8)
-    if coll.generations:
-        assert coll.truncated
-
-
 def test_gradient_stopping_mainiter(dict8, basis8, cfg_main, rng):
     f1 = GridFunction(basis8.root, plateau_function(rng, basis8.root).samples
                       + wave_function(rng, basis8.root).samples)
@@ -150,24 +137,32 @@ def test_gradient_stopping_mainiter(dict8, basis8, cfg_main, rng):
                 assert a == b or not oracles.contains(a, b)
 
 
+def _recorded(coll, b, g, dictionary):
+    """``coll`` with the means of S b and S g an intest build records."""
+    coll.bases = {cube: intest_stops(cube, b, g, [], dictionary).bases
+                  for cube in coll.cubes()}
+    return coll
+
+
 def test_sparse_form_eval_examples(dict8, basis8, rng):
     root = basis8.root
     ones = GridFunction.from_callable(root, lambda x: 1.0)
-    coll = SparseCollection(root_cube=root.root_cube)
-    assert sparse_form_eval(coll, ones, ones, [], dict8) < 1e-12
+    coll = _recorded(SparseCollection(root_cube=root.root_cube), ones, ones, dict8)
+    assert sparse_form_eval(coll, []) < 1e-12
     # singleton collection, single-atom b and g: closed one-term value
     z = DyadicCube(-4, (8,))
     tree = CoefficientTree(root)
     tree[z] = 1.0
     f = GridFunction(root, basis8.synthesize(tree))
-    singleton = SparseCollection(root_cube=z)
-    val = sparse_form_eval(singleton, f, f, [], dict8)
+    singleton = _recorded(SparseCollection(root_cube=z), f, f, dict8)
+    val = sparse_form_eval(singleton, [])
     sq = square_function(f, z, 0.0, 2.0, dict8).samples
     mean = float(np.mean(sq[root.window_slices(z)]))
     assert val == pytest.approx(z.measure * mean * mean, rel=1e-10)
     # monotone under enlarging the collection
-    bigger = SparseCollection(root_cube=z, generations=[[z.child(0), z.child(1)]])
-    assert sparse_form_eval(bigger, f, f, [], dict8) >= val - 1e-15
+    bigger = _recorded(SparseCollection(root_cube=z, generations=[[z.child(0), z.child(1)]]),
+                       f, f, dict8)
+    assert sparse_form_eval(bigger, []) >= val - 1e-15
 
 
 def test_verify_domination_intest(dict8, basis8, cfg_intest, rng):
