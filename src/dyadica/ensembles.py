@@ -3,9 +3,21 @@
 All generators draw shapes relative to the top scale L, so the same seed
 produces the same continuous object at every refinement level J; only the
 sampling grid changes.  Functions are interior-supported by construction.
+
+A generator is two steps.  Its draw (``draw_atoms``, ``draw_plateau``,
+``draw_wave``, ``draw_mixed``) makes the rng calls and keeps their results in
+a ``Draw``; ``render`` samples a whole batch of draws: one midpoint grid per
+batch, every plateau term in one array expression and each scale of atoms
+in one batched ``AtomFamily.spread``.  Drawing a batch consumes the rng
+exactly as the same generators called one at a time, and each rendered
+member is bit-identical to rendering its draw alone; ``atom_function``,
+``plateau_function`` and the other ``*_function`` generators are the batch
+of one.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,26 +47,53 @@ def default_atom_scales(basis: AtomBasis) -> list[int]:
     return out
 
 
-def atom_tree(rng: np.random.Generator, basis: AtomBasis,
-              scales=None, count: int = 6, amplitude: float = 1.0) -> CoefficientTree:
-    """Random coefficients on random interior cubes across the given scales."""
+@dataclass(frozen=True, eq=False)
+class Draw:
+    """The rng results behind one generated function, before sampling: a sum
+    of parts, rendered left to right.  A part is ``("atoms", basis,
+    entries)`` with ``(scale, pos, value)`` entries in draw order,
+    ``("plateau", terms)`` with ``(center, radius, height)`` terms, or
+    ``("wave", terms, freqs, offset)``: the absolute value of a plateau
+    times a windowed sine.  ``a + b`` is the draw of the sum."""
+
+    parts: tuple
+
+    def __add__(self, other: "Draw") -> "Draw":
+        return Draw(self.parts + other.parts)
+
+    def tree(self) -> CoefficientTree:
+        """The coefficient tree of an atoms draw."""
+        (_, basis, entries), = self.parts
+        tree = CoefficientTree(basis.root)
+        for scale, pos, value in entries:
+            tree[DyadicCube(scale, pos)] = value
+        return tree
+
+
+def draw_atoms(rng: np.random.Generator, basis: AtomBasis, scales=None,
+               count: int = 6, amplitude: float = 1.0) -> Draw:
+    """Random coefficients on random interior cubes across the given scales
+    (a later draw of the same cube replaces the earlier one)."""
     root = basis.root
-    scales = default_atom_scales(basis) if scales is None else scales
-    tree = CoefficientTree(root)
+    scales = default_atom_scales(basis) if scales is None else list(scales)
+    if not scales:
+        raise ValueError(f"no atom scales given for {root}")
+    bands = []
+    for scale in scales:
+        band = interior_positions(basis, scale) if root.J < scale <= root.L else range(0)
+        if len(band) == 0:
+            raise ValueError(f"scale {scale} has no interior atom positions on {root}")
+        bands.append(band)
+    entries = []
     for _ in range(count):
-        scale = int(rng.choice(scales))
-        band = interior_positions(basis, scale)
-        pos = tuple(int(rng.integers(band.start, band.stop))
-                    for _ in range(root.d))
-        tree[DyadicCube(scale, pos)] = amplitude * rng.standard_normal()
-    return tree
+        k = rng.integers(0, len(scales))  # the draw rng.choice(scales) makes
+        band = bands[k]
+        pos = tuple(int(rng.integers(band.start, band.stop)) for _ in range(root.d))
+        entries.append((int(scales[k]), pos, amplitude * rng.standard_normal()))
+    return Draw((("atoms", basis, tuple(entries)),))
 
 
-def atom_function(rng, basis: AtomBasis, scales=None, count: int = 6) -> GridFunction:
-    return GridFunction(basis.root, basis.synthesize(atom_tree(rng, basis, scales, count)))
-
-
-def plateau_function(rng, root: RootBox, terms: int = 2) -> GridFunction:
+def draw_plateau(rng, root: RootBox, terms: int = 2) -> Draw:
     """Sum of smooth compactly supported plateaus in the middle of the box.
 
     Radii never drop below a few cells, so derivative norms stay meaningful
@@ -63,46 +102,151 @@ def plateau_function(rng, root: RootBox, terms: int = 2) -> GridFunction:
     side = 2.0 ** root.L
     r_lo = max(0.08, 4.0 / root.cells_per_side)
     r_hi = max(0.18, 6.0 / root.cells_per_side)
-    samples = np.zeros(root.shape)
-    axes = [root.midpoints_1d()] * root.d
-    grids = np.meshgrid(*axes, indexing="ij")
+    drawn = []
     for _ in range(terms):
         center = rng.uniform(0.35, 0.65, size=root.d) * side
         radius = rng.uniform(r_lo, r_hi) * side
-        height = rng.standard_normal()
-        r2 = np.zeros(root.shape)
-        for gax, c in zip(grids, center):
-            r2 += ((gax - c) / radius) ** 2
-        mask = r2 < 1.0
-        bump = np.zeros(root.shape)
-        bump[mask] = np.exp(1.0 - 1.0 / (1.0 - r2[mask]))
-        samples += height * bump
-    return GridFunction(root, samples)
+        drawn.append((center, radius, rng.standard_normal()))
+    return Draw((("plateau", tuple(drawn)),))
 
 
-def wave_function(rng, root: RootBox) -> GridFunction:
+def draw_wave(rng, root: RootBox) -> Draw:
     """Windowed oscillation: bounded derivatives of every order used here."""
-    envelope = plateau_function(rng, root, terms=1)
-    envelope.samples = np.abs(envelope.samples)
-    side = 2.0 ** root.L
+    (_, terms), = draw_plateau(rng, root, terms=1).parts
     max_freq = min(12.0, root.cells_per_side / 4.0)
-    axes = [root.midpoints_1d()] * root.d
-    grids = np.meshgrid(*axes, indexing="ij")
-    phase = np.zeros(root.shape)
-    for gax in grids:
-        phase += rng.uniform(2.0, max_freq) * gax / side
-    return GridFunction(root, np.sin(2 * np.pi * phase + rng.uniform(0, 2 * np.pi))
-                        * envelope.samples)
+    freqs = [rng.uniform(2.0, max_freq) for _ in range(root.d)]
+    return Draw((("wave", terms, freqs, rng.uniform(0, 2 * np.pi)),))
 
 
-def mixed_function(rng, basis: AtomBasis, kind: int | None = None) -> GridFunction:
+def draw_mixed(rng, basis: AtomBasis, kind: int | None = None) -> Draw:
     """Rotating generator: atom combinations, plateaus, windowed waves."""
     kind = int(rng.integers(0, 3)) if kind is None else kind % 3
     if kind == 0:
-        return atom_function(rng, basis)
+        return draw_atoms(rng, basis)
     if kind == 1:
-        return plateau_function(rng, basis.root)
-    return wave_function(rng, basis.root)
+        return draw_plateau(rng, basis.root)
+    return draw_wave(rng, basis.root)
+
+
+def _plateaus(root: RootBox, grids, parts) -> np.ndarray:
+    """Each member's sum of plateau terms (``part[1]``), added in its draw
+    order."""
+    term_lists = [part[1] for part in parts]
+    width = max(map(len, term_lists))
+    # a zero-height term adds +0, which changes no partial sum
+    pad = ((np.zeros(root.d), 1.0, 0.0),)
+    terms = [term for ts in term_lists for term in ts + pad * (width - len(ts))]
+    centers, radii, heights = (np.array(col) for col in zip(*terms))
+    expand = (slice(None),) + (None,) * root.d
+    r2 = np.zeros((len(terms),) + root.shape)
+    for axis, gax in enumerate(grids):
+        r2 += ((gax - centers[:, axis][expand]) / radii[expand]) ** 2
+    mask = r2 < 1.0
+    bump = np.zeros(r2.shape)
+    bump[mask] = np.exp(1.0 - 1.0 / (1.0 - r2[mask]))
+    bump *= heights[expand]
+    bump = bump.reshape((len(term_lists), width) + root.shape)
+    out = np.zeros((len(term_lists),) + root.shape)
+    for k in range(width):
+        out += bump[:, k]
+    return out
+
+
+def _waves(root: RootBox, grids, parts) -> np.ndarray:
+    """Each member's |plateau| times sin(2 pi freqs . x / side + offset)."""
+    envelope = np.abs(_plateaus(root, grids, parts))
+    freqs = np.array([freqs for _, _, freqs, _ in parts])
+    offsets = np.array([offset for *_, offset in parts])
+    expand = (slice(None),) + (None,) * root.d
+    phase = np.zeros(envelope.shape)
+    for axis, gax in enumerate(grids):
+        phase += freqs[:, axis][expand] * gax / 2.0 ** root.L
+    return np.sin(2 * np.pi * phase + offsets[expand]) * envelope
+
+
+def _atoms(root: RootBox, grids, parts) -> np.ndarray:
+    """Each member's synthesized tree: one spread per scale for the batch,
+    and each member adds its scales in the order its draw first touched
+    them, as ``AtomBasis.synthesize`` does."""
+    basis = parts[0][1]
+    if any(part[1] is not basis for part in parts):
+        raise ValueError("atom draws of one batch come from different bases")
+    trees = []
+    for _, _, entries in parts:
+        tree: dict = {}  # scale -> {pos: value}
+        for scale, pos, value in entries:
+            tree.setdefault(scale, {})[pos] = value
+        trees.append(tree)
+    wavelets = basis.atoms("wavelet")
+    spreads = {}
+    for scale in {s for tree in trees for s in tree}:
+        rows = [i for i, tree in enumerate(trees) if scale in tree]
+        coeffs = np.zeros((len(rows),) + (root.positions_per_side(scale),) * root.d)
+        for r, i in enumerate(rows):
+            for pos, value in trees[i][scale].items():
+                coeffs[(r,) + pos] = value
+        spreads[scale] = dict(zip(rows, wavelets.spread(2.0 ** (scale * root.d) * coeffs,
+                                                        scale)))
+    out = np.zeros((len(trees),) + root.shape)
+    for i, tree in enumerate(trees):
+        for scale in tree:
+            out[i] += spreads[scale][i]
+    return out
+
+
+_RENDER = {"atoms": _atoms, "plateau": _plateaus, "wave": _waves}
+
+
+def render(root: RootBox, draws) -> GridFunction:
+    """The batch (one leading axis) of the functions of ``draws`` on the grid
+    of ``root``: one midpoint grid, one plateau expression and one spread
+    per atom scale for the whole batch.  Member i is bit-identical to
+    rendering ``draws[i]`` alone."""
+    draws = list(draws)
+    grids = (np.meshgrid(*[root.midpoints_1d()] * root.d, indexing="ij")
+             if any(part[0] != "atoms" for draw in draws for part in draw.parts) else None)
+    out = None
+    for k in range(max(len(draw.parts) for draw in draws)):
+        rows = [i for i, draw in enumerate(draws) if len(draw.parts) > k]
+        parts = [draws[i].parts[k] for i in rows]
+        by_kind: dict = {}
+        for r, part in enumerate(parts):
+            by_kind.setdefault(part[0], []).append(r)
+        vals = np.empty((len(rows),) + root.shape)
+        for kind, idx in by_kind.items():
+            vals[idx] = _RENDER[kind](root, grids, [parts[r] for r in idx])
+        if out is None:
+            out = vals
+        else:
+            out[rows] += vals
+    return GridFunction(root, out)
+
+
+def atom_tree(rng: np.random.Generator, basis: AtomBasis,
+              scales=None, count: int = 6, amplitude: float = 1.0) -> CoefficientTree:
+    """Random coefficients on random interior cubes across the given scales."""
+    return draw_atoms(rng, basis, scales, count, amplitude).tree()
+
+
+def atom_function(rng, basis: AtomBasis, scales=None, count: int = 6) -> GridFunction:
+    return render(basis.root, [draw_atoms(rng, basis, scales, count)])[0]
+
+
+def plateau_function(rng, root: RootBox, terms: int = 2) -> GridFunction:
+    return render(root, [draw_plateau(rng, root, terms)])[0]
+
+
+def wave_function(rng, root: RootBox) -> GridFunction:
+    return render(root, [draw_wave(rng, root)])[0]
+
+
+def mixed_function(rng, basis: AtomBasis, kind: int | None = None) -> GridFunction:
+    return render(basis.root, [draw_mixed(rng, basis, kind)])[0]
+
+
+def random_interior_function(rng, basis: AtomBasis) -> GridFunction:
+    """Atom combination plus a smooth plateau, interior-supported."""
+    return atom_function(rng, basis) + plateau_function(rng, basis.root, terms=1)
 
 
 def lacunary_tower(basis: AtomBasis, exponent: float) -> CoefficientTree:
@@ -123,11 +267,6 @@ def lacunary_tower(basis: AtomBasis, exponent: float) -> CoefficientTree:
     return tree
 
 
-def random_interior_function(rng, basis: AtomBasis) -> GridFunction:
-    """Atom combination plus a smooth plateau, interior-supported."""
-    return atom_function(rng, basis) + plateau_function(rng, basis.root, terms=1)
-
-
 def dilate_tree(tree: CoefficientTree, shift: int) -> CoefficientTree:
     """Exact dyadic dilation f -> f(2^shift x): same coefficients and position
     indices on cubes ``shift`` scales finer (corners scale toward the origin)."""
@@ -143,14 +282,6 @@ def dilate_tree(tree: CoefficientTree, shift: int) -> CoefficientTree:
 def plateau_closed_form(root: RootBox, center, radius: float,
                         height: float, shift: int = 0) -> GridFunction:
     """Plateau bump evaluated in closed form after a 2^shift dilation."""
-    c = np.atleast_1d(np.asarray(center, dtype=float)) / (1 << shift)
-    r = radius / (1 << shift)
-    axes = [root.midpoints_1d()] * root.d
-    grids = np.meshgrid(*axes, indexing="ij")
-    r2 = np.zeros(root.shape)
-    for gax, ci in zip(grids, c):
-        r2 += ((gax - ci) / r) ** 2
-    out = np.zeros(root.shape)
-    mask = r2 < 1.0
-    out[mask] = height * np.exp(1.0 - 1.0 / (1.0 - r2[mask]))
-    return GridFunction(root, out)
+    term = (np.atleast_1d(np.asarray(center, dtype=float)) / (1 << shift),
+            radius / (1 << shift), height)
+    return render(root, [Draw((("plateau", (term,)),))])[0]

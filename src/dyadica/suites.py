@@ -19,9 +19,10 @@ from .config import ExperimentConfig
 from .czform import (KernelSpec, testing_norm, testing_symbols, wbp_check,
                      sobolev_bound_bench)
 from .dyadic import DyadicCube, RootBox
-from .ensembles import (atom_function, atom_tree, default_atom_scales,
-                        lacunary_tower, mixed_function, plateau_function,
-                        random_interior_function, wave_function)
+from .ensembles import (atom_tree, default_atom_scales, draw_atoms, draw_mixed,
+                        draw_plateau, draw_wave, lacunary_tower, mixed_function,
+                        plateau_function, random_interior_function, render,
+                        wave_function)
 from .funcspace import (GridFunction, derivative, lp_norm, maximal, multi_indices,
                         pairing, sobolev_norm, wavelet_sobolev_norm)
 from .paraproduct import (ParaproductSpec, adjoint_apply, apply_paraproduct,
@@ -184,9 +185,12 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     worst_gap = -np.inf
     jn_worst = 0.0
     jn_values = []
-    for i in range(cfg.ensemble_count):
-        f = mixed_function(rng, ws.basis, kind=i)
-        values = tl_norms(f, specs, ws.dictionary).tolist()
+    # every draw of the suite comes before its checks, which draw nothing
+    fs = render(ws.root, [draw_mixed(rng, ws.basis, kind=i)
+                          for i in range(cfg.ensemble_count)])
+    smooth = render(ws.root, [draw_plateau(rng, ws.root) + draw_wave(rng, ws.root)
+                              for _ in range(12 + 16)])
+    for values in tl_norms(fs, specs, ws.dictionary).tolist():
         pairs, vals = values[:2 * len(lattice)], values[2 * len(lattice):]
         worst_gap = max(worst_gap, *(a - b for a, b in zip(pairs[::2], pairs[1::2])))
         if min(vals) > 1e-13:
@@ -205,7 +209,7 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     regions = ws.basis.interior_cubes(smax=ws.root.L - 2)[:4]
     two_sided = []
     for i in range(12):
-        f = plateau_function(rng, ws.root) + wave_function(rng, ws.root)
+        f = smooth[i]
         for region in regions:
             sq = tl_region_average(f, region, n, ws.dictionary)
             osc = poly_oscillation(f, region, n, k - n, ws.basis.family.w)
@@ -217,13 +221,10 @@ def suite_norms(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
             max(two_sided) / min(two_sided), 1e6, detail=(
                 f"ratio range [{min(two_sided):.3f}, {max(two_sided):.3f}] (logged)")))
     # finite-difference vs wavelet-surrogate comparability at kappa >= 0
-    factors = []
-    for i in range(16):
-        f = plateau_function(rng, ws.root) + wave_function(rng, ws.root)
-        fd = sobolev_norm(f, 0, 2.0)
-        surro = wavelet_sobolev_norm(f, 0, 2.0, ws.basis)
-        if fd > 1e-12:
-            factors.append(surro / fd)
+    fds = smooth[12:]
+    factors = [surro / fd for fd, surro in zip(sobolev_norm(fds, 0, 2.0),
+                                               wavelet_sobolev_norm(fds, 0, 2.0, ws.basis))
+               if fd > 1e-12]
     rows.append(CriterionRow.check(
         "norms", "surrogate_vs_fd_factor_high", max(factors), 8.0,
         detail=f"range [{min(factors):.4f}, {max(factors):.4f}]"))
@@ -278,16 +279,23 @@ def suite_paraproduct(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     ws = workspace(cfg.d, cfg.L, cfg.J, cfg.wavelet_order, cfg.dictionary_size,
                    cfg.refine)
     rng = np.random.default_rng([cfg.seed, 3])
-    worst = 0.0
+    # each trial's symbol, m inputs and g, all drawn before the checks
+    symbols, inputs = [], []
     for i in range(50):
+        symbols.append(draw_atoms(rng, ws.basis, count=8))
+        inputs.append([draw_mixed(rng, ws.basis, kind=i + j) for j in range(2 + i % 3)])
+    bfuncs = render(ws.root, symbols)
+    funcs = render(ws.root, [draw for row in inputs for draw in row])
+    worst = 0.0
+    at = 0
+    for i, symbol in enumerate(symbols):
         m = 1 + i % 3
-        tree = atom_tree(rng, ws.basis, count=8)
-        spec = ParaproductSpec(ws.basis, tree, arity=m)
-        fs = [mixed_function(rng, ws.basis, kind=i + j) for j in range(m)]
-        g = mixed_function(rng, ws.basis, kind=i + m)
+        spec = ParaproductSpec(ws.basis, symbol.tree(), arity=m)
+        fs, g = [funcs[at + j] for j in range(m)], funcs[at + m]
+        at += m + 1
         out = apply_paraproduct(spec, fs)
         lhs = pairing(out, g)
-        bfunc = GridFunction(ws.root, ws.basis.synthesize(tree))
+        bfunc = bfuncs[i]
         dual = duality_form(spec)
         rhs = form_eval(dual, bfunc, [g] + fs)
         # cancellation-heavy pairings are measured against the bilinear mass
@@ -358,6 +366,15 @@ def _batches(count: int):
         yield range(start, min(start + _BATCH, count))
 
 
+def _render_columns(root: RootBox, rows) -> list[GridFunction]:
+    """Draws given per trial (one list per trial) rendered as one batch, and
+    returned as one stack per column."""
+    cols = list(zip(*rows))
+    fs = render(root, [draw for col in cols for draw in col])
+    n = len(rows)
+    return [fs[k * n:(k + 1) * n] for k in range(len(cols))]
+
+
 def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     rows = []
     p, q, *ps = cfg.sparse_exponents
@@ -377,10 +394,9 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         # a batch's trials are all drawn, (b, g, f2, f1) per trial in trial
         # order, before any is checked; the builds draw nothing, so each
         # trial sees the draws it would see alone
-        draws = [[mixed_function(rng, ws.basis, kind=i + k) for k in range(3)]
-                 + [plateau_function(rng, ws.root) + wave_function(rng, ws.root)]
-                 for i in batch]
-        bs, gs, f2s, f1s = (GridFunction.stack(col) for col in zip(*draws))
+        bs, gs, f2s, f1s = _render_columns(ws.root, [
+            [draw_mixed(rng, ws.basis, kind=i + k) for k in range(3)]
+            + [draw_plateau(rng, ws.root) + draw_wave(rng, ws.root)] for i in batch])
         for stop_cfg, inputs in ((cfg_i, {"b": bs, "g": gs, "fs": [f2s]}),
                                  (cfg_m, {"f1": f1s, "n": 1})):
             mode = stop_cfg.mode
@@ -411,9 +427,8 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         worst_ratio = 0.0
         for batch in _batches(trials):
             # (b, g, f2) per trial in trial order, then one batched check
-            triples = [[mixed_function(rngj, wsj.basis, kind=i + k) for k in range(3)]
-                       for i in batch]
-            bs, gs, f2s = (GridFunction.stack(col) for col in zip(*triples))
+            bs, gs, f2s = _render_columns(wsj.root, [
+                [draw_mixed(rngj, wsj.basis, kind=i + k) for k in range(3)] for i in batch])
             for rep in verify_domination(q0j, cfg_i, wsj.dictionary, exponents=(p, q, *ps),
                                          b=bs, g=gs, fs=[f2s]):
                 if rep["rhs"] > 1e-12:
@@ -571,40 +586,35 @@ def suite_testbench(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
 # -- theorem suite (criteria 7 and 8) -------------------------------------------
 
 
-def _probe_member(ws: Workspace, seed_key, member: int, scales=None,
-                  input_scales=None, atom_source=None):
-    """Member data drawn refinement-independently: symbol and two inputs.
+def _probe_members(ws: Workspace, seed_key, members: int, scales, atom_source):
+    """Members drawn refinement-independently, member i from the rng
+    ``seed_key + [i]``: a symbol on ``scales`` and two inputs.  Returns the
+    members (``spec`` and ``fs``) and the stacks of the symbols' functions
+    and of each input slot.
 
     Paraproduct atoms come from smooth sampled families, so probe derivative
     norms are resolved at every sweep level; the symbol's function avatar
     stays the canonical expansion.
     """
-    if atom_source is None:
-        atom_source = ws.dictionary
-    rng = np.random.default_rng(seed_key + [member])
-    tree = atom_tree(rng, ws.basis, scales=scales, count=6)
-    bfunc = GridFunction(ws.root, ws.basis.synthesize(tree))
-    spec = ParaproductSpec(ws.basis, tree, arity=2,
-                           beta=atom_source.member_family(1),
-                           chi=atom_source.bump_family(0, unit=True))
-    fs = []
-    for j in range(2):
-        kind = (member + j) % 3
-        if kind == 0:
-            fs.append(atom_function(rng, ws.basis, scales=input_scales, count=6))
-        else:
-            fs.append(mixed_function(rng, ws.basis, kind=kind))
-    return {"tree": tree, "bfunc": bfunc, "spec": spec, "fs": fs}
+    symbols, inputs = [], []
+    for member in range(members):
+        rng = np.random.default_rng(seed_key + [member])
+        symbols.append(draw_atoms(rng, ws.basis, scales=scales, count=6))
+        inputs.append([draw_atoms(rng, ws.basis, scales=scales, count=6)
+                       if (member + j) % 3 == 0
+                       else draw_mixed(rng, ws.basis, kind=member + j) for j in range(2)])
+    bfuncs, *slots = _render_columns(ws.root, [[sym] + fs for sym, fs in zip(symbols, inputs)])
+    beta, chi = atom_source.member_family(1), atom_source.bump_family(0, unit=True)
+    mems = [{"spec": ParaproductSpec(ws.basis, sym.tree(), arity=2, beta=beta, chi=chi),
+             "fs": [slot[i] for slot in slots]} for i, sym in enumerate(symbols)]
+    return mems, bfuncs, slots
 
 
 def _member_role(mem, which) -> GridFunction:
-    """A member's function in a role: an input slot index, "out" (the
-    paraproduct) or ("adj", j)."""
+    """A member's function in a role: "out" (the paraproduct) or ("adj", j)."""
     if which == "out":
         return apply_paraproduct(mem["spec"], mem["fs"])
-    if isinstance(which, tuple):
-        return adjoint_apply(mem["spec"], which[1], mem["fs"])
-    return mem["fs"][which]
+    return adjoint_apply(mem["spec"], which[1], mem["fs"])
 
 
 def probe_variants(cfg: ExperimentConfig):
@@ -683,7 +693,6 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
     # of the sweep, so every rendering in the ratio is resolved
     symbol_scales = [s for s in default_atom_scales(ws0.basis)
                      if s >= max(sweep) + 2]
-    input_scales = symbol_scales
     variants = [(label, split, exps, norm)
                 for label, kappa, split, exps, adjoint in probe_variants(cfg)
                 if (norm := _variant_norm(cfg, kappa, split, exps, adjoint))]
@@ -693,14 +702,12 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
     for J in sweep:
         ws = workspace(cfg.d, cfg.L, J, fam_n, cfg.dictionary_size, cfg.refine)
         atom_source = TestDictionary(ws.basis, size=2, min_cells=2)
-        mems = [_probe_member(ws, [cfg.seed, 9], i, scales=symbol_scales,
-                              input_scales=input_scales, atom_source=atom_source)
-                for i in range(members)]
+        mems, bfuncs, slots = _probe_members(ws, [cfg.seed, 9], members, symbol_scales,
+                                             atom_source)
         # each layer once over all members: the symbol norms now, each
         # role's stack and each distinct Sobolev norm of it on first use
-        tl = tl_norms(GridFunction.stack(mem["bfunc"] for mem in mems), norm_specs,
-                      ws.dictionary)
-        roles, norms = {}, {}
+        tl = tl_norms(bfuncs, norm_specs, ws.dictionary)
+        roles, norms = dict(enumerate(slots)), {}
 
         def norm(which, kappa, r):
             if (which, kappa, r) not in norms:
@@ -770,13 +777,14 @@ def suite_theorem(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
                               ws.dictionary, coeffs))
         spec = ParaproductSpec(ws.basis, tower, arity=2)
         rngd = np.random.default_rng([cfg.seed, 10])
+        f1s, f2s = _render_columns(ws.root, [
+            [draw_plateau(rngd, ws.root) + draw_wave(rngd, ws.root), draw_plateau(rngd, ws.root)]
+            for _ in range(24)])
         worst = 0.0
-        for i in range(24):
-            f1 = plateau_function(rngd, ws.root) + wave_function(rngd, ws.root)
-            f2 = plateau_function(rngd, ws.root)
-            out = apply_paraproduct(spec, [f1, f2])
-            rhs = fnorms[-1] * sobolev_norm(f1, smooth_n, exps[0]) \
-                * lp_norm(f2, exps[1])
+        for i, (s1, l2) in enumerate(zip(sobolev_norm(f1s, smooth_n, exps[0]),
+                                         lp_norm(f2s, exps[1]))):
+            out = apply_paraproduct(spec, [f1s[i], f2s[i]])
+            rhs = fnorms[-1] * s1 * l2
             if rhs > 1e-12:
                 worst = max(worst, lp_norm(out, ExperimentConfig.holder_r(exps))
                             / rhs)

@@ -556,7 +556,7 @@ def _spread_last_axis(c: np.ndarray, templates: np.ndarray, first: int,
 
 
 def strided_spread(coeffs: np.ndarray, bank: np.ndarray, tail, first: int,
-                   stride: int, n: int, boundary=()) -> np.ndarray:
+                   stride: int, n: int, boundary=(), d: int | None = None) -> np.ndarray:
     """Overlap-add transpose of ``strided_pairings``: the samples on the
     box ``(n,) * d`` of the sum over positions p and members k of
     ``coeffs[p, k]`` times the template of member k at p, in the same
@@ -566,9 +566,14 @@ def strided_spread(coeffs: np.ndarray, bank: np.ndarray, tail, first: int,
     their ``strided_pairings``.  A boundary row replaces the bank at its
     position, and of two blocks listing one position the later one counts,
     as in the pairing.  O((K + d) w n^d) per call, with no Python work per
-    position."""
-    d = coeffs.ndim - 1
-    c = coeffs.transpose(tuple(range(1, d)) + (0, d))
+    position.  The last axis of ``coeffs`` indexes members and the ``d``
+    before it positions (by default every other axis); leading axes are a
+    batch, and the result has shape ``batch + (n,) * d``."""
+    d = coeffs.ndim - 1 if d is None else d
+    nb = coeffs.ndim - 1 - d
+    batch = tuple(range(nb))
+    # np.moveaxis, without its per-call argument handling
+    c = coeffs.transpose(batch + tuple(range(nb + 1, nb + d)) + (nb, nb + d))
     lead = c.shape[:-2]
     c = c.reshape((-1,) + c.shape[-2:])
     cuts = []
@@ -582,8 +587,8 @@ def strided_spread(coeffs: np.ndarray, bank: np.ndarray, tail, first: int,
         out[:, c0:c0 + block.shape[0]] += np.einsum("rj,cj->rc", cut, block)
     y = out.reshape(lead + (n,))
     for _ in range(d - 1):
-        y = _spread_last_axis(y.transpose(tuple(range(1, y.ndim)) + (0,)), tail,
-                              first, stride, n)
+        y = _spread_last_axis(y.transpose(batch + tuple(range(nb + 1, y.ndim)) + (nb,)),
+                              tail, first, stride, n)
     return y
 
 
@@ -616,11 +621,12 @@ class AtomFamily:
         return vals[..., 0] * (weight * self.root.cell_measure)
 
     def spread(self, coeffs: np.ndarray, scale: int) -> np.ndarray:
-        """sum_Q coeffs[Q] atom_Q over the positions of ``scale``, on the grid."""
+        """sum_Q coeffs[Q] atom_Q over the positions of ``scale``, on the grid,
+        after the batch axes of ``coeffs``."""
         bank, tail, first, boundary, weight = self.layout(scale)
         return strided_spread((coeffs * weight)[..., None], bank, tail, first,
                               1 << (scale - self.root.J), self.root.cells_per_side,
-                              boundary)
+                              boundary, d=self.root.d)
 
 
 def l2_norm(samples: np.ndarray, root: RootBox) -> float:

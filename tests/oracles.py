@@ -9,7 +9,9 @@ form per cube, with a cell-by-cell n = 2 kernel form and a kernel looked up
 in a value table, for tests that want an arbitrary kernel; the per-scale maximal
 function, the stopping-time construction that rebuilds every node on each
 threshold doubling and the one-trial recursion that keeps each node's data
-across doublings; and the per-trial suite loops.  The last section
+across doublings; the input generators that draw and sample one function
+at a time, each plateau on its own meshgrid and each atom tree synthesized
+alone; and the per-trial suite loops.  The last section
 holds helpers that only the tests call.
 """
 
@@ -630,6 +632,92 @@ def build_sparse_trial(q0, inputs, cfg, dictionary) -> SparseCollection:
             raise ThetaCapError("threshold exceeded its cap")
 
 
+# -- input draws, one function at a time -------------------------------------------
+
+
+def atom_tree(rng, basis, scales=None, count: int = 6, amplitude: float = 1.0):
+    """Random coefficients on random interior cubes across the given scales."""
+    from dyadica.ensembles import default_atom_scales, interior_positions
+    root = basis.root
+    scales = default_atom_scales(basis) if scales is None else scales
+    tree = CoefficientTree(root)
+    for _ in range(count):
+        scale = int(rng.choice(scales))
+        band = interior_positions(basis, scale)
+        pos = tuple(int(rng.integers(band.start, band.stop))
+                    for _ in range(root.d))
+        tree[DyadicCube(scale, pos)] = amplitude * rng.standard_normal()
+    return tree
+
+
+def atom_function(rng, basis, scales=None, count: int = 6) -> GridFunction:
+    return GridFunction(basis.root, basis.synthesize(atom_tree(rng, basis, scales, count)))
+
+
+def plateau_function(rng, root, terms: int = 2) -> GridFunction:
+    """Sum of smooth compactly supported plateaus, each on its own meshgrid."""
+    side = 2.0 ** root.L
+    r_lo = max(0.08, 4.0 / root.cells_per_side)
+    r_hi = max(0.18, 6.0 / root.cells_per_side)
+    samples = np.zeros(root.shape)
+    axes = [root.midpoints_1d()] * root.d
+    grids = np.meshgrid(*axes, indexing="ij")
+    for _ in range(terms):
+        center = rng.uniform(0.35, 0.65, size=root.d) * side
+        radius = rng.uniform(r_lo, r_hi) * side
+        height = rng.standard_normal()
+        r2 = np.zeros(root.shape)
+        for gax, c in zip(grids, center):
+            r2 += ((gax - c) / radius) ** 2
+        mask = r2 < 1.0
+        bump = np.zeros(root.shape)
+        bump[mask] = np.exp(1.0 - 1.0 / (1.0 - r2[mask]))
+        samples += height * bump
+    return GridFunction(root, samples)
+
+
+def wave_function(rng, root) -> GridFunction:
+    """Windowed oscillation."""
+    envelope = plateau_function(rng, root, terms=1)
+    envelope.samples = np.abs(envelope.samples)
+    side = 2.0 ** root.L
+    max_freq = min(12.0, root.cells_per_side / 4.0)
+    axes = [root.midpoints_1d()] * root.d
+    grids = np.meshgrid(*axes, indexing="ij")
+    phase = np.zeros(root.shape)
+    for gax in grids:
+        phase += rng.uniform(2.0, max_freq) * gax / side
+    return GridFunction(root, np.sin(2 * np.pi * phase + rng.uniform(0, 2 * np.pi))
+                        * envelope.samples)
+
+
+def mixed_function(rng, basis, kind=None) -> GridFunction:
+    kind = int(rng.integers(0, 3)) if kind is None else kind % 3
+    if kind == 0:
+        return atom_function(rng, basis)
+    if kind == 1:
+        return plateau_function(rng, basis.root)
+    return wave_function(rng, basis.root)
+
+
+def random_interior_function(rng, basis) -> GridFunction:
+    return atom_function(rng, basis) + plateau_function(rng, basis.root, terms=1)
+
+
+def probe_member(ws, seed_key, member: int, scales, atom_source) -> dict:
+    """One theorem-probe member drawn on its own: symbol tree, its function,
+    paraproduct spec and two inputs."""
+    from dyadica.paraproduct import ParaproductSpec
+    rng = np.random.default_rng(seed_key + [member])
+    tree = atom_tree(rng, ws.basis, scales=scales, count=6)
+    spec = ParaproductSpec(ws.basis, tree, arity=2, beta=atom_source.member_family(1),
+                           chi=atom_source.bump_family(0, unit=True))
+    fs = [atom_function(rng, ws.basis, scales=scales, count=6) if (member + j) % 3 == 0
+          else mixed_function(rng, ws.basis, kind=member + j) for j in range(2)]
+    return {"tree": tree, "bfunc": GridFunction(ws.root, ws.basis.synthesize(tree)),
+            "spec": spec, "fs": fs}
+
+
 # -- per-trial domination check and suite loops ---------------------------------
 
 
@@ -673,7 +761,7 @@ def run_theorem_probe(cfg):
     from dyadica.ensembles import default_atom_scales
     from dyadica.funcspace import sobolev_norm
     from dyadica.paraproduct import adjoint_apply, apply_paraproduct
-    from dyadica.suites import _probe_member, _variant_norm, probe_variants, workspace
+    from dyadica.suites import _variant_norm, probe_variants, workspace
     from dyadica.tlnorm import TestDictionary, tl_norms
     sweep = cfg.probe_j_sweep
     ws0 = workspace(cfg.d, cfg.L, max(sweep), cfg.probe_order, cfg.dictionary_size,
@@ -687,8 +775,7 @@ def run_theorem_probe(cfg):
     for J in sweep:
         ws = workspace(cfg.d, cfg.L, J, cfg.probe_order, cfg.dictionary_size, cfg.refine)
         atom_source = TestDictionary(ws.basis, size=2, min_cells=2)
-        mems = [_probe_member(ws, [cfg.seed, 9], i, scales=scales, input_scales=scales,
-                              atom_source=atom_source)
+        mems = [probe_member(ws, [cfg.seed, 9], i, scales, atom_source)
                 for i in range(cfg.probe_members)]
         for mem in mems:
             mem["tl"] = dict(zip(norm_specs, map(float, tl_norms(
@@ -729,7 +816,6 @@ def sparse_suite_values(cfg):
     checked in turn: worst packing ratios and thetas of both modes, the
     stopped-square flag, the worst domination ratio per sweep level, and
     the packing loop's collections of each mode in trial order."""
-    from dyadica.ensembles import mixed_function, plateau_function, wave_function
     from dyadica.sparse import StoppingConfig
     from dyadica.suites import workspace
     ws = workspace(cfg.d, cfg.L, cfg.J, cfg.wavelet_order, cfg.dictionary_size, cfg.refine)

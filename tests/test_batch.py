@@ -214,6 +214,16 @@ def test_theorem_probe_matches_member_loop(tmp_path):
     assert rows == oracles.run_theorem_probe(cfg)
 
 
+def test_suites_do_not_depend_on_the_render_batch(tmp_path, monkeypatch):
+    # each draw rendered alone gives the same rows as the suites' batches
+    cfg = _small(tmp_path, "[ensemble]\ncount = 6\n[sparse]\ntrials = 3\nj_sweep = -6, -7\n")
+    shipped = suites.suite_norms(cfg) + suites.suite_sparse(cfg)
+    render = suites.render
+    monkeypatch.setattr(suites, "render", lambda root, draws: GridFunction.stack(
+        render(root, [draw])[0] for draw in draws))
+    assert suites.suite_norms(cfg) + suites.suite_sparse(cfg) == shipped
+
+
 @pytest.mark.parametrize("batch, text", [
     (2, ""), (50, ""),
     # most intest packing builds then reach nodes below the root, where a
