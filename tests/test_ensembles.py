@@ -49,17 +49,10 @@ def test_spread_batch_matches_rows(bases, d):
     for family, scale in _layouts(basis):
         coeffs = rng.standard_normal((3,) + (root.positions_per_side(scale),) * d)
         out = family.spread(coeffs, scale)
+        # at d = 1 a (3, 16) batch at scale -4 once came back (64, 64)
         assert out.shape == (3,) + root.shape
         for i in range(3):
             assert np.array_equal(out[i], family.spread(coeffs[i], scale))
-
-
-def test_spread_batch_at_d1_keeps_its_box(family3):
-    # a (3, 16) batch at scale -4 of a 64-cell box was once read as a d = 2
-    # array and came back (64, 64)
-    basis = AtomBasis(family3, RootBox(d=1, L=0, J=-6))
-    coeffs = np.random.default_rng(0).standard_normal((3, 4))
-    assert basis.atoms("wavelet").spread(coeffs, -4).shape == (3, 64)
 
 
 @pytest.mark.parametrize("d", [1, 2])
