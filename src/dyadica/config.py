@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tlnorm import check_dictionary_size
+
 DEFAULTS = {
     "root": {"d": "1", "L": "0", "J": "-8"},
     "wavelet": {"N": "3", "refine": "8"},
@@ -262,6 +264,7 @@ class ExperimentConfig:
                     raise ValueError(f"[{section}] unknown key {key!r}")
         if self.L <= self.J:
             raise ValueError("root scale must exceed finest scale")
+        check_dictionary_size(self.dictionary_size)
         # an empty ensemble or a one-level sweep would pass its gate vacuously
         for key, count in (("[probe] members", self.probe_members),
                            ("[sparse] trials", self.sparse_trials),

@@ -10,6 +10,7 @@ matching the exactness of the canonical atoms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -84,45 +85,103 @@ def _class_constant(u: np.ndarray, vals: np.ndarray, rho: float) -> float:
     return const
 
 
+# (width, offset) of the sampled members' B-spline differences and of the
+# bumps, as fractions of the window w; member 0 is the canonical wavelet
+_MEMBER_SHAPES = ((1.0, 0.0), (0.72, 0.1), (0.5, -0.15), (0.36, 0.2), (0.62, -0.05),
+                  (0.85, 0.05), (0.45, 0.12), (0.3, -0.08), (0.55, 0.18), (0.78, -0.12))
+_BUMP_SHAPES = ((0.9, 0.0), (0.6, 0.1), (0.45, -0.12))
+MAX_DICTIONARY_SIZE = len(_MEMBER_SHAPES) + 1
+
+
+def check_dictionary_size(size: int) -> None:
+    """The size check of ``[dictionary] size``, at load and at construction."""
+    if not 1 <= size <= MAX_DICTIONARY_SIZE:
+        raise ValueError(f"[dictionary] size = {size} must lie in 1..{MAX_DICTIONARY_SIZE}, "
+                         f"the largest size the recipe table supports")
+
+
+def _window_offsets(w: int, m: int) -> np.ndarray:
+    """Pullback coordinates of the w-window cells around a cube center, at m
+    cells per cube side."""
+    half = (w - 1) // 2
+    idx = np.arange(w * m) - half * m
+    return (idx + 0.5) / m - 0.5
+
+
+def _moment_correct(u: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
+    """Project out discrete polynomials of degree <= k on the window."""
+    if len(u) <= k + 1:
+        return np.zeros_like(vals)
+    V = np.vander(u, k + 1, increasing=True)
+    Q, _ = np.linalg.qr(V)
+    return vals - Q @ (Q.T @ vals)
+
+
+# The tables below depend only on the family order N, a recipe and the cells
+# per cube, never on the box: each entry is computed once per process and
+# shared, read-only, by every dictionary that needs it.
+
+
+@functools.cache
+def _recipe(N: int, bump: bool, i: int):
+    """(profile, reference class constant) of sampled member i + 1 of the
+    order-N dictionaries, or of bump i.  The constant is measured on a fine
+    table, so member normalization does not drift with the grid resolution."""
+    k, w = N - 1, float(2 * N - 1)
+    degree = k + 3
+    if bump:
+        width_frac, offset = _BUMP_SHAPES[i]
+        profile = _bump_profile(degree, w * width_frac, offset * w)
+    else:
+        width_frac, off_frac = _MEMBER_SHAPES[i]
+        width = w * width_frac
+        profile = _bspline_profile(degree, k + 1, width, off_frac * (w - width) / 2.0)
+    u_ref = (np.arange(4096) + 0.5) / 4096 * w - w / 2.0
+    return profile, max(_class_constant(u_ref, profile(u_ref), float(k + 1)), 1e-300)
+
+
+@functools.cache
+def _sampled_row(N: int, i: int, m: int):
+    """Sampled member i + 1 on the w-window at m cells per cube side,
+    moment-corrected; None when the correction leaves nothing."""
+    u = _window_offsets(2 * N - 1, m)
+    vals = _moment_correct(u, _recipe(N, False, i)[0](u), N - 1)
+    if np.max(np.abs(vals), initial=0.0) < 1e-14:
+        return None
+    vals.flags.writeable = False
+    return vals
+
+
+@functools.cache
+def _bump_row(N: int, i: int, m: int) -> np.ndarray:
+    """Bump i on the w-window at m cells per cube side."""
+    vals = _recipe(N, True, i)[0](_window_offsets(2 * N - 1, m))
+    vals.flags.writeable = False
+    return vals
+
+
 class TestDictionary:
     """Frozen per-scale dictionary of cancellative test atoms.
 
     Member 0 at scales with one refinement level available is the canonical
     discrete wavelet (exact discrete moments); the rest are sampled B-spline
     differences, discretely moment-corrected and normalized to class
-    constant <= 1 under the measured surrogate.
+    constant <= 1 under the measured surrogate.  The sampled rows come from
+    the process-wide tables above; each dictionary only scales them.
     """
 
     __test__ = False  # not a pytest collection target
 
     def __init__(self, basis: AtomBasis, size: int = 8, min_cells: int = 4):
-        if size < 1:
-            raise ValueError("dictionary needs at least one member")
+        check_dictionary_size(size)
         self.basis = basis
         self.root = basis.root
         self.family = basis.family
         self.size = size
         self.min_cells = min_cells
-        k = self.family.k
-        w = float(self.family.w)
-        rho = float(k + 1)
-        degree = k + 3
-        recipes = []
-        shapes = [(1.0, 0.0), (0.72, 0.1), (0.5, -0.15), (0.36, 0.2),
-                  (0.62, -0.05), (0.85, 0.05), (0.45, 0.12), (0.3, -0.08),
-                  (0.55, 0.18), (0.78, -0.12)]
-        for width_frac, off_frac in shapes[:max(size - 1, 0)]:
-            width = w * width_frac
-            offset = off_frac * (w - width) / 2.0
-            recipes.append(_bspline_profile(degree, k + 1, width, offset))
-        self._recipes = recipes
-        self._rho = rho
-        # reference class constants measured once on a fine table, so member
-        # normalization does not drift with the grid resolution
-        u_ref = (np.arange(4096) + 0.5) / 4096 * w - w / 2.0
-        self._ref_constants = [
-            max(_class_constant(u_ref, prof(u_ref), rho), 1e-300)
-            for prof in recipes]
+        N = self.family.N
+        self._rho = float(self.family.k + 1)
+        self._ref_constants = [_recipe(N, False, i)[1] for i in range(size - 1)]
         # per-scale 1-d cancellative value templates on the w-window, stacked
         # into one bank per scale and moment-corrected on the full window;
         # boundary cubes get clip-corrected variants
@@ -131,47 +190,30 @@ class TestDictionary:
         self._operators: dict = {}
         self._families: dict = {}
         for scale in range(self.root.J, self.root.L + 1):
-            rows = [t for t in (self._sampled_template(prof, cref, scale)
-                                for prof, cref in zip(recipes, self._ref_constants))
+            rows = [t for t in (self._sampled_template(i, scale) for i in range(size - 1))
                     if t is not None]
             width = self.family.w << (scale - self.root.J)
             self._templates[scale] = np.array(rows).reshape(len(rows), width)
         # noncancellative bumps for weak-boundedness style tests
-        self._bump_recipes = [_bump_profile(degree, w * f, o * w)
-                              for f, o in [(0.9, 0.0), (0.6, 0.1), (0.45, -0.12)]]
-        self._bump_constants = [
-            max(_class_constant(u_ref, prof(u_ref), rho), 1e-300)
-            for prof in self._bump_recipes]
+        bumps = [_recipe(N, True, i) for i in range(len(_BUMP_SHAPES))]
+        self._bump_recipes = [profile for profile, _ in bumps]
+        self._bump_constants = [const for _, const in bumps]
 
     # -- template construction ---------------------------------------------
 
     def _cube_offsets(self, scale: int) -> np.ndarray:
         """Pullback coordinates of the w-window cells around a cube center."""
+        return _window_offsets(self.family.w, 1 << (scale - self.root.J))
+
+    def _sampled_template(self, i: int, scale: int):
         m = 1 << (scale - self.root.J)
-        half = (self.family.w - 1) // 2
-        count = self.family.w * m
-        idx = np.arange(count) - half * m
-        return (idx + 0.5) / m - 0.5
-
-    @staticmethod
-    def _moment_correct(u: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
-        """Project out discrete polynomials of degree <= k on the window."""
-        if len(u) <= k + 1:
-            return np.zeros_like(vals)
-        V = np.vander(u, k + 1, increasing=True)
-        Q, _ = np.linalg.qr(V)
-        return vals - Q @ (Q.T @ vals)
-
-    def _sampled_template(self, profile, ref_constant: float, scale: int):
-        if (1 << (scale - self.root.J)) < self.min_cells:
+        if m < self.min_cells:
             return None  # under-resolved sampling drifts with the grid; the
             # canonical atom covers these scales exactly
-        u = self._cube_offsets(scale)
-        vals = self._moment_correct(u, profile(u), self.family.k)
-        if np.max(np.abs(vals), initial=0.0) < 1e-14:
+        vals = _sampled_row(self.family.N, i, m)
+        if vals is None:
             return None
-        side = 2.0 ** scale
-        return vals / ref_constant / side  # L^1-normalized per axis
+        return vals / self._ref_constants[i] / 2.0 ** scale  # L^1-normalized per axis
 
     def _canonical_row(self, scale: int) -> np.ndarray:
         """Per-axis factor of the canonical wavelet on the w-window of its
@@ -187,7 +229,7 @@ class TestDictionary:
         u = self._cube_offsets(scale)
         piece = full[lo_cut:len(full) - hi_cut]
         up = u[lo_cut:len(u) - hi_cut]
-        vals = self._moment_correct(up, piece, self.family.k)
+        vals = _moment_correct(up, piece, self.family.k)
         if np.max(np.abs(vals), initial=0.0) < 1e-14:
             return np.zeros_like(piece)
         side = 2.0 ** scale
@@ -199,7 +241,7 @@ class TestDictionary:
         idx = member % len(self._bump_recipes)
         cached = self._bump_cache.get((idx, scale))
         if cached is None:
-            vals = self._bump_recipes[idx](self._cube_offsets(scale))
+            vals = _bump_row(self.family.N, idx, 1 << (scale - self.root.J))
             cached = self._bump_cache[idx, scale] = vals / self._bump_constants[idx] / 2.0 ** scale
             cached.flags.writeable = False
         return cached

@@ -146,8 +146,18 @@ class WaveletFamily:
         return 2 * self.N - 1
 
 
+# every family built in this process, by (N, refine, cap)
+_FAMILIES: dict[tuple, WaveletFamily] = {}
+
+
 def build_family(N: int, refine: int = 8, cap: int = 500) -> WaveletFamily:
-    """Construct the order-N family with point values at resolution 2^-refine."""
+    """The order-N family with point values at resolution 2^-refine.
+
+    Built once per argument tuple and shared by every caller in the process,
+    so its arrays are read-only."""
+    key = (N, refine, cap)
+    if key in _FAMILIES:
+        return _FAMILIES[key]
     if N < 1:
         raise ValueError("order must be >= 1")
     if refine < 6:
@@ -159,9 +169,12 @@ def build_family(N: int, refine: int = 8, cap: int = 500) -> WaveletFamily:
         raise CascadeError(
             f"cascade residual {residual:.3e} above 1e-10 after {iterations} iterations")
     const = _table_class_constant(x, psi, rho=float(N))
-    return WaveletFamily(N=N, refine=refine, lowpass=h, highpass=g, xgrid=x,
-                         phi_table=phi, psi_table=psi, cascade_residual=residual,
-                         cascade_iterations=iterations, class_constant=const)
+    for arr in (h, g, x, phi, psi):
+        arr.flags.writeable = False
+    fam = _FAMILIES[key] = WaveletFamily(
+        N=N, refine=refine, lowpass=h, highpass=g, xgrid=x, phi_table=phi, psi_table=psi,
+        cascade_residual=residual, cascade_iterations=iterations, class_constant=const)
+    return fam
 
 
 class CoefficientTree:

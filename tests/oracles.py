@@ -11,8 +11,9 @@ function, the stopping-time construction that rebuilds every node on each
 threshold doubling and the one-trial recursion that keeps each node's data
 across doublings; the input generators that draw and sample one function
 at a time, each plateau on its own meshgrid and each atom tree synthesized
-alone; and the per-trial suite loops.  The last section
-holds helpers that only the tests call.
+alone; the per-trial suite loops; and a test dictionary whose sampled
+tables are built for it alone, as before they were shared per family.  The
+last section holds helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dyadica.dyadic import long_distance
 from dyadica.funcspace import (GridFunction, block_reduce, expand_blocks, grad_norm,
                                local_average, multi_indices_upto, taylor_poly)
 from dyadica.sparse import SparseCollection, ThetaCapError
-from dyadica.tlnorm import square_function
+from dyadica.tlnorm import (TestDictionary, _bspline_profile, _bump_profile, _class_constant,
+                            square_function)
 from dyadica.wavelet import CoefficientTree, clipped_outer
 
 # -- per-cube atom values ------------------------------------------------------
@@ -855,6 +857,88 @@ def sparse_suite_values(cfg):
                 ratio = max(ratio, rep["ratio"])
         per_j.append(ratio)
     return worst, theta, stopped_ok, per_j, built
+
+
+# -- dictionary tables built for one dictionary alone ------------------------------
+
+
+def _moment_correct(u, vals, k):
+    if len(u) <= k + 1:
+        return np.zeros_like(vals)
+    V = np.vander(u, k + 1, increasing=True)
+    Q, _ = np.linalg.qr(V)
+    return vals - Q @ (Q.T @ vals)
+
+
+class PerDictionaryTables(TestDictionary):
+    """A ``TestDictionary`` that builds its recipes, reference constants,
+    sampled templates and bumps from scratch for itself, sharing nothing
+    with other dictionaries; every other method is the package's."""
+
+    def __init__(self, basis, size=8, min_cells=4):
+        if size < 1:
+            raise ValueError("dictionary needs at least one member")
+        self.basis = basis
+        self.root = basis.root
+        self.family = basis.family
+        self.size = size
+        self.min_cells = min_cells
+        k = self.family.k
+        w = float(self.family.w)
+        rho = float(k + 1)
+        degree = k + 3
+        recipes = []
+        shapes = [(1.0, 0.0), (0.72, 0.1), (0.5, -0.15), (0.36, 0.2),
+                  (0.62, -0.05), (0.85, 0.05), (0.45, 0.12), (0.3, -0.08),
+                  (0.55, 0.18), (0.78, -0.12)]
+        for width_frac, off_frac in shapes[:max(size - 1, 0)]:
+            width = w * width_frac
+            offset = off_frac * (w - width) / 2.0
+            recipes.append(_bspline_profile(degree, k + 1, width, offset))
+        self._rho = rho
+        u_ref = (np.arange(4096) + 0.5) / 4096 * w - w / 2.0
+        self._ref_constants = [
+            max(_class_constant(u_ref, prof(u_ref), rho), 1e-300)
+            for prof in recipes]
+        self._templates = {}
+        self._bump_cache = {}
+        self._operators = {}
+        self._families = {}
+        for scale in range(self.root.J, self.root.L + 1):
+            rows = [t for t in (self._own_template(prof, cref, scale)
+                                for prof, cref in zip(recipes, self._ref_constants))
+                    if t is not None]
+            width = self.family.w << (scale - self.root.J)
+            self._templates[scale] = np.array(rows).reshape(len(rows), width)
+        self._bump_recipes = [_bump_profile(degree, w * f, o * w)
+                              for f, o in [(0.9, 0.0), (0.6, 0.1), (0.45, -0.12)]]
+        self._bump_constants = [
+            max(_class_constant(u_ref, prof(u_ref), rho), 1e-300)
+            for prof in self._bump_recipes]
+
+    def _own_offsets(self, scale):
+        m = 1 << (scale - self.root.J)
+        half = (self.family.w - 1) // 2
+        idx = np.arange(self.family.w * m) - half * m
+        return (idx + 0.5) / m - 0.5
+
+    def _own_template(self, profile, ref_constant, scale):
+        if (1 << (scale - self.root.J)) < self.min_cells:
+            return None
+        u = self._own_offsets(scale)
+        vals = _moment_correct(u, profile(u), self.family.k)
+        if np.max(np.abs(vals), initial=0.0) < 1e-14:
+            return None
+        return vals / ref_constant / 2.0 ** scale
+
+    def _bump_template(self, member, scale):
+        idx = member % len(self._bump_recipes)
+        cached = self._bump_cache.get((idx, scale))
+        if cached is None:
+            vals = self._bump_recipes[idx](self._own_offsets(scale))
+            cached = self._bump_cache[idx, scale] = vals / self._bump_constants[idx] / 2.0 ** scale
+            cached.flags.writeable = False
+        return cached
 
 
 # -- helpers only the tests call ---------------------------------------------------

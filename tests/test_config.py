@@ -48,9 +48,20 @@ def test_rejects_one_level_sweep(tmp_path, section, key, value):
                                   "[testbench]\nbench_q = 2.001\n",
                                   "[kernel:k1]\ntype = convolution\narity = 2\n",
                                   "[kernel:k1]\ntype = planted\n",
-                                  "[kernel:k1]\ntype = zero\narity = 3\n"])
+                                  "[kernel:k1]\ntype = zero\narity = 3\n",
+                                  "[dictionary]\nsize = 1\n",
+                                  "[dictionary]\nsize = 11\n"])
 def test_accepts_smallest_valid_values(tmp_path, text):
     _config(tmp_path, text)
+
+
+@pytest.mark.parametrize("value", ["0", "40"])
+def test_rejects_dictionary_size_outside_the_recipe_table(tmp_path, value):
+    # size 40 gave the coefficients of size 11 under another hash, and size 0
+    # failed only when the first workspace was built
+    with pytest.raises(ValueError, match=rf"\[dictionary\] size = {value} must lie in "
+                                         r"1\.\.11, the largest size the recipe table supports"):
+        _config(tmp_path, f"[dictionary]\nsize = {value}\n")
 
 
 @pytest.mark.parametrize("body, message", [

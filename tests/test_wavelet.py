@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadica import AtomBasis, CascadeError, DyadicCube, RootBox, build_family
 from dyadica.wavelet import CoefficientTree, daubechies_filter, l2_norm, mirror_filter
@@ -55,6 +57,33 @@ def test_build_family_validation():
 def test_gram_identity_interior(basis8):
     cubes = basis8.interior_cubes()
     assert basis8.gram_residual(cubes) < 1e-8
+
+
+# the finest box of each dimension, at most 2^12 cells
+_DEEPEST = {1: 9, 2: 6, 3: 4}
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 4), d=st.sampled_from([1, 2, 3]), depth=st.integers(4, 9))
+def test_gram_identity_property(N, d, depth):
+    # every family and box builds its basis from the one shared family
+    basis = AtomBasis(build_family(N), RootBox(d=d, L=0, J=-min(depth, _DEEPEST[d])))
+    cubes = basis.interior_cubes()
+    assert cubes
+    assert basis.gram_residual(cubes) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 4), depth=st.integers(3, 9), data=st.data())
+def test_high_low_identity_property(N, depth, data):
+    # sum over cubes coarser than 2^ell of the wavelet projections equals the
+    # scale-ell scaling projection, for samples over the whole box
+    root = RootBox(d=1, L=0, J=-depth)
+    basis = AtomBasis(build_family(N), root)
+    ell = data.draw(st.integers(root.J + 1, root.L), label="ell")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    f = np.random.default_rng(seed).standard_normal(root.shape)
+    assert basis.high_low_residual(f, ell) < 1e-8 * l2_norm(f, root)
 
 
 @pytest.mark.parametrize("d, J", [(1, -7), (2, -4), (3, -3)])
