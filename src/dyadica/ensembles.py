@@ -10,9 +10,8 @@ a ``Draw``; ``render`` samples a whole batch of draws: one midpoint grid per
 batch, every plateau term in one array expression and each scale of atoms
 in one batched ``AtomFamily.spread``.  Drawing a batch consumes the rng
 exactly as the same generators called one at a time, and each rendered
-member is bit-identical to rendering its draw alone; ``atom_function``,
-``plateau_function`` and the other ``*_function`` generators are the batch
-of one.
+member is bit-identical to rendering its draw alone; ``mixed_function`` and
+``random_interior_function`` are the batch of one.
 """
 
 from __future__ import annotations
@@ -228,25 +227,13 @@ def atom_tree(rng: np.random.Generator, basis: AtomBasis,
     return draw_atoms(rng, basis, scales, count, amplitude).tree()
 
 
-def atom_function(rng, basis: AtomBasis, scales=None, count: int = 6) -> GridFunction:
-    return render(basis.root, [draw_atoms(rng, basis, scales, count)])[0]
-
-
-def plateau_function(rng, root: RootBox, terms: int = 2) -> GridFunction:
-    return render(root, [draw_plateau(rng, root, terms)])[0]
-
-
-def wave_function(rng, root: RootBox) -> GridFunction:
-    return render(root, [draw_wave(rng, root)])[0]
-
-
 def mixed_function(rng, basis: AtomBasis, kind: int | None = None) -> GridFunction:
     return render(basis.root, [draw_mixed(rng, basis, kind)])[0]
 
 
 def random_interior_function(rng, basis: AtomBasis) -> GridFunction:
     """Atom combination plus a smooth plateau, interior-supported."""
-    return atom_function(rng, basis) + plateau_function(rng, basis.root, terms=1)
+    return render(basis.root, [draw_atoms(rng, basis) + draw_plateau(rng, basis.root, terms=1)])[0]
 
 
 def lacunary_tower(basis: AtomBasis, exponent: float) -> CoefficientTree:

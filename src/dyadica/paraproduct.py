@@ -59,16 +59,20 @@ def _symbol_scales(symbol: CoefficientTree):
 
 
 def _output(spec: ParaproductSpec, fs) -> GridFunction:
-    """Zero output whose dtype holds the symbol and the inputs."""
+    """Zero output over the broadcast batch of the inputs, whose dtype holds
+    the symbol and the inputs."""
     if len(fs) != spec.arity:
         raise ArityError(f"expected {spec.arity} inputs, got {len(fs)}")
-    return GridFunction.zeros(spec.basis.root, dtype=np.result_type(
-        float, *spec.symbol.data.values(), *(f.samples for f in fs)))
+    root = spec.basis.root
+    return GridFunction(root, np.zeros(
+        np.broadcast_shapes(root.shape, *(f.samples.shape for f in fs)),
+        dtype=np.result_type(float, *spec.symbol.data.values(), *(f.samples for f in fs))))
 
 
 def apply_paraproduct(spec: ParaproductSpec, fs) -> GridFunction:
     """Sum over the symbol support of |Q| b_Q zeta_Q(f) beta_Q: per scale,
-    Pi_b f = S^T(|Q| b zeta(f)) with one spread of beta."""
+    Pi_b f = S^T(|Q| b zeta(f)) with one spread of beta.  Leading batch axes
+    of the inputs broadcast, so an identity batch gives the operator matrix."""
     out = _output(spec, fs)
     for scale, measure, b in _symbol_scales(spec.symbol):
         out.samples += spec.beta.spread(measure * b * spec.zeta(scale, fs), scale)
@@ -114,8 +118,9 @@ def duality_form(spec: ParaproductSpec) -> WaveletFormSpec:
         slots=[spec.beta] + [spec.chi] * spec.arity, support=spec.symbol)
 
 
-def form_eval(form: WaveletFormSpec, f: GridFunction, fs) -> float:
-    """Sum over cubes of |Q| phi_Q(f) prod_j slot_j(f_j), a scale at a time."""
+def form_eval(form: WaveletFormSpec, f: GridFunction, fs):
+    """Sum over cubes of |Q| phi_Q(f) prod_j slot_j(f_j), a scale at a time:
+    a float, or one value per member of the broadcast batch of the inputs."""
     if len(fs) != form.arity:
         raise ArityError(f"expected {form.arity} trailing inputs, got {len(fs)}")
     d = form.basis.root.d
@@ -123,11 +128,13 @@ def form_eval(form: WaveletFormSpec, f: GridFunction, fs) -> float:
     for scale, arr in form.support.data.items():
         if not arr.any():
             continue
-        index = np.nonzero(arr)
+        index = (...,) + np.nonzero(arr)
         term = form.phi.pair(f.samples, scale)[index]
         for slot, g in zip(form.slots, fs):
             term = term * slot.pair(g.samples, scale)[index]
-        total += 2.0 ** (scale * d) * np.sum(term)
+        # a C-ordered copy: each member's row is then summed as the 1-D term
+        # of a single function is, whatever layout the indexing returned
+        total = total + 2.0 ** (scale * d) * np.sum(np.ascontiguousarray(term), axis=-1)
     return total
 
 
@@ -154,15 +161,16 @@ def intrinsic_form(q0: DyadicCube, f: GridFunction, fs,
 
 
 def localized_form(symbol: CoefficientTree, q0: DyadicCube, g: GridFunction,
-                   fs, spec: ParaproductSpec) -> float:
-    """V_Q: the paraproduct form restricted to subcubes of Q."""
+                   fs, spec: ParaproductSpec):
+    """V_Q: the paraproduct form restricted to subcubes of Q; a float, or one
+    value per member of the broadcast batch of the inputs."""
     total = 0.0
     for scale, measure, arr in _symbol_scales(symbol):
         if scale > q0.scale:
             continue
-        block = q0.block(scale)
+        block = (...,) + q0.block(scale)
         b = arr[block]
         if b.any():
             term = b * spec.beta.pair(g.samples, scale)[block] * spec.zeta(scale, fs)[block]
-            total += measure * np.sum(term)
+            total = total + measure * np.sum(term, axis=box_axes(symbol.root.d))
     return total

@@ -11,7 +11,8 @@ function, the stopping-time construction that rebuilds every node on each
 threshold doubling and the one-trial recursion that keeps each node's data
 across doublings; the input generators that draw and sample one function
 at a time, each plateau on its own meshgrid and each atom tree synthesized
-alone; the per-trial suite loops; and a test dictionary whose sampled
+alone; the planted form and the Sobolev bench one member at a time; the
+per-trial suite loops; and a test dictionary whose sampled
 tables are built for it alone, as before they were shared per family.  The
 last section holds helpers that only the tests call.
 """
@@ -25,11 +26,12 @@ import itertools
 import numpy as np
 from scipy import ndimage
 
-from dyadica import DyadicCube
+from dyadica import DyadicCube, paraproduct
 from dyadica.czform import KernelSpec, TestingSymbols, _monomial, input_orders
 from dyadica.dyadic import long_distance
 from dyadica.funcspace import (GridFunction, block_reduce, expand_blocks, grad_norm,
-                               local_average, multi_indices_upto, taylor_poly)
+                               local_average, multi_indices, multi_indices_upto, pairing,
+                               sobolev_norm, taylor_poly)
 from dyadica.sparse import SparseCollection, ThetaCapError
 from dyadica.tlnorm import (TestDictionary, _bspline_profile, _bump_profile, _class_constant,
                             square_function)
@@ -718,6 +720,41 @@ def probe_member(ws, seed_key, member: int, scales, atom_source) -> dict:
           else mixed_function(rng, ws.basis, kind=member + j) for j in range(2)]
     return {"tree": tree, "bfunc": GridFunction(ws.root, ws.basis.synthesize(tree)),
             "spec": spec, "fs": fs}
+
+
+# -- the planted form and the Sobolev bench, one member at a time ------------------
+
+
+def planted_evaluate(spec: KernelSpec, fs) -> np.ndarray:
+    """``KernelSpec.evaluate`` of a planted form: one paraproduct and one
+    pairing per member of the broadcast batch, an array over the batch."""
+    root = spec.root
+    batch = np.broadcast_shapes(*(f.samples.shape[:f.samples.ndim - root.d] for f in fs))
+    f0, *rest = (GridFunction(root, np.broadcast_to(f.samples, batch + root.shape))
+                 for f in fs)
+    return np.reshape([pairing(paraproduct.apply_paraproduct(spec.planted,
+                                                             [f[i] for f in rest]), f0[i])
+                       for i in np.ndindex(batch)], batch)
+
+
+def sobolev_bench(spec: KernelSpec, exponents, k: int, tnorm: float, inputs_list) -> dict:
+    """The ratios of ``sobolev_bound_bench`` at testing norm ``tnorm``, one
+    input tuple at a time."""
+    p, *ps = exponents
+    ratios = []
+    for fs in inputs_list:
+        out = paraproduct.apply_paraproduct(spec.planted, list(fs))
+        lhs = sobolev_norm(out, k, p)
+        rhs = 0.0
+        for beta in multi_indices(spec.n, k):
+            prod = 1.0
+            for f, bj, pj in zip(fs, beta, ps):
+                prod *= sobolev_norm(f, bj, pj)
+            rhs += prod
+        rhs *= (1.0 + tnorm)
+        if rhs > 1e-12:
+            ratios.append(lhs / rhs)
+    return {"max_ratio": max(ratios) if ratios else 0.0, "count": len(ratios)}
 
 
 # -- per-trial domination check and suite loops ---------------------------------

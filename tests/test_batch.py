@@ -1,6 +1,7 @@
 """The batch axis: every batched layer against the same layer called once
-per member, compared with ``np.array_equal`` (bit for bit), and the batched
-suites against their one-trial-at-a-time references in ``oracles``."""
+per member, compared with ``np.array_equal`` (bit for bit), the operator
+matrix of a paraproduct from one identity batch, and the batched suites
+against their one-trial-at-a-time references in ``oracles``."""
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from hypothesis import strategies as st
 
 import oracles
 from dyadica import AtomBasis, DyadicCube, RootBox, build_family
-from dyadica import suites
+from dyadica import czform, suites
 from dyadica.config import ExperimentConfig
-from dyadica.ensembles import mixed_function
+from dyadica.czform import KernelSpec, sobolev_bound_bench
+from dyadica.ensembles import atom_tree, mixed_function
 from dyadica.funcspace import (GridFunction, block_reduce, expand_blocks, local_average,
                                maximal, sobolev_norm)
-from dyadica.paraproduct import intrinsic_form
+from dyadica.paraproduct import (ParaproductSpec, adjoint_apply, apply_paraproduct,
+                                 duality_form, form_eval, intrinsic_form, localized_form)
 from dyadica.sparse import NodeStops, StoppingConfig, intest_stops, verify_domination
 from dyadica.tlnorm import NormSpec, TestDictionary, square_function, tl_norm, tl_norms
+from dyadica.wavelet import CoefficientTree
 
 SPECS = [NormSpec(0.0, 0.0, 2.0, 2.0), NormSpec(1.0, -1.0, 4.0, 2.0),
          NormSpec(0.0, 1.0, np.inf, np.inf), NormSpec(1.0, 0.0, 1.0, 1.0),
@@ -197,6 +201,94 @@ def test_node_stops_rows():
     row = stops[1]
     assert row.bases.tolist() == [3.0, 4.0, 5.0]
     assert [lv.shape for lv in row.levels] == [(3, 4), (3, 2)]
+
+
+# -- the paraproduct layer --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def para_bases(basis_small, spaces):
+    return {1: basis_small, 2: spaces[2].basis}  # 64 cells; 32 x 32 cells
+
+
+def _symbol(basis, kind, seed):
+    """A dense symbol on every scale, analysed white noise, with an
+    imaginary part for ``kind == "complex"``."""
+    rng = np.random.default_rng(seed)
+    real = basis.analyze(rng.standard_normal(basis.root.shape))
+    if kind == "real":
+        return real
+    tree = CoefficientTree(basis.root, dtype=complex)
+    for scale, arr in real.data.items():
+        tree.data[scale] = arr + 1j * rng.standard_normal(arr.shape)
+    return tree
+
+
+PARA_CASES = [(d, size, kind) for d in (1, 2) for size in (1, 5) for kind in ("real", "complex")]
+PARA_IDS = [f"d{d}-batch{size}-{kind}" for d, size, kind in PARA_CASES]
+
+
+@pytest.mark.parametrize("d, size, kind", PARA_CASES, ids=PARA_IDS)
+def test_paraproduct_layer(para_bases, d, size, kind):
+    basis = para_bases[d]
+    root = basis.root
+    spec = ParaproductSpec(basis, _symbol(basis, kind, d), arity=2)
+    rng = np.random.default_rng([d, size])
+    b, g, f1, f2 = (GridFunction(root, rng.standard_normal((size,) + root.shape))
+                    for _ in range(4))
+    fs = [f1, f2]
+
+    def members(fn, *batches):
+        return [fn(*(f[i] for f in batches)) for i in range(size)]
+
+    _equal(apply_paraproduct(spec, fs).samples,
+           members(lambda *x: apply_paraproduct(spec, list(x)).samples, *fs))
+    for j in (1, 2):
+        _equal(adjoint_apply(spec, j, fs).samples,
+               members(lambda *x: adjoint_apply(spec, j, list(x)).samples, *fs))
+    dual = duality_form(spec)
+    _equal(form_eval(dual, b, [g] + fs),
+           members(lambda bi, gi, *x: form_eval(dual, bi, [gi, *x]), b, g, *fs))
+    for q0 in (root.root_cube, DyadicCube(root.L - 1, (1,) * d)):
+        _equal(localized_form(spec.symbol, q0, g, fs, spec),
+               members(lambda gi, *x: localized_form(spec.symbol, q0, gi, list(x), spec), g, *fs))
+    planted = KernelSpec(root, n=2, kind="planted", planted=spec)
+    _equal(planted.evaluate([g] + fs), oracles.planted_evaluate(planted, [g] + fs))
+    for j in (1, 2):
+        swapped = [g] + fs
+        swapped[0], swapped[j] = swapped[j], swapped[0]
+        _equal(planted.evaluate_adjoint(j, [g] + fs), oracles.planted_evaluate(planted, swapped))
+    if kind == "real":
+        assert isinstance(form_eval(dual, b[0], [g[0], f1[0], f2[0]]), float)
+        assert isinstance(localized_form(spec.symbol, root.root_cube, g[0], [f1[0], f2[0]], spec),
+                          float)
+        assert isinstance(planted.evaluate([g[0], f1[0], f2[0]]), float)
+    for k in (1, 2):
+        rep = sobolev_bound_bench(planted, (2.0, 4.0, 4.0), k, 4.0, basis, None, fs,
+                                  symbols=czform.TestingSymbols())
+        ref = oracles.sobolev_bench(planted, (2.0, 4.0, 4.0), k, rep["testing_norm"],
+                                    [(f1[i], f2[i]) for i in range(size)])
+        assert (rep["max_ratio"], rep["count"]) == (ref["max_ratio"], ref["count"])
+        assert rep["count"] == size
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_operator_matrix_from_an_identity_batch(basis_small, arity):
+    """Member i of the identity batch is the i-th unit vector, so one call
+    gives the operator matrix (row i is the image of e_i), and the adjoint
+    at slot 1 gives its transpose; a second slot broadcasts over the batch."""
+    root = basis_small.root
+    n = root.cells_per_side
+    rng = np.random.default_rng(arity)
+    spec = ParaproductSpec(basis_small, atom_tree(rng, basis_small, count=12), arity=arity)
+    rest = [GridFunction(root, rng.standard_normal(root.shape))] * (arity - 1)
+    eye = GridFunction(root, np.eye(n))
+    matrix = apply_paraproduct(spec, [eye] + rest).samples
+    _equal(matrix, [apply_paraproduct(spec, [GridFunction(root, e)] + rest).samples
+                    for e in np.eye(n)])
+    assert np.abs(matrix).max() > 0
+    adjoint = adjoint_apply(spec, 1, [eye] + rest).samples
+    assert np.abs(adjoint - matrix.T).max() <= 1e-12 * np.abs(matrix).max()
 
 
 # -- batched suites against their one-trial-at-a-time loops ---------------------

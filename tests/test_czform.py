@@ -243,8 +243,8 @@ def test_sobolev_bench_zero_kernel(bench, rng):
     basis, dictionary, _ = bench
     zero = KernelSpec(basis.root, n=2, kind="planted", planted=ParaproductSpec(
         basis, CoefficientTree(basis.root), arity=2))
-    inputs = [tuple(mixed_function(rng, basis, kind=k + 1) for k in range(2))
-              for _ in range(3)]
+    inputs = [GridFunction.stack(col) for col in zip(*[
+        [mixed_function(rng, basis, kind=k + 1) for k in range(2)] for _ in range(3)])]
     rep = sobolev_bound_bench(zero, (2.0, 4.0, 4.0), 2, 4.0, basis, dictionary,
                               inputs)
     assert rep["max_ratio"] == 0.0

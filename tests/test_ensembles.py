@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from dyadica import AtomBasis, RootBox
-from dyadica.ensembles import (atom_function, atom_tree, default_atom_scales, draw_atoms,
-                               draw_mixed, draw_plateau, draw_wave, mixed_function,
-                               plateau_function, random_interior_function, render,
-                               wave_function)
+from dyadica.ensembles import (atom_tree, default_atom_scales, draw_atoms, draw_mixed,
+                               draw_plateau, draw_wave, mixed_function,
+                               random_interior_function, render)
 from dyadica.funcspace import GridFunction
 from dyadica.tlnorm import TestDictionary
 
@@ -139,7 +138,8 @@ def _draw(op, rng, basis):
 
 
 def _one(op, rng, basis):
-    """The public generator of ``op``, the batch of one."""
+    """The public generator of ``op``, or its draw rendered alone: the batch
+    of one."""
     kind, *args = op
     root = basis.root
     if kind == "mixed":
@@ -147,13 +147,9 @@ def _one(op, rng, basis):
     if kind == "atoms":
         tree = atom_tree(rng, basis, _scales(basis, args[0]), *args[1:])
         return GridFunction(root, basis.synthesize(tree))
-    if kind == "plateau":
-        return plateau_function(rng, root, args[0])
-    if kind == "wave":
-        return wave_function(rng, root)
     if kind == "interior":
         return random_interior_function(rng, basis)
-    return plateau_function(rng, root) + wave_function(rng, root)
+    return render(root, [_draw(op, rng, basis)])[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,7 +182,7 @@ def test_atom_trees_match_one_at_a_time(bases, d):
             assert list(tree.data) == list(ref.data)
             assert all(np.array_equal(tree.data[s], ref.data[s]) for s in ref.data)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert np.array_equal(atom_function(rng, basis).samples,
+        assert np.array_equal(render(basis.root, [draw_atoms(rng, basis)]).samples[0],
                               oracles.atom_function(ref_rng, basis).samples)
 
 

@@ -147,9 +147,7 @@ def test_anti_ibp_moment_deficiency(haar):
 
 
 def test_neighbor_taylor_inequality(basis8, rng):
-    from dyadica.ensembles import plateau_function, wave_function
-    f = GridFunction(basis8.root, plateau_function(rng, basis8.root).samples
-                     + wave_function(rng, basis8.root).samples)
+    f = oracles.plateau_function(rng, basis8.root) + oracles.wave_function(rng, basis8.root)
     q = DyadicCube(-2, (1,))
     p_cube = DyadicCube(-4, (5,))
     r_cube = DyadicCube(-4, (6,))

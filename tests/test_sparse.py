@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from dyadica import DyadicCube
-from dyadica.ensembles import atom_tree, mixed_function, plateau_function, wave_function
+from dyadica.ensembles import atom_tree, mixed_function
 from dyadica.funcspace import GridFunction, local_average, maximal
 from dyadica.paraproduct import ParaproductSpec, intrinsic_form
 from dyadica.sparse import (SparseCollection, StoppingConfig, ThetaCapError,
@@ -125,8 +125,7 @@ def test_build_sparse_theta_cap(dict8, basis8, rng):
 
 
 def test_gradient_stopping_mainiter(dict8, basis8, cfg_main, rng):
-    f1 = GridFunction(basis8.root, plateau_function(rng, basis8.root).samples
-                      + wave_function(rng, basis8.root).samples)
+    f1 = oracles.plateau_function(rng, basis8.root) + oracles.wave_function(rng, basis8.root)
     coll = build_sparse(basis8.root.root_cube, {"f1": f1, "n": 1}, cfg_main, dict8)
     assert all(r <= cfg_main.packing_target
                for r in coll.packing_by_parent.values())
@@ -202,8 +201,7 @@ def test_verify_domination_mainiter_polynomial_lhs(dict8, basis8, cfg_main, rng)
 
 
 def test_taylor_telescoping_bound(dict8, basis8, rng):
-    f1 = GridFunction(basis8.root, plateau_function(rng, basis8.root).samples
-                      + wave_function(rng, basis8.root).samples)
+    f1 = oracles.plateau_function(rng, basis8.root) + oracles.wave_function(rng, basis8.root)
     ratio = taylor_telescoping_ratio(basis8.root.root_cube, f1, 1,
                                      dict8.family.w)
     assert np.isfinite(ratio)

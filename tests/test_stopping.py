@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dyadica import AtomBasis, DyadicCube, RootBox, build_family
-from dyadica.ensembles import mixed_function, plateau_function, wave_function
+from dyadica.ensembles import mixed_function
 from dyadica.funcspace import GridFunction, grad_norm, maximal
 from dyadica.sparse import (StoppingConfig, ThetaCapError, build_sparse, build_sparse_batch,
                             gradient_stops, intest_stops)
@@ -30,8 +30,7 @@ def _inputs(dictionary, seed):
     b = mixed_function(rng, basis, kind=seed)
     g = mixed_function(rng, basis, kind=seed + 1)
     noise = GridFunction(root, rng.standard_normal(root.shape))
-    f1 = GridFunction(root, plateau_function(rng, root).samples
-                      + wave_function(rng, root).samples)
+    f1 = oracles.plateau_function(rng, root) + oracles.wave_function(rng, root)
     return {"b": b, "g": g, "fs": [mixed_function(rng, basis, kind=seed + 2), noise],
             "f1": f1, "noise": noise}
 
