@@ -62,6 +62,11 @@ def _parse_tuples(s: str, cast=float, sep=";", inner=","):
     return out
 
 
+def _read(section: str, key: str, parse=int) -> property:
+    """The value of ``[section] key``, parsed."""
+    return property(lambda self: parse(self.raw.get(section, key)))
+
+
 # the keys of a [kernel:NAME] section
 KERNEL_KEYS = {"type", "arity", "eps_trunc", "strength", "seed", "symbol_count"}
 
@@ -119,118 +124,36 @@ class ExperimentConfig:
 
     # -- typed accessors -----------------------------------------------------
 
-    @property
-    def d(self) -> int:
-        return self.raw.getint("root", "d")
-
-    @property
-    def L(self) -> int:
-        return self.raw.getint("root", "L")
-
-    @property
-    def J(self) -> int:
-        return self.raw.getint("root", "J")
-
-    @property
-    def wavelet_order(self) -> int:
-        return self.raw.getint("wavelet", "N")
-
-    @property
-    def refine(self) -> int:
-        return self.raw.getint("wavelet", "refine")
-
-    @property
-    def dictionary_size(self) -> int:
-        return self.raw.getint("dictionary", "size")
-
-    @property
-    def seed(self) -> int:
-        return self.raw.getint("ensemble", "seed")
-
-    @property
-    def ensemble_count(self) -> int:
-        return self.raw.getint("ensemble", "count")
-
-    @property
-    def probe_order(self) -> int:
-        return self.raw.getint("probe", "N")
-
-    @property
-    def probe_members(self) -> int:
-        return self.raw.getint("probe", "members")
-
-    @property
-    def probe_kappas(self) -> list[int]:
-        return _parse_list(self.raw.get("probe", "kappas"), int)
-
-    @property
-    def probe_splits(self) -> list[tuple[int, ...]]:
-        return [tuple(int(v) for v in t)
-                for t in _parse_tuples(self.raw.get("probe", "splits"), float, ";", ":")]
-
-    @property
-    def probe_exponents(self) -> list[tuple[float, ...]]:
-        return _parse_tuples(self.raw.get("probe", "exponents"), _parse_float)
-
-    @property
-    def probe_epsilon(self) -> float:
-        return self.raw.getfloat("probe", "epsilon")
-
-    @property
-    def probe_j_sweep(self) -> list[int]:
-        return _parse_list(self.raw.get("probe", "j_sweep"), int)
-
-    @property
-    def bmo_depths(self) -> list[int]:
-        return _parse_list(self.raw.get("probe", "bmo_depths"), int)
-
-    @property
-    def growth_cap(self) -> float:
-        return self.raw.getfloat("tolerances", "growth_cap")
-
-    @property
-    def sparse_theta(self) -> float:
-        return self.raw.getfloat("sparse", "theta")
-
-    @property
-    def sparse_theta_cap(self) -> float:
-        return self.raw.getfloat("sparse", "theta_cap")
-
-    @property
-    def sparse_trials(self) -> int:
-        return self.raw.getint("sparse", "trials")
-
-    @property
-    def sparse_exponents(self) -> tuple[float, ...]:
-        return tuple(_parse_list(self.raw.get("sparse", "exponents"), _parse_float))
-
-    @property
-    def sparse_j_sweep(self) -> list[int]:
-        return _parse_list(self.raw.get("sparse", "j_sweep"), int)
-
-    @property
-    def packing_intest(self) -> float:
-        return self.raw.getfloat("sparse", "packing_intest")
-
-    @property
-    def packing_mainiter(self) -> float:
-        return self.raw.getfloat("sparse", "packing_mainiter")
-
-    @property
-    def truncation_scale(self) -> float:
-        return self.raw.getfloat("testbench", "truncation_scale")
-
-    @property
-    def testbench_k(self) -> int:
-        return self.raw.getint("testbench", "k")
-
-    @property
-    def bench_q(self) -> float:
-        return _parse_float(self.raw.get("testbench", "bench_q"))
-
-    @property
-    def testbench_samples(self) -> int:
-        return self.raw.getint("testbench", "sample_count")
+    d = _read("root", "d")
+    L = _read("root", "L")
+    J = _read("root", "J")
+    wavelet_order = _read("wavelet", "N")
+    refine = _read("wavelet", "refine")
+    dictionary_size = _read("dictionary", "size")
+    seed = _read("ensemble", "seed")
+    ensemble_count = _read("ensemble", "count")
+    probe_order = _read("probe", "N")
+    probe_members = _read("probe", "members")
+    probe_kappas = _read("probe", "kappas", _parse_list)
+    probe_splits = _read("probe", "splits", lambda s: [
+        tuple(int(v) for v in t) for t in _parse_tuples(s, float, ";", ":")])
+    probe_exponents = _read("probe", "exponents", lambda s: _parse_tuples(s, _parse_float))
+    probe_epsilon = _read("probe", "epsilon", float)
+    probe_j_sweep = _read("probe", "j_sweep", _parse_list)
+    bmo_depths = _read("probe", "bmo_depths", _parse_list)
+    growth_cap = _read("tolerances", "growth_cap", float)
+    sparse_theta = _read("sparse", "theta", float)
+    sparse_theta_cap = _read("sparse", "theta_cap", float)
+    sparse_trials = _read("sparse", "trials")
+    sparse_exponents = _read("sparse", "exponents",
+                             lambda s: tuple(_parse_list(s, _parse_float)))
+    sparse_j_sweep = _read("sparse", "j_sweep", _parse_list)
+    packing_intest = _read("sparse", "packing_intest", float)
+    packing_mainiter = _read("sparse", "packing_mainiter", float)
+    truncation_scale = _read("testbench", "truncation_scale", float)
+    testbench_k = _read("testbench", "k")
+    bench_q = _read("testbench", "bench_q", _parse_float)
+    testbench_samples = _read("testbench", "sample_count")
 
     # -- probe exponent derivations ------------------------------------------
 

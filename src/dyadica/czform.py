@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
+from .cache import memo
 from .dyadic import RootBox
 from .funcspace import GridFunction, _scalar, multi_indices, multi_indices_upto, sobolev_norm
 from .paraproduct import ParaproductSpec, apply_paraproduct
@@ -36,31 +36,22 @@ def _dot(a, b):
     return np.einsum("...n,...n->...", a, b)
 
 
-# kernel callable -> {(root, eps_trunc): its n = 1 matrices}; an entry lives
-# as long as its callable, so a KernelSpec's matrices go with the spec
-_MATRICES = weakref.WeakKeyDictionary()
-
-
-def _kernel_matrix(kernel, root: RootBox, eps_trunc: float):
-    """Bilinear kernel on the midpoint grid, d = 1: the matrix with cells
-    within ``eps_trunc`` of the diagonal zeroed, and a sparse matrix of
-    |kernel| on those excluded off-diagonal cells.  Built once per callable,
-    box and radius, so a kernel must not change after its first use."""
-    cache = _MATRICES.setdefault(kernel, {})
-    if (root, eps_trunc) in cache:
-        return cache[root, eps_trunc]
+@memo
+def _kernel_matrix(self, root: RootBox, eps_trunc: float):
+    """Bilinear kernel ``self`` on the midpoint grid, d = 1: the matrix with
+    cells within ``eps_trunc`` of the diagonal zeroed, and a sparse matrix
+    of |kernel| on those excluded off-diagonal cells.  The table lives on
+    the kernel callable, so a kernel must not change after its first use
+    and its matrices go with it."""
     x = root.midpoints_1d()
     xx0, xx1 = np.meshgrid(x, x, indexing="ij")
     keep = np.abs(xx0 - xx1) > eps_trunc
-    K = np.where(keep, kernel(xx0, xx1), 0.0)
-    K.flags.writeable = False
+    K = np.where(keep, self(xx0, xx1), 0.0)
     near = ~keep & (np.abs(xx0 - xx1) > 0)
     rows, cols = np.nonzero(near)
     near_abs = sparse.csr_matrix(
-        (np.abs(np.asarray(kernel(xx0[near], xx1[near]), dtype=float)), (rows, cols)),
+        (np.abs(np.asarray(self(xx0[near], xx1[near]), dtype=float)), (rows, cols)),
         shape=K.shape)
-    near_abs.data.flags.writeable = False
-    cache[root, eps_trunc] = K, near_abs
     return K, near_abs
 
 

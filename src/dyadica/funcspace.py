@@ -87,8 +87,9 @@ def box_axes(d: int) -> tuple:
 
 
 def _scalar(vals):
-    """A float for an unbatched result, else the array over the batch."""
-    return float(vals) if np.ndim(vals) == 0 else vals
+    """A Python scalar (float, or complex for a complex form) for an
+    unbatched result, else the array over the batch."""
+    return np.asarray(vals).item() if np.ndim(vals) == 0 else vals
 
 
 def scalar_power(x, e):

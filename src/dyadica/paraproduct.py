@@ -124,7 +124,7 @@ def form_eval(form: WaveletFormSpec, f: GridFunction, fs):
     if len(fs) != form.arity:
         raise ArityError(f"expected {form.arity} trailing inputs, got {len(fs)}")
     d = form.basis.root.d
-    total = 0.0
+    total = np.zeros(np.broadcast_shapes(*(g.samples.shape for g in [f, *fs]))[:-d])[()]
     for scale, arr in form.support.data.items():
         if not arr.any():
             continue
@@ -164,7 +164,8 @@ def localized_form(symbol: CoefficientTree, q0: DyadicCube, g: GridFunction,
                    fs, spec: ParaproductSpec):
     """V_Q: the paraproduct form restricted to subcubes of Q; a float, or one
     value per member of the broadcast batch of the inputs."""
-    total = 0.0
+    d = symbol.root.d
+    total = np.zeros(np.broadcast_shapes(*(f.samples.shape for f in [g, *fs]))[:-d])[()]
     for scale, measure, arr in _symbol_scales(symbol):
         if scale > q0.scale:
             continue
@@ -172,5 +173,5 @@ def localized_form(symbol: CoefficientTree, q0: DyadicCube, g: GridFunction,
         b = arr[block]
         if b.any():
             term = b * spec.beta.pair(g.samples, scale)[block] * spec.zeta(scale, fs)[block]
-            total = total + measure * np.sum(term, axis=box_axes(symbol.root.d))
+            total = total + measure * np.sum(term, axis=box_axes(d))
     return total

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import memo
 from .config import ExperimentConfig
 from .czform import (KernelSpec, testing_norm, testing_symbols, wbp_check,
                      sobolev_bound_bench)
@@ -62,19 +63,20 @@ class Workspace:
     basis: AtomBasis
     dictionary: TestDictionary
 
+    @memo
+    def probe_dictionary(self) -> TestDictionary:
+        """The size-2 dictionary the theorem probe draws its atoms from."""
+        return TestDictionary(self.basis, size=2, min_cells=2)
 
-_WORKSPACES: dict = {}
 
-
+@memo
 def workspace(d: int, L: int, J: int, N: int, dict_size: int,
               refine: int = 8) -> Workspace:
-    key = (d, L, J, N, dict_size, refine)
-    if key not in _WORKSPACES:
-        fam = build_family(N, refine=refine)
-        root = RootBox(d=d, L=L, J=J)
-        basis = AtomBasis(fam, root)
-        _WORKSPACES[key] = Workspace(root, basis, TestDictionary(basis, dict_size))
-    return _WORKSPACES[key]
+    """One box with its basis and dictionary, shared by every suite until
+    ``cache.clear()``."""
+    root = RootBox(d=d, L=L, J=J)
+    basis = AtomBasis(build_family(N, refine=refine), root)
+    return Workspace(root, basis, TestDictionary(basis, dict_size))
 
 
 # -- report writers -----------------------------------------------------------
@@ -579,15 +581,16 @@ def suite_testbench(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
 # -- theorem suite (criteria 7 and 8) -------------------------------------------
 
 
-def _probe_members(ws: Workspace, seed_key, members: int, scales, atom_source):
+def _probe_members(ws: Workspace, seed_key, members: int, scales):
     """Members drawn refinement-independently, member i from the rng
     ``seed_key + [i]``: a symbol on ``scales`` and two inputs.  Returns the
     members (``spec`` and ``fs``) and the stacks of the symbols' functions
     and of each input slot.
 
-    Paraproduct atoms come from smooth sampled families, so probe derivative
-    norms are resolved at every sweep level; the symbol's function avatar
-    stays the canonical expansion.
+    Paraproduct atoms come from the smooth sampled families of the
+    workspace's probe dictionary, so probe derivative norms are resolved at
+    every sweep level; the symbol's function avatar stays the canonical
+    expansion.
     """
     symbols, inputs = [], []
     for member in range(members):
@@ -597,7 +600,8 @@ def _probe_members(ws: Workspace, seed_key, members: int, scales, atom_source):
                        if (member + j) % 3 == 0
                        else draw_mixed(rng, ws.basis, kind=member + j) for j in range(2)])
     bfuncs, *slots = _render_columns(ws.root, [[sym] + fs for sym, fs in zip(symbols, inputs)])
-    beta, chi = atom_source.member_family(1), atom_source.bump_family(0, unit=True)
+    atoms = ws.probe_dictionary()
+    beta, chi = atoms.member_family(1), atoms.bump_family(0, unit=True)
     mems = [{"spec": ParaproductSpec(ws.basis, sym.tree(), arity=2, beta=beta, chi=chi),
              "fs": [slot[i] for slot in slots]} for i, sym in enumerate(symbols)]
     return mems, bfuncs, slots
@@ -694,9 +698,7 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
     detail_rows = []
     for J in sweep:
         ws = workspace(cfg.d, cfg.L, J, fam_n, cfg.dictionary_size, cfg.refine)
-        atom_source = TestDictionary(ws.basis, size=2, min_cells=2)
-        mems, bfuncs, slots = _probe_members(ws, [cfg.seed, 9], members, symbol_scales,
-                                             atom_source)
+        mems, bfuncs, slots = _probe_members(ws, [cfg.seed, 9], members, symbol_scales)
         # each layer once over all members: the symbol norms now, each
         # role's stack and each distinct Sobolev norm of it on first use
         tl = tl_norms(bfuncs, norm_specs, ws.dictionary)

@@ -10,13 +10,13 @@ matching the exactness of the canonical atoms.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 from scipy.interpolate import BSpline
 
+from .cache import memo
 from .dyadic import DyadicCube
 from .funcspace import GridFunction, block_reduce, box_axes, expand_blocks
 from .wavelet import AtomBasis, AtomFamily, clipped_outer, strided_pairings
@@ -122,7 +122,7 @@ def _moment_correct(u: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
 # shared, read-only, by every dictionary that needs it.
 
 
-@functools.cache
+@memo
 def _recipe(N: int, bump: bool, i: int):
     """(profile, reference class constant) of sampled member i + 1 of the
     order-N dictionaries, or of bump i.  The constant is measured on a fine
@@ -140,7 +140,7 @@ def _recipe(N: int, bump: bool, i: int):
     return profile, max(_class_constant(u_ref, profile(u_ref), float(k + 1)), 1e-300)
 
 
-@functools.cache
+@memo
 def _sampled_row(N: int, i: int, m: int):
     """Sampled member i + 1 on the w-window at m cells per cube side,
     moment-corrected; None when the correction leaves nothing."""
@@ -148,16 +148,13 @@ def _sampled_row(N: int, i: int, m: int):
     vals = _moment_correct(u, _recipe(N, False, i)[0](u), N - 1)
     if np.max(np.abs(vals), initial=0.0) < 1e-14:
         return None
-    vals.flags.writeable = False
     return vals
 
 
-@functools.cache
+@memo
 def _bump_row(N: int, i: int, m: int) -> np.ndarray:
     """Bump i on the w-window at m cells per cube side."""
-    vals = _recipe(N, True, i)[0](_window_offsets(2 * N - 1, m))
-    vals.flags.writeable = False
-    return vals
+    return _recipe(N, True, i)[0](_window_offsets(2 * N - 1, m))
 
 
 class TestDictionary:
@@ -186,9 +183,6 @@ class TestDictionary:
         # into one bank per scale and moment-corrected on the full window;
         # boundary cubes get clip-corrected variants
         self._templates: dict[int, np.ndarray] = {}
-        self._bump_cache: dict = {}
-        self._operators: dict = {}
-        self._families: dict = {}
         for scale in range(self.root.J, self.root.L + 1):
             rows = [t for t in (self._sampled_template(i, scale) for i in range(size - 1))
                     if t is not None]
@@ -219,7 +213,7 @@ class TestDictionary:
         """Per-axis factor of the canonical wavelet on the w-window of its
         cube; w = 2N - 1, so the wavelet starts where the window does."""
         t = scale - self.root.J
-        wav = self.basis._wav[t] * 2.0 ** (-(self.root.J + scale) / 2.0)
+        wav = self.basis._template(t, "wavelet") * 2.0 ** (-(self.root.J + scale) / 2.0)
         return np.pad(wav, (0, (self.family.w << t) - len(wav)))
 
     def _clip_correct(self, scale: int, member_idx: int, lo_cut: int, hi_cut: int):
@@ -236,15 +230,12 @@ class TestDictionary:
         const = _class_constant(up, vals * side, self._rho)
         return vals / const
 
+    @memo
     def _bump_template(self, member: int, scale: int) -> np.ndarray:
-        """Normalized bump on the w-window (cached, read-only)."""
+        """Normalized bump on the w-window."""
         idx = member % len(self._bump_recipes)
-        cached = self._bump_cache.get((idx, scale))
-        if cached is None:
-            vals = _bump_row(self.family.N, idx, 1 << (scale - self.root.J))
-            cached = self._bump_cache[idx, scale] = vals / self._bump_constants[idx] / 2.0 ** scale
-            cached.flags.writeable = False
-        return cached
+        vals = _bump_row(self.family.N, idx, 1 << (scale - self.root.J))
+        return vals / self._bump_constants[idx] / 2.0 ** scale
 
     # -- atom realizations --------------------------------------------------
 
@@ -258,24 +249,19 @@ class TestDictionary:
 
     # -- atom families ------------------------------------------------------
 
+    @memo
     def member_family(self, member: int) -> AtomFamily:
-        """Cancellative member ``member`` at every cube, a scale at a time
-        (cached).  Member 0 is the canonical discrete wavelet where one
+        """Cancellative member ``member`` at every cube, a scale at a time.
+        Member 0 is the canonical discrete wavelet where one
         refinement level is available, zero where the box clips its support;
         the others are the sampled members, clip-corrected at boundary cubes."""
-        return self._family(("member", member),
-                            lambda scale: self._member_layout(scale, member))
+        return AtomFamily(self.root, lambda scale: self._member_layout(scale, member))
 
+    @memo
     def bump_family(self, member: int = 0, unit: bool = False) -> AtomFamily:
         """``bump_values`` at every cube, a scale at a time; with ``unit``
-        each atom is divided by its discrete integral (cached)."""
-        return self._family(("bump", member, unit),
-                            lambda scale: self._bump_layout(scale, member, unit))
-
-    def _family(self, key, layout) -> AtomFamily:
-        if key not in self._families:
-            self._families[key] = AtomFamily(self.root, layout)
-        return self._families[key]
+        each atom is divided by its discrete integral."""
+        return AtomFamily(self.root, lambda scale: self._bump_layout(scale, member, unit))
 
     def _member_layout(self, scale: int, member: int):
         """The canonical wavelet, masked where the box clips it, or a sampled
@@ -349,6 +335,7 @@ class TestDictionary:
             out.append((np.arange(p0, p0 + r), c0, block.reshape(ncols, -1)))
         return out
 
+    @memo
     def _scale_operator(self, scale: int):
         """(groups, canonical mask) of a scale, built on first use.
 
@@ -356,9 +343,6 @@ class TestDictionary:
         blocks).  The canonical row is its own group with the wavelet factor
         on the other axes; zero extension clips it, and the mask drops the
         positions where that clip cuts its support."""
-        op = self._operators.get(scale)
-        if op is not None:
-            return op
         members = self._templates[scale]
         groups = [(members, self._bump_template(0, scale), self._boundary(scale, members))] \
             if len(members) else []
@@ -367,8 +351,7 @@ class TestDictionary:
             row = self._canonical_row(scale)
             groups.insert(0, (row[None] / self.family.class_constant, row, []))
             mask = self._canonical_mask(scale)
-        op = self._operators[scale] = (groups, mask)
-        return op
+        return groups, mask
 
     def coeff_arrays(self, f: GridFunction) -> dict[int, np.ndarray]:
         """Per-scale arrays of the intrinsic coefficient at every position

@@ -22,6 +22,7 @@ from math import comb
 import numpy as np
 from scipy import sparse
 
+from .cache import memo
 from .dyadic import DyadicCube, RootBox
 
 SQRT2 = np.sqrt(2.0)
@@ -146,18 +147,12 @@ class WaveletFamily:
         return 2 * self.N - 1
 
 
-# every family built in this process, by (N, refine, cap)
-_FAMILIES: dict[tuple, WaveletFamily] = {}
-
-
+@memo
 def build_family(N: int, refine: int = 8, cap: int = 500) -> WaveletFamily:
     """The order-N family with point values at resolution 2^-refine.
 
     Built once per argument tuple and shared by every caller in the process,
     so its arrays are read-only."""
-    key = (N, refine, cap)
-    if key in _FAMILIES:
-        return _FAMILIES[key]
     if N < 1:
         raise ValueError("order must be >= 1")
     if refine < 6:
@@ -168,13 +163,10 @@ def build_family(N: int, refine: int = 8, cap: int = 500) -> WaveletFamily:
     if residual > 1e-10:
         raise CascadeError(
             f"cascade residual {residual:.3e} above 1e-10 after {iterations} iterations")
-    const = _table_class_constant(x, psi, rho=float(N))
-    for arr in (h, g, x, phi, psi):
-        arr.flags.writeable = False
-    fam = _FAMILIES[key] = WaveletFamily(
+    return WaveletFamily(
         N=N, refine=refine, lowpass=h, highpass=g, xgrid=x, phi_table=phi, psi_table=psi,
-        cascade_residual=residual, cascade_iterations=iterations, class_constant=const)
-    return fam
+        cascade_residual=residual, cascade_iterations=iterations,
+        class_constant=_table_class_constant(x, psi, rho=float(N)))
 
 
 class CoefficientTree:
@@ -257,18 +249,6 @@ class AtomBasis:
     def __init__(self, family: WaveletFamily, root: RootBox):
         self.family = family
         self.root = root
-        self._tail_cache: dict = {}
-        self._families: dict = {}
-        self._wav: dict[int, np.ndarray] = {}
-        self._scal: dict[int, np.ndarray] = {0: np.array([1.0])}
-        h, g = family.lowpass, family.highpass
-        for t in range(1, root.depth + 1):
-            prev = self._scal[t - 1]
-            self._scal[t] = self._refine(prev, h)
-            if t == 1:
-                self._wav[1] = self._refine(prev, g)
-            else:
-                self._wav[t] = self._refine(self._wav[t - 1], h)
 
     @staticmethod
     def _refine(c: np.ndarray, filt: np.ndarray) -> np.ndarray:
@@ -286,12 +266,17 @@ class AtomBasis:
             return 0
         return self.family.N - 1
 
+    @memo
     def _template(self, t: int, kind: str) -> np.ndarray:
-        if kind == "wavelet":
-            if t < 1:
-                raise ValueError("wavelet atoms need one refinement level below the grid")
-            return self._wav[t]
-        return self._scal[t]
+        """The atom of ``kind`` t levels below the grid: t filter refinements
+        of a unit cell vector, the first by the highpass for a wavelet."""
+        if kind == "wavelet" and t < 1:
+            raise ValueError("wavelet atoms need one refinement level below the grid")
+        if t == 0:
+            return np.array([1.0])
+        first = kind == "wavelet" and t == 1
+        return self._refine(self._template(t - 1, "scaling" if first else kind),
+                            self.family.highpass if first else self.family.lowpass)
 
     def atom_values(self, cube: DyadicCube, kind: str = "wavelet"):
         """Clipped window slices plus the L^1-normalized values on them: the
@@ -323,12 +308,11 @@ class AtomBasis:
 
     # -- transforms -------------------------------------------------------
 
+    @memo
     def atoms(self, kind: str) -> "AtomFamily":
         """The canonical atoms of ``kind`` ("wavelet" or "scaling") as an
         ``AtomFamily``, shared by every caller of this basis."""
-        if kind not in self._families:
-            self._families[kind] = AtomFamily(self.root, lambda s: self._layout(s, kind))
-        return self._families[kind]
+        return AtomFamily(self.root, lambda s: self._layout(s, kind))
 
     def _layout(self, scale: int, kind: str):
         t = scale - self.root.J
@@ -357,14 +341,12 @@ class AtomBasis:
 
     # -- multiresolution identities ----------------------------------------
 
+    @memo
     def _tail_rows(self, scale: int, kind: str) -> np.ndarray:
         """Rows on the box of the atoms of a scale above the root that meet
         it, as orthonormal vectors up to h^{-1/2}.  All positions are refined
         top down at once, each level clipped to a margin around the box, so
-        coarse scales stay O(box) work.  Cached per (scale, kind)."""
-        key = (scale, kind)
-        if key in self._tail_cache:
-            return self._tail_cache[key]
+        coarse scales stay O(box) work."""
         root, N = self.root, self.family.N
         n = root.cells_per_side
         m = 1 << (scale - root.J)
@@ -383,8 +365,7 @@ class AtomBasis:
         a, b = max(start, 0), min(start + coeffs.shape[1], n)
         rows[:, a:max(a, b)] = coeffs[:, a - start:max(a, b) - start]
         # positions whose atom the clipping left off the box
-        rows = self._tail_cache[key] = rows[np.any(rows, axis=1)]
-        return rows
+        return rows[np.any(rows, axis=1)]
 
     def _projection_1d(self, samples: np.ndarray, scale: int, kind: str) -> np.ndarray:
         """Sum of |Q| atom_Q(f) atom_Q over all scale-``scale`` positions
@@ -618,12 +599,10 @@ class AtomFamily:
     def __init__(self, root: RootBox, layout):
         self.root = root
         self._layout = layout
-        self._layouts: dict = {}
 
+    @memo
     def layout(self, scale: int):
-        if scale not in self._layouts:
-            self._layouts[scale] = self._layout(scale)
-        return self._layouts[scale]
+        return self._layout(scale)
 
     def pair(self, samples: np.ndarray, scale: int) -> np.ndarray:
         """atom_Q(f) by the grid quadrature at every position of ``scale``,

@@ -197,9 +197,8 @@ def form_terms(phi, slots, cubes, f, fs) -> np.ndarray:
 def _positions_overlapping(basis, scale, kind):
     """1-d position range whose atom window meets the box (may leave it)."""
     t = scale - basis.root.J
-    templates = basis._wav if kind == "wavelet" else basis._scal
     m = 1 << t
-    length = len(templates[t]) if t in templates else (2 * basis.family.N - 1) * (m - 1) + 1
+    length = (2 * basis.family.N - 1) * (m - 1) + 1  # of the atom after t refinements
     sh = basis._shift(t, kind)
     n = basis.root.cells_per_side
     return range(sh - (length + m - 1) // m, sh + (n + m - 1) // m + 1)

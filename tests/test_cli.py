@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadica import DyadicCube, RootBox
-from dyadica import cli
+from dyadica import cache, cli
 from dyadica.cli import load_symbol_csv, main
 from dyadica.config import ExperimentConfig
 from dyadica.funcspace import GridFunction, save_gridfunction
@@ -177,8 +177,9 @@ def test_cli_rejects_removed_threads_flag(tmp_path):
     ("wavelet", "[dictionary]\nsize = 4\n", ["summary.csv"])],
     ids=["norms", "paraproduct", "sparse", "testbench", "theorem", "wavelet"])
 def test_cli_suite_reproducible_csv(tmp_path, suite, text, files):
-    # a cache leaking between calls, or one that depends on iteration order,
-    # shows as a byte difference between the two runs
+    # a cold run against a warm one: a cache leaking between calls, or one
+    # that depends on iteration order, shows as a byte difference
+    cache.clear()
     cfg = tmp_path / "small.cfg"
     cfg.write_text(text, encoding="utf-8")
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -102,18 +102,17 @@ def test_valid_files_keep_their_hash(tmp_path):
 
 
 def _property_reads() -> dict:
-    """(section, key) -> the ExperimentConfig properties that read it."""
+    """(section, key) -> the ExperimentConfig properties that read it: each
+    accessor is a ``name = _read(section, key, ...)`` line of the class."""
     tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef)
                and n.name == "ExperimentConfig")
     out: dict = {}
-    for fn in cls.body:
-        if isinstance(fn, ast.FunctionDef) and any(
-                isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list):
-            for call in ast.walk(fn):
-                if isinstance(call, ast.Call) and len(call.args) >= 2 and all(
-                        isinstance(a, ast.Constant) for a in call.args[:2]):
-                    out.setdefault(tuple(a.value for a in call.args[:2]), []).append(fn.name)
+    for line in cls.body:
+        if isinstance(line, ast.Assign) and isinstance(line.value, ast.Call) \
+                and getattr(line.value.func, "id", None) == "_read":
+            key = tuple(a.value for a in line.value.args[:2])
+            out.setdefault(key, []).append(line.targets[0].id)
     return out
 
 

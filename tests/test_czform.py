@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy import integrate
 
 import oracles
-from dyadica import AtomBasis, DyadicCube, RootBox, build_family, czform
+from dyadica import AtomBasis, DyadicCube, RootBox, build_family, cache
 from dyadica.czform import (KernelSpec, SingularConfigurationError, _kernel_matrix,
                             form_quadrature, input_orders, sobolev_bound_bench,
                             wbp_check)
@@ -123,29 +124,32 @@ def test_form_quadrature_cached_kernel_matches_fresh(kind):
         fresh = oracles.table_kernel(root, table)
     f0 = GridFunction.from_callable(root, smooth_bump(0.45, 0.2))
     f1 = GridFunction.from_callable(root, smooth_bump(0.55, 0.25))
+    cache.clear()
     expect = form_quadrature(fresh, root, [f0, f1], spec.eps_trunc)
     assert expect["excluded_mass"] > 0.0
     for _ in range(2):
         got = form_quadrature(spec._kernel, root, [f0, f1], spec.eps_trunc)
         assert got == expect
-    # the spec's kernel owns one matrix per box and radius, built once
-    owned = czform._MATRICES[spec._kernel]
-    assert list(owned) == [(root, spec.eps_trunc)]
-    matrix = owned[root, spec.eps_trunc][0]
+    # the spec's kernel owns one matrix per box and radius, built once: the
+    # fresh callable and the spec's each missed once, the second call hit
+    assert cache.counts()["czform._kernel_matrix"] == (1, 2)
+    matrix = _kernel_matrix(spec._kernel, root, spec.eps_trunc)[0]
     assert spec.evaluate([f0, f1]) == expect["value"]
     assert _kernel_matrix(spec._kernel, root, spec.eps_trunc)[0] is matrix
+    assert cache.counts()["czform._kernel_matrix"] == (4, 2)
     # the truncation radius is part of the key
     wider = form_quadrature(spec._kernel, root, [f0, f1], 2 * spec.eps_trunc)
     assert wider == form_quadrature(fresh, root, [f0, f1], 2 * spec.eps_trunc)
     assert wider["excluded_mass"] > expect["excluded_mass"]
-    assert len(owned) == 2
+    assert cache.counts()["czform._kernel_matrix"] == (4, 4)
     # and its matrices go with it (so do those of the fresh callable)
-    gc.collect()  # earlier tests' garbage first, so only these two go below
-    kernel, held = weakref.ref(spec._kernel), len(czform._MATRICES)
-    del spec, owned, fresh
+    kernel, matrices = weakref.ref(spec._kernel), [
+        weakref.ref(_kernel_matrix(k, root, radius)[0])
+        for k in (spec._kernel, fresh) for radius in (eps, 2 * eps)]
+    del spec, fresh, matrix
     gc.collect()
     assert kernel() is None
-    assert len(czform._MATRICES) == held - 2
+    assert [ref() for ref in matrices] == [None] * 4
 
 
 def test_wbp_zero_and_homogeneity(bench):
@@ -314,6 +318,25 @@ def test_stacked_form_quadrature_matches_scalar_calls(kind, bench):
             assert rep["value"][i, j] == pytest.approx(single["value"], rel=1e-12)
             assert rep["excluded_mass"][i, j] == pytest.approx(single["excluded_mass"],
                                                                rel=1e-12)
+
+
+def test_complex_planted_form_keeps_its_imaginary_part(basis_small):
+    # a single call is its batch member, with no ComplexWarning on the way
+    root = basis_small.root
+    tree = CoefficientTree(root, dtype=complex)
+    tree[DyadicCube(root.J + 3, (3,))] = 0.5 + 0.7j
+    spec = KernelSpec(root, n=1, kind="planted",
+                      planted=ParaproductSpec(basis_small, tree, arity=1))
+    rng = np.random.default_rng(5)
+    fs = [GridFunction(root, rng.standard_normal((3,) + root.shape)) for _ in range(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = spec.evaluate(fs)
+        assert batch.imag.all()
+        for i in range(3):
+            single = spec.evaluate([f[i] for f in fs])
+            assert type(single) is complex
+            assert single == batch[i]
 
 
 @pytest.mark.parametrize("kind", ["convolution", "tabulated"])

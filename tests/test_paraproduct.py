@@ -69,6 +69,24 @@ def test_form_eval_zero_first_slot(random_spec, basis8, rng):
     assert form_eval(dual, zero, fs) == 0.0
 
 
+def test_empty_forms_keep_the_batch_shape(basis8, rng):
+    # no symbol scale contributes: one zero per member, 0.0 for one function
+    root = basis8.root
+    f = GridFunction(root, rng.standard_normal((3,) + root.shape))
+    g = GridFunction(root, rng.standard_normal(root.shape))
+    empty = WaveletFormSpec(basis8, 1, CoefficientTree(root), [basis8.atoms("scaling")])
+    assert form_eval(empty, f, [g]).shape == (3,)
+    assert not form_eval(empty, f, [g]).any()
+    assert form_eval(empty, f[0], [g]) == 0.0
+    tree = CoefficientTree(root)
+    tree[DyadicCube(0, (0,))] = 1.0
+    spec = ParaproductSpec(basis8, tree, arity=1)
+    q0 = DyadicCube(-3, (2,))  # finer than the only symbol scale
+    assert localized_form(tree, q0, f, [g], spec).shape == (3,)
+    assert not localized_form(tree, q0, f, [g], spec).any()
+    assert localized_form(tree, q0, f[0], [g], spec) == 0.0
+
+
 def test_form_eval_single_cube_hand_sum(basis8, rng):
     tree = CoefficientTree(basis8.root)
     q0 = DyadicCube(-4, (9,))

@@ -8,12 +8,12 @@ import itertools
 import numpy as np
 import pytest
 
-from dyadica import AtomBasis, RootBox, build_family, tlnorm
+from dyadica import AtomBasis, RootBox, build_family, cache, tlnorm
 from dyadica.funcspace import GridFunction
 from dyadica.tlnorm import TestDictionary
 from oracles import PerDictionaryTables
 
-TABLES = (tlnorm._recipe, tlnorm._sampled_row, tlnorm._bump_row)
+TABLES = ("tlnorm._recipe", "tlnorm._sampled_row", "tlnorm._bump_row")
 # (size, min_cells, d): every size, both cell floors and both dimensions
 COMBOS = [(1, 4, 1), (2, 2, 2), (8, 4, 2), (8, 2, 1), (11, 2, 1), (11, 4, 2)]
 BOXES = (-3, -4, -6)  # J, coarse to fine
@@ -21,8 +21,12 @@ BOXES = (-3, -4, -6)  # J, coarse to fine
 
 @pytest.fixture()
 def cold_tables():
-    for table in TABLES:
-        table.cache_clear()
+    cache.clear()
+
+
+def _misses():
+    counts = cache.counts()
+    return [counts[name][1] for name in TABLES]
 
 
 def _assert_same_tables(shared, own):
@@ -60,11 +64,11 @@ def test_finest_box_fills_the_tables_of_coarser_boxes(cold_tables):
     assert build_family(3, 8, 500) is family
     assert build_family(3, refine=7) is not family
     TestDictionary(AtomBasis(family, RootBox(d=1, L=0, J=-7)), size=8)
-    filled = [table.cache_info().misses for table in TABLES]
+    filled = _misses()
     assert filled[1] > 0
     for J in (-6, -5, -4):
         TestDictionary(AtomBasis(family, RootBox(d=1, L=0, J=J)), size=8)
-    assert [table.cache_info().misses for table in TABLES] == filled
+    assert _misses() == filled
 
 
 def _assert_read_only(arr):

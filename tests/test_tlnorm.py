@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadica import AtomBasis, DyadicCube, RootBox, build_family
+from dyadica import AtomBasis, DyadicCube, RootBox, build_family, cache
 from dyadica.funcspace import GridFunction
 from dyadica.tlnorm import (NormSpec, TestDictionary, bmo_norm,
                             square_function, tl_norm, tl_norms)
@@ -310,9 +310,11 @@ def test_bump_template_is_cached(dict8):
     for scale in range(dict8.root.J, dict8.root.L + 1):
         for member in range(count):
             first = dict8._bump_template(member, scale)
+            hits, misses = cache.counts()["tlnorm.TestDictionary._bump_template"]
             assert dict8._bump_template(member, scale) is first
+            assert cache.counts()["tlnorm.TestDictionary._bump_template"] == (hits + 1, misses)
             # members wrap around the bump recipes
-            assert dict8._bump_template(member + count, scale) is first
+            np.testing.assert_array_equal(dict8._bump_template(member + count, scale), first)
             assert not first.flags.writeable
             fresh = (dict8._bump_recipes[member](dict8._cube_offsets(scale))
                      / dict8._bump_constants[member] / 2.0 ** scale)
