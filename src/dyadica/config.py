@@ -71,7 +71,7 @@ def _read(section: str, key: str, parse=int) -> property:
 KERNEL_KEYS = {"type", "arity", "eps_trunc", "strength", "seed", "symbol_count"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelDef:
     name: str
     kind: str

@@ -18,7 +18,8 @@ from scipy import sparse
 
 from .cache import memo
 from .dyadic import RootBox
-from .funcspace import GridFunction, _scalar, multi_indices, multi_indices_upto, sobolev_norm
+from .funcspace import (GridFunction, _scalar, multi_indices, multi_indices_upto, pairing,
+                        sobolev_norm)
 from .paraproduct import ParaproductSpec, apply_paraproduct
 from .tlnorm import NormSpec, TestDictionary, tl_norm
 from .wavelet import AtomBasis, CoefficientTree
@@ -173,14 +174,10 @@ class KernelSpec:
             raise ValueError(f"form takes {self.n + 1} inputs, got {len(fs)}")
         if self._kernel is not None:
             return form_quadrature(self._kernel, self.root, fs, self.eps_trunc)["value"]
-        root = self.root
-        batch = np.broadcast_shapes(*(f.samples.shape[:f.samples.ndim - root.d] for f in fs))
-        if self.kind == "zero":
-            return _scalar(np.zeros(batch))
-        # <Pi_b(f_1, ..., f_n), f_0>, summed per member over the flattened box
-        # as ``pairing`` sums it
-        prod = apply_paraproduct(self.planted, fs[1:]).samples * fs[0].samples
-        return _scalar(np.sum(prod.reshape(batch + (-1,)), axis=-1) * root.cell_measure)
+        if self.kind == "planted":
+            return pairing(apply_paraproduct(self.planted, fs[1:]), fs[0])
+        return _scalar(np.zeros(np.broadcast_shapes(
+            *(f.samples.shape[:f.samples.ndim - self.root.d] for f in fs))))
 
     def evaluate_adjoint(self, j: int, fs):
         """j-th adjoint: exchange slot 0 with slot j."""

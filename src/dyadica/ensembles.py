@@ -65,7 +65,8 @@ class Draw:
         (_, basis, entries), = self.parts
         tree = CoefficientTree(basis.root)
         for scale, pos, value in entries:
-            tree[DyadicCube(scale, pos)] = value
+            # a draw holds interior cubes only: no per-cube admissibility check
+            tree._array(scale)[pos] = value
         return tree
 
 
@@ -164,33 +165,11 @@ def _waves(root: RootBox, grids, parts) -> np.ndarray:
 
 
 def _atoms(root: RootBox, grids, parts) -> np.ndarray:
-    """Each member's synthesized tree: one spread per scale for the batch,
-    and each member adds its scales in the order its draw first touched
-    them, as ``AtomBasis.synthesize`` does."""
+    """Each member's synthesized tree, as one batched ``synthesize``."""
     basis = parts[0][1]
     if any(part[1] is not basis for part in parts):
         raise ValueError("atom draws of one batch come from different bases")
-    trees = []
-    for _, _, entries in parts:
-        tree: dict = {}  # scale -> {pos: value}
-        for scale, pos, value in entries:
-            tree.setdefault(scale, {})[pos] = value
-        trees.append(tree)
-    wavelets = basis.atoms("wavelet")
-    spreads = {}
-    for scale in {s for tree in trees for s in tree}:
-        rows = [i for i, tree in enumerate(trees) if scale in tree]
-        coeffs = np.zeros((len(rows),) + (root.positions_per_side(scale),) * root.d)
-        for r, i in enumerate(rows):
-            for pos, value in trees[i][scale].items():
-                coeffs[(r,) + pos] = value
-        spreads[scale] = dict(zip(rows, wavelets.spread(2.0 ** (scale * root.d) * coeffs,
-                                                        scale)))
-    out = np.zeros((len(trees),) + root.shape)
-    for i, tree in enumerate(trees):
-        for scale in tree:
-            out[i] += spreads[scale][i]
-    return out
+    return basis.synthesize([Draw((part,)).tree() for part in parts])
 
 
 _RENDER = {"atoms": _atoms, "plateau": _plateaus, "wave": _waves}

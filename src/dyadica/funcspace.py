@@ -76,9 +76,12 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def pairing(f: GridFunction, g: GridFunction) -> float:
-    """Bilinear grid pairing <f, g> = sum f g * cell measure."""
-    return np.sum(f.samples * g.samples) * f.root.cell_measure
+def pairing(f: GridFunction, g: GridFunction):
+    """Bilinear grid pairing <f, g> = sum f g * cell measure, summed over
+    the flattened box: a float, or an array over the broadcast batch."""
+    prod = f.samples * g.samples
+    return _scalar(np.sum(prod.reshape(prod.shape[:prod.ndim - f.root.d] + (-1,)), axis=-1)
+                   * f.root.cell_measure)
 
 
 def box_axes(d: int) -> tuple:

@@ -16,7 +16,7 @@ import numpy as np
 from .dyadic import DyadicCube
 from .funcspace import GridFunction, box_axes, dilated_scale_averages
 from .tlnorm import TestDictionary
-from .wavelet import AtomBasis, AtomFamily, CoefficientTree
+from .wavelet import AtomBasis, AtomFamily, CoefficientTree, add_scales, stack_trees
 
 
 class ArityError(ValueError):
@@ -27,10 +27,11 @@ class ArityError(ValueError):
 class ParaproductSpec:
     """Symbol plus atom families: output atoms beta_Q (cancellative) and the
     tensor averaging form zeta_Q(f_1,...,f_m) = prod_j chi_Q(f_j) with
-    unit-integral chi_Q."""
+    unit-integral chi_Q.  The symbol is one tree, or a batch of trees (a
+    list), one per member of the batch it is applied to."""
 
     basis: AtomBasis
-    symbol: CoefficientTree
+    symbol: CoefficientTree | list
     arity: int
     beta: AtomFamily = None
     chi: AtomFamily = None
@@ -51,31 +52,27 @@ class ParaproductSpec:
         return out
 
 
-def _symbol_scales(symbol: CoefficientTree):
-    """(scale, |Q|, coefficients) of the scales with a nonzero coefficient."""
-    d = symbol.root.d
-    return [(scale, 2.0 ** (scale * d), arr) for scale, arr in symbol.data.items()
-            if arr.any()]
-
-
-def _output(spec: ParaproductSpec, fs) -> GridFunction:
-    """Zero output over the broadcast batch of the inputs, whose dtype holds
-    the symbol and the inputs."""
+def _output(spec: ParaproductSpec, fs, coeffs, batch) -> GridFunction:
+    """Zero output over the broadcast batch of the inputs and the symbols,
+    whose dtype holds the symbol coefficients ``coeffs`` and the inputs."""
     if len(fs) != spec.arity:
         raise ArityError(f"expected {spec.arity} inputs, got {len(fs)}")
     root = spec.basis.root
     return GridFunction(root, np.zeros(
-        np.broadcast_shapes(root.shape, *(f.samples.shape for f in fs)),
-        dtype=np.result_type(float, *spec.symbol.data.values(), *(f.samples for f in fs))))
+        np.broadcast_shapes(batch + root.shape, *(f.samples.shape for f in fs)),
+        dtype=np.result_type(float, *coeffs.values(), *(f.samples for f in fs))))
 
 
 def apply_paraproduct(spec: ParaproductSpec, fs) -> GridFunction:
     """Sum over the symbol support of |Q| b_Q zeta_Q(f) beta_Q: per scale,
     Pi_b f = S^T(|Q| b zeta(f)) with one spread of beta.  Leading batch axes
-    of the inputs broadcast, so an identity batch gives the operator matrix."""
-    out = _output(spec, fs)
-    for scale, measure, b in _symbol_scales(spec.symbol):
-        out.samples += spec.beta.spread(measure * b * spec.zeta(scale, fs), scale)
+    of the inputs broadcast, so an identity batch gives the operator matrix;
+    a batch of symbols gives member i the paraproduct of symbol i."""
+    coeffs, groups, batch = stack_trees(spec.symbol)
+    out = _output(spec, fs, coeffs, batch)
+    d = spec.basis.root.d
+    add_scales(out.samples, groups, lambda s: spec.beta.spread(
+        2.0 ** (s * d) * coeffs[s] * spec.zeta(s, fs), s))
     return out
 
 
@@ -84,22 +81,28 @@ def adjoint_apply(spec: ParaproductSpec, j: int, fs) -> GridFunction:
     rides on the averaging atom."""
     if not (1 <= j <= spec.arity):
         raise ValueError(f"slot index {j} outside 1..{spec.arity}")
-    out = _output(spec, fs)
+    coeffs, groups, batch = stack_trees(spec.symbol)
+    out = _output(spec, fs, coeffs, batch)
+    d = spec.basis.root.d
     others = [f for i, f in enumerate(fs, start=1) if i != j]
-    for scale, measure, b in _symbol_scales(spec.symbol):
-        coeff = measure * b * spec.beta.pair(fs[j - 1].samples, scale)
-        out.samples += spec.chi.spread(coeff * spec.zeta(scale, others), scale)
+
+    def term(s):
+        coeff = 2.0 ** (s * d) * coeffs[s] * spec.beta.pair(fs[j - 1].samples, s)
+        return spec.chi.spread(coeff * spec.zeta(s, others), s)
+
+    add_scales(out.samples, groups, term)
     return out
 
 
 @dataclass
 class WaveletFormSpec:
-    """(m+1)-linear wavelet form over the nonzero cubes of ``support``:
-    cancellative first slot against phi_Q, the rest against per-slot atoms."""
+    """(m+1)-linear wavelet form over the nonzero cubes of ``support`` (a
+    tree, or a batch of trees, one per member): cancellative first slot
+    against phi_Q, the rest against per-slot atoms."""
 
     basis: AtomBasis
     arity: int  # number of trailing slots m; the form is (m+1)-linear
-    support: CoefficientTree
+    support: CoefficientTree | list
     slots: list  # one atom family per trailing slot
     phi: AtomFamily = None
 
@@ -118,24 +121,42 @@ def duality_form(spec: ParaproductSpec) -> WaveletFormSpec:
         slots=[spec.beta] + [spec.chi] * spec.arity, support=spec.symbol)
 
 
+def _support_sums(prod: np.ndarray, support: np.ndarray, d: int) -> np.ndarray:
+    """Each member's sum of ``prod`` over the nonzero positions of its
+    support, as the 1-D sum of a single call (a sum over a shared mask would
+    group numpy's pairwise sums differently): members with as many
+    positions are the rows of one contiguous array."""
+    shape = np.broadcast_shapes(prod.shape, support.shape)
+    mask = np.broadcast_to(support != 0, shape).reshape(-1, np.prod(shape[-d:], dtype=int))
+    prod = np.broadcast_to(prod, shape).reshape(mask.shape)
+    counts = np.count_nonzero(mask, axis=1)
+    sums = np.zeros(len(mask), prod.dtype)
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        sums[rows] = np.sum(prod[rows][mask[rows]].reshape(len(rows), k), axis=-1)
+    return sums.reshape(shape[:-d])
+
+
 def form_eval(form: WaveletFormSpec, f: GridFunction, fs):
     """Sum over cubes of |Q| phi_Q(f) prod_j slot_j(f_j), a scale at a time:
-    a float, or one value per member of the broadcast batch of the inputs."""
+    a float, or one value per member of the broadcast batch of the inputs
+    (and of the supports, for a batch of them)."""
     if len(fs) != form.arity:
         raise ArityError(f"expected {form.arity} trailing inputs, got {len(fs)}")
-    d = form.basis.root.d
-    total = np.zeros(np.broadcast_shapes(*(g.samples.shape for g in [f, *fs]))[:-d])[()]
-    for scale, arr in form.support.data.items():
-        if not arr.any():
-            continue
-        index = (...,) + np.nonzero(arr)
-        term = form.phi.pair(f.samples, scale)[index]
+    root = form.basis.root
+    d = root.d
+    support, groups, batch = stack_trees(form.support)
+    inputs = [g.samples for g in [f, *fs]]
+
+    def term(s):
+        prod = form.phi.pair(f.samples, s)
         for slot, g in zip(form.slots, fs):
-            term = term * slot.pair(g.samples, scale)[index]
-        # a C-ordered copy: each member's row is then summed as the 1-D term
-        # of a single function is, whatever layout the indexing returned
-        total = total + 2.0 ** (scale * d) * np.sum(np.ascontiguousarray(term), axis=-1)
-    return total
+            prod = prod * slot.pair(g.samples, s)
+        return 2.0 ** (s * d) * _support_sums(prod, support[s], d)
+
+    total = np.zeros(np.broadcast_shapes(batch + root.shape, *(x.shape for x in inputs))[:-d],
+                     dtype=np.result_type(float, *inputs))
+    return add_scales(total, groups, term)[()]
 
 
 def intrinsic_form(q0: DyadicCube, f: GridFunction, fs,
@@ -166,12 +187,12 @@ def localized_form(symbol: CoefficientTree, q0: DyadicCube, g: GridFunction,
     value per member of the broadcast batch of the inputs."""
     d = symbol.root.d
     total = np.zeros(np.broadcast_shapes(*(f.samples.shape for f in [g, *fs]))[:-d])[()]
-    for scale, measure, arr in _symbol_scales(symbol):
+    for scale, arr in symbol.data.items():
         if scale > q0.scale:
             continue
         block = (...,) + q0.block(scale)
         b = arr[block]
         if b.any():
             term = b * spec.beta.pair(g.samples, scale)[block] * spec.zeta(scale, fs)[block]
-            total = total + measure * np.sum(term, axis=box_axes(d))
+            total = total + 2.0 ** (scale * d) * np.sum(term, axis=box_axes(d))
     return total

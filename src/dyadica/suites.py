@@ -68,6 +68,35 @@ class Workspace:
         """The size-2 dictionary the theorem probe draws its atoms from."""
         return TestDictionary(self.basis, size=2, min_cells=2)
 
+    @memo
+    def default_kernels(self, seed: int, kdefs: tuple) -> list[tuple[str, KernelSpec]]:
+        """The testbench's kernels at ``seed``: the built-ins, then one per
+        ``[kernel:NAME]`` definition in ``kdefs``."""
+        out = []
+        rng = np.random.default_rng([seed, 7])
+        tree = atom_tree(rng, self.basis, count=8)
+        spec = ParaproductSpec(self.basis, tree, arity=2)
+        out.append(("planted_paraproduct", KernelSpec(self.root, n=2, kind="planted",
+                                                      planted=spec)))
+        out.append(("truncated_hilbert",
+                    KernelSpec(self.root, n=1, kind="convolution",
+                               eps_trunc=4.0 * self.root.cell_width)))
+        out.append(("zero", KernelSpec(self.root, n=1, kind="zero")))
+        for kdef in kdefs:
+            if kdef.kind == "planted":
+                krng = np.random.default_rng([seed, 7, kdef.seed])
+                ktree = atom_tree(krng, self.basis, count=kdef.symbol_count)
+                kspec = KernelSpec(self.root, n=kdef.arity, kind="planted",
+                                   planted=ParaproductSpec(self.basis, ktree,
+                                                           arity=kdef.arity))
+            else:
+                eps = kdef.eps_trunc if kdef.eps_trunc > 0 \
+                    else 4.0 * self.root.cell_width
+                kspec = KernelSpec(self.root, n=kdef.arity, kind=kdef.kind,
+                                   eps_trunc=eps, strength=kdef.strength)
+            out.append((kdef.name, kspec))
+        return out
+
 
 @memo
 def workspace(d: int, L: int, J: int, N: int, dict_size: int,
@@ -139,16 +168,22 @@ def suite_wavelet(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     worst = 0.0
     consts = []
     evaluated = skipped = 0
+    # each check's function, scale and (for a non-empty band) position, all
+    # drawn before the checks, which draw nothing
+    draws, cubes = [], []
     for i in range(60):
-        f = render(ws.root, [draw_plateau(rng, ws.root) + draw_wave(rng, ws.root)])[0]
-        k = 1 + (i % 2)
+        draws.append(draw_plateau(rng, ws.root) + draw_wave(rng, ws.root))
         scale = int(rng.integers(ws.root.J + 3, ws.root.L - 1))
         band = range((ws.basis.family.w - 1) // 2,
                      ws.root.positions_per_side(scale) - (ws.basis.family.w - 1) // 2)
-        if len(band) == 0:
+        cubes.append(DyadicCube(scale, (int(rng.integers(band.start, band.stop)),))
+                     if len(band) else None)
+    fs = render(ws.root, draws)
+    for i, cube in enumerate(cubes):
+        if cube is None:
             continue
-        pos = int(rng.integers(band.start, band.stop))
-        rep = anti_ibp_check(f, DyadicCube(scale, (pos,)), k, ws.basis)
+        f = fs[i]
+        rep = anti_ibp_check(f, cube, 1 + (i % 2), ws.basis)
         floor = 1e-12 * float(np.max(np.abs(f.samples)))
         if max(abs(rep["lhs"]), abs(rep["rhs"])) < floor:
             skipped += 1  # cancellation-degenerate pairing, logged not divided
@@ -287,23 +322,21 @@ def suite_paraproduct(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         inputs.append([draw_mixed(rng, ws.basis, kind=i + j) for j in range(2 + i % 3)])
     bfuncs = render(ws.root, symbols)
     funcs = render(ws.root, [draw for row in inputs for draw in row])
+    starts = np.cumsum([0] + [len(row) for row in inputs])
     worst = 0.0
-    at = 0
-    for i, symbol in enumerate(symbols):
-        m = 1 + i % 3
-        spec = ParaproductSpec(ws.basis, symbol.tree(), arity=m)
-        fs, g = [funcs[at + j] for j in range(m)], funcs[at + m]
-        at += m + 1
+    for m in (1, 2, 3):
+        # the trials of arity m as one batch, symbol i on trial i
+        trials = np.arange(m - 1, len(symbols), 3)
+        spec = ParaproductSpec(ws.basis, [symbols[i].tree() for i in trials], arity=m)
+        fs, g = [funcs[starts[trials] + j] for j in range(m)], funcs[starts[trials] + m]
         out = apply_paraproduct(spec, fs)
         lhs = pairing(out, g)
-        bfunc = bfuncs[i]
-        dual = duality_form(spec)
-        rhs = form_eval(dual, bfunc, [g] + fs)
+        rhs = form_eval(duality_form(spec), bfuncs[trials], [g] + fs)
         # cancellation-heavy pairings are measured against the bilinear mass
-        pair_mass = float(np.sum(np.abs(out.samples * g.samples))
-                          * ws.root.cell_measure)
-        denom = max(abs(lhs), abs(rhs), pair_mass, 1e-300)
-        worst = max(worst, abs(lhs - rhs) / denom)
+        pair_mass = np.sum(np.abs(out.samples * g.samples).reshape(len(trials), -1),
+                           axis=-1) * ws.root.cell_measure
+        denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(pair_mass, 1e-300))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / denom)))
     rows.append(CriterionRow.check(
         "paraproduct", "duality_identity", worst, 1e-8,
         detail="50 random triples, m in {1,2,3}"))
@@ -316,33 +349,29 @@ def suite_paraproduct(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
         wsj = workspace(cfg.d, cfg.L, J, cfg.wavelet_order, cfg.dictionary_size,
                         cfg.refine)
         rngj = np.random.default_rng([cfg.seed, 4])
-        ratios = []
-        dom = []
+        # each trial's symbol, f1, f2 and g, all drawn before the checks; a
+        # trial whose symbol has no BMO mass is drawn but not checked
+        symbols, inputs = [], []
         for i in range(30):
-            tree = atom_tree(rngj, wsj.basis, count=8)
-            bfunc = GridFunction(wsj.root, wsj.basis.synthesize(tree))
-            nb = bmo_norm(bfunc, wsj.dictionary)
-            if nb < 1e-12:
-                continue
-            tree = tree.scaled(1.0 / nb)
-            bfunc = GridFunction(wsj.root, bfunc.samples / nb)
-            spec = ParaproductSpec(wsj.basis, tree, arity=2)
-            fs = [mixed_function(rngj, wsj.basis, kind=i + j) for j in range(2)]
-            out = apply_paraproduct(spec, fs)
-            p_ex = (4.0, 4.0)
-            rhs = np.prod([lp_norm(f, p) for f, p in zip(fs, p_ex)])
-            if rhs > 1e-12:
-                ratios.append(lp_norm(out, 2.0) / rhs)
-            # maximal-function domination of the associated wavelet form
-            g = mixed_function(rngj, wsj.basis, kind=i + 2)
-            lam = abs(form_eval(duality_form(spec), bfunc, [g] + fs))
-            bound = min(
-                bmo_norm(bfunc, wsj.dictionary) * lp_norm(maximal([g] + fs), 1.0),
-                lp_norm(maximal([bfunc, g] + fs), 1.0))
-            if bound > 1e-12:
-                dom.append(lam / bound)
-        max_ratio_by_j.append(max(ratios))
-        dom_const_by_j.append(max(dom))
+            symbols.append(draw_atoms(rngj, wsj.basis, count=8))
+            inputs.append([mixed_function(rngj, wsj.basis, kind=i + j) for j in range(3)])
+        bfuncs = render(wsj.root, symbols)
+        nb = bmo_norm(bfuncs, wsj.dictionary)
+        kept = np.flatnonzero(~(nb < 1e-12))
+        nb = nb[kept]
+        spec = ParaproductSpec(wsj.basis, [symbols[i].tree().scaled(1.0 / n)
+                                           for i, n in zip(kept, nb)], arity=2)
+        bfunc = GridFunction(wsj.root, bfuncs.samples[kept] / nb[(...,) + (None,) * wsj.root.d])
+        *fs, g = (GridFunction.stack(col)[kept] for col in zip(*inputs))
+        out = apply_paraproduct(spec, fs)
+        rhs = lp_norm(fs[0], 4.0) * lp_norm(fs[1], 4.0)
+        max_ratio_by_j.append(float(np.max(lp_norm(out, 2.0)[rhs > 1e-12] / rhs[rhs > 1e-12])))
+        # maximal-function domination of the associated wavelet form
+        lam = np.abs(form_eval(duality_form(spec), bfunc, [g] + fs))
+        bound = np.minimum(
+            bmo_norm(bfunc, wsj.dictionary) * lp_norm(maximal([g] + fs), 1.0),
+            lp_norm(maximal([bfunc, g] + fs), 1.0))
+        dom_const_by_j.append(float(np.max(lam[bound > 1e-12] / bound[bound > 1e-12])))
     rows.append(CriterionRow.check(
         "paraproduct", "lebesgue_ratio_growth", _growth_factor(max_ratio_by_j),
         cfg.growth_cap, detail=f"max ratios {np.round(max_ratio_by_j, 4).tolist()}"))
@@ -462,41 +491,13 @@ def suite_sparse(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
 # -- testbench suite (criterion 10) --------------------------------------------
 
 
-def default_kernels(cfg: ExperimentConfig, ws: Workspace) -> list[tuple[str, KernelSpec]]:
-    """Registry kernels from config sections, preceded by the built-ins."""
-    out = []
-    rng = np.random.default_rng([cfg.seed, 7])
-    tree = atom_tree(rng, ws.basis, count=8)
-    spec = ParaproductSpec(ws.basis, tree, arity=2)
-    out.append(("planted_paraproduct", KernelSpec(ws.root, n=2, kind="planted",
-                                                  planted=spec)))
-    out.append(("truncated_hilbert",
-                KernelSpec(ws.root, n=1, kind="convolution",
-                           eps_trunc=4.0 * ws.root.cell_width)))
-    out.append(("zero", KernelSpec(ws.root, n=1, kind="zero")))
-    for kdef in cfg.kernels:
-        if kdef.kind == "planted":
-            krng = np.random.default_rng([cfg.seed, 7, kdef.seed])
-            ktree = atom_tree(krng, ws.basis, count=kdef.symbol_count)
-            kspec = KernelSpec(ws.root, n=kdef.arity, kind="planted",
-                               planted=ParaproductSpec(ws.basis, ktree,
-                                                       arity=kdef.arity))
-        else:
-            eps = kdef.eps_trunc if kdef.eps_trunc > 0 \
-                else 4.0 * ws.root.cell_width
-            kspec = KernelSpec(ws.root, n=kdef.arity, kind=kdef.kind,
-                               eps_trunc=eps, strength=kdef.strength)
-        out.append((kdef.name, kspec))
-    return out
-
-
 def suite_testbench(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
     rows = []
     k = cfg.testbench_k
     ws = workspace(1, cfg.L, cfg.L - 8, max(cfg.wavelet_order, k + 1),
                    cfg.dictionary_size, cfg.refine)
     rng = np.random.default_rng([cfg.seed, 8])
-    kernels = default_kernels(cfg, ws)
+    kernels = ws.default_kernels(cfg.seed, tuple(cfg.kernels))
     sample_cubes = [c for c in ws.basis.interior_cubes(ws.root.J + 3, ws.root.L - 2)]
     sample_cubes = sample_cubes[::max(1, len(sample_cubes) // cfg.testbench_samples)]
     name, planted = kernels[0]
@@ -584,8 +585,8 @@ def suite_testbench(cfg: ExperimentConfig, outdir=None) -> list[CriterionRow]:
 def _probe_members(ws: Workspace, seed_key, members: int, scales):
     """Members drawn refinement-independently, member i from the rng
     ``seed_key + [i]``: a symbol on ``scales`` and two inputs.  Returns the
-    members (``spec`` and ``fs``) and the stacks of the symbols' functions
-    and of each input slot.
+    paraproduct spec of the batch of symbols and the stacks of the symbols'
+    functions and of each input slot.
 
     Paraproduct atoms come from the smooth sampled families of the
     workspace's probe dictionary, so probe derivative norms are resolved at
@@ -601,17 +602,9 @@ def _probe_members(ws: Workspace, seed_key, members: int, scales):
                        else draw_mixed(rng, ws.basis, kind=member + j) for j in range(2)])
     bfuncs, *slots = _render_columns(ws.root, [[sym] + fs for sym, fs in zip(symbols, inputs)])
     atoms = ws.probe_dictionary()
-    beta, chi = atoms.member_family(1), atoms.bump_family(0, unit=True)
-    mems = [{"spec": ParaproductSpec(ws.basis, sym.tree(), arity=2, beta=beta, chi=chi),
-             "fs": [slot[i] for slot in slots]} for i, sym in enumerate(symbols)]
-    return mems, bfuncs, slots
-
-
-def _member_role(mem, which) -> GridFunction:
-    """A member's function in a role: "out" (the paraproduct) or ("adj", j)."""
-    if which == "out":
-        return apply_paraproduct(mem["spec"], mem["fs"])
-    return adjoint_apply(mem["spec"], which[1], mem["fs"])
+    spec = ParaproductSpec(ws.basis, [sym.tree() for sym in symbols], arity=2,
+                           beta=atoms.member_family(1), chi=atoms.bump_family(0, unit=True))
+    return spec, bfuncs, slots
 
 
 def probe_variants(cfg: ExperimentConfig):
@@ -698,7 +691,7 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
     detail_rows = []
     for J in sweep:
         ws = workspace(cfg.d, cfg.L, J, fam_n, cfg.dictionary_size, cfg.refine)
-        mems, bfuncs, slots = _probe_members(ws, [cfg.seed, 9], members, symbol_scales)
+        spec, bfuncs, slots = _probe_members(ws, [cfg.seed, 9], members, symbol_scales)
         # each layer once over all members: the symbol norms now, each
         # role's stack and each distinct Sobolev norm of it on first use
         tl = tl_norms(bfuncs, norm_specs, ws.dictionary)
@@ -707,7 +700,8 @@ def run_theorem_probe(cfg: ExperimentConfig, outdir=None):
         def norm(which, kappa, r):
             if (which, kappa, r) not in norms:
                 if which not in roles:
-                    roles[which] = GridFunction.stack(_member_role(mem, which) for mem in mems)
+                    roles[which] = (apply_paraproduct(spec, slots) if which == "out"
+                                    else adjoint_apply(spec, which[1], slots))
                 norms[which, kappa, r] = sobolev_norm(roles[which], kappa, r, ws.basis)
             return norms[which, kappa, r]
 

@@ -237,6 +237,51 @@ class CoefficientTree:
                    default=0.0)
 
 
+def stack_trees(trees):
+    """``(coeffs, groups, batch)`` of one tree, or of a batch of trees (a
+    list, one per member): the coefficients per scale, stacked over the
+    members (zero where a member has none); the groups ``(rows, scales)`` of
+    members that hold their nonzero scales in one order, ``rows`` indexing
+    the batch (``...`` when every member shares the order); and the batch
+    shape, ``()`` for one tree.  Addition is not associative, so
+    ``add_scales`` adds each member's scale terms in its own order: the sum
+    of its own loop over ``tree.data``."""
+    members = [trees] if isinstance(trees, CoefficientTree) else trees
+    rows_by_order: dict = {}
+    for i, tree in enumerate(members):
+        order = tuple(s for s, arr in tree.data.items() if np.count_nonzero(arr))
+        rows_by_order.setdefault(order, []).append(i)
+    groups = [(np.array(rows), order) for order, rows in rows_by_order.items()]
+    if len(groups) == 1:
+        groups = [(..., groups[0][1])]
+    if members is not trees:
+        return dict(trees.data), groups, ()
+    root = trees[0].root
+    dtype = np.result_type(float, *{arr.dtype for tree in trees for arr in tree.data.values()})
+    coeffs = {s: np.zeros((len(trees),) + (root.positions_per_side(s),) * root.d, dtype)
+              for order in rows_by_order for s in order}
+    for order, rows in rows_by_order.items():
+        for s in order:
+            coeffs[s][rows] = [trees[i].data[s] for i in rows]
+    return coeffs, groups, (len(trees),)
+
+
+def add_scales(out: np.ndarray, groups, term) -> np.ndarray:
+    """``out`` plus ``term(s)[rows]`` for each scale s of each ``stack_trees``
+    group, in the group's order, in place.  ``term(s)`` is computed once for
+    the whole batch and dropped after its last use."""
+    last = {s: k for k, (_, order) in enumerate(groups) for s in order}
+    terms = {}
+    for k, (rows, order) in enumerate(groups):
+        for s in order:
+            if s not in terms:
+                terms[s] = term(s)
+            out[rows] += terms[s][rows]
+            if last[s] == k:
+                del terms[s]
+    return out
+
+
 class AtomBasis:
     """Discrete wavelet/scaling atoms of a family realized on a root box.
 
@@ -329,15 +374,15 @@ class AtomBasis:
             tree.data[scale] = wavelets.pair(samples, scale)
         return tree
 
-    def synthesize(self, tree: CoefficientTree) -> np.ndarray:
+    def synthesize(self, tree) -> np.ndarray:
         """Sum over cubes of |Q| t(Q) phi_Q sampled on the grid: one
-        overlap-add per scale that has a nonzero coefficient."""
-        out = np.zeros(self.root.shape, dtype=np.result_type(float, *tree.data.values()))
+        overlap-add per scale that has a nonzero coefficient.  A batch of
+        trees (a list) gives one function per member (``stack_trees``)."""
+        coeffs, groups, batch = stack_trees(tree)
+        out = np.zeros(batch + self.root.shape, dtype=np.result_type(float, *coeffs.values()))
         wavelets = self.atoms("wavelet")
-        for scale, arr in tree.data.items():
-            if arr.any():
-                out += wavelets.spread(2.0 ** (scale * self.root.d) * arr, scale)
-        return out
+        return add_scales(out, groups, lambda s: wavelets.spread(
+            2.0 ** (s * self.root.d) * coeffs[s], s))
 
     # -- multiresolution identities ----------------------------------------
 

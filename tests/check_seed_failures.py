@@ -9,13 +9,20 @@ change moves a verdict on purpose, it updates the table.  From the
 repository root:
 
     PYTHONPATH=src python tests/check_seed_failures.py
+
+It also prints one sha256 per seed over that seed's files (names and
+contents, the theorem's wall-clock row and the "in Ns" of its detail
+masked), so diffing its output at two commits shows any value that moved,
+not only a verdict.  Only the table decides the exit code.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -38,22 +45,38 @@ FAILING = {
 }
 
 
-def seed_rows(seed: int, outdir: Path) -> tuple[int, set]:
-    """(number of rows, failing rows) of ``dyadica suite --seed seed``."""
+def digest(outdir: Path) -> str:
+    """sha256 over the names and contents of the files in ``outdir``, with
+    the theorem's wall-clock row and the "in Ns" of its detail masked."""
+    h = hashlib.sha256()
+    for path in sorted(outdir.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "summary.csv":
+            text = re.sub(r" in \d+s", " in Ns", "".join(
+                line for line in text.splitlines(keepends=True)
+                if "probe_runtime_seconds" not in line))
+        h.update(f"{path.name}\0{text}\0".encode())
+    return h.hexdigest()
+
+
+def seed_rows(seed: int, outdir: Path) -> tuple[int, set, str]:
+    """(number of rows, failing rows, ``digest``) of ``dyadica suite --seed seed``."""
     cfg = ExperimentConfig.defaults()
     cfg.raw.set("ensemble", "seed", str(seed))
     with contextlib.redirect_stdout(io.StringIO()):
         run_suite([], cfg, str(outdir))
     with open(outdir / "summary.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    return len(rows), {f"{r['suite']}/{r['criterion']}" for r in rows if r["status"] == "FAIL"}
+    failing = {f"{r['suite']}/{r['criterion']}" for r in rows if r["status"] == "FAIL"}
+    return len(rows), failing, digest(outdir)
 
 
 def main() -> int:
     moved = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed, expected in FAILING.items():
-            count, failing = seed_rows(seed, Path(tmp) / str(seed))
+            count, failing, sha = seed_rows(seed, Path(tmp) / str(seed))
+            print(f"seed {seed}: sha256 {sha}")
             if count != ROWS or failing != expected:
                 moved += 1
                 print(f"seed {seed}: {count} rows (expected {ROWS}); "

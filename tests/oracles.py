@@ -12,9 +12,9 @@ threshold doubling and the one-trial recursion that keeps each node's data
 across doublings; the input generators that draw and sample one function
 at a time, each plateau on its own meshgrid and each atom tree synthesized
 alone; the planted form and the Sobolev bench one member at a time; the
-per-trial suite loops; and a test dictionary whose sampled
-tables are built for it alone, as before they were shared per family.  The
-last section holds helpers that only the tests call.
+per-trial suite loops, one symbol per paraproduct call; and a test
+dictionary whose sampled tables are built for it alone, as before they were
+shared per family.  The last section holds helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -721,6 +721,56 @@ def probe_member(ws, seed_key, member: int, scales, atom_source) -> dict:
             "spec": spec, "fs": fs}
 
 
+# -- the paraproduct layer for one symbol, a scale at a time -----------------------
+
+
+def _symbol_scales(symbol):
+    """(scale, |Q|, coefficients) of the scales with a nonzero coefficient,
+    in the order the tree holds them."""
+    d = symbol.root.d
+    return [(scale, 2.0 ** (scale * d), arr) for scale, arr in symbol.data.items()
+            if arr.any()]
+
+
+def _zero_output(spec, fs) -> np.ndarray:
+    root = spec.basis.root
+    return np.zeros(np.broadcast_shapes(root.shape, *(f.samples.shape for f in fs)),
+                    dtype=np.result_type(float, *spec.symbol.data.values(),
+                                         *(f.samples for f in fs)))
+
+
+def scale_loop_apply(spec, fs) -> np.ndarray:
+    """``apply_paraproduct`` of a one-tree spec, each scale added in turn."""
+    out = _zero_output(spec, fs)
+    for scale, measure, b in _symbol_scales(spec.symbol):
+        out += spec.beta.spread(measure * b * spec.zeta(scale, fs), scale)
+    return out
+
+
+def scale_loop_adjoint(spec, j: int, fs) -> np.ndarray:
+    """``adjoint_apply`` of a one-tree spec, each scale added in turn."""
+    out = _zero_output(spec, fs)
+    others = [f for i, f in enumerate(fs, start=1) if i != j]
+    for scale, measure, b in _symbol_scales(spec.symbol):
+        coeff = measure * b * spec.beta.pair(fs[j - 1].samples, scale)
+        out += spec.chi.spread(coeff * spec.zeta(scale, others), scale)
+    return out
+
+
+def scale_loop_form(form, f: GridFunction, fs):
+    """``form_eval`` of a one-tree support, each scale's sum over its
+    nonzero cubes added in turn."""
+    d = form.basis.root.d
+    total = np.zeros(np.broadcast_shapes(*(g.samples.shape for g in [f, *fs]))[:-d])[()]
+    for scale, measure, arr in _symbol_scales(form.support):
+        index = (...,) + np.nonzero(arr)
+        term = form.phi.pair(f.samples, scale)[index]
+        for slot, g in zip(form.slots, fs):
+            term = term * slot.pair(g.samples, scale)[index]
+        total = total + measure * np.sum(np.ascontiguousarray(term), axis=-1)
+    return total
+
+
 # -- the planted form and the Sobolev bench, one member at a time ------------------
 
 
@@ -847,6 +897,65 @@ def run_theorem_probe(cfg):
                 rows.append([label, J, max(ratios), float(np.median(ratios)),
                              len(ratios), skipped])
     return rows
+
+
+def paraproduct_suite_values(cfg):
+    """The paraproduct suite's values with every trial drawn and checked in
+    turn, one symbol per call: the worst duality gap, and per sweep level
+    the worst Lebesgue ratio and the worst maximal-domination constant.
+    A Lebesgue trial whose symbol has no BMO mass draws no inputs here, so
+    the last value, the number of such trials, must be 0 for the suite
+    (which draws every trial's inputs) to agree."""
+    from dyadica.funcspace import lp_norm, maximal
+    from dyadica.paraproduct import (ParaproductSpec, apply_paraproduct, duality_form,
+                                     form_eval)
+    from dyadica.suites import workspace
+    from dyadica.tlnorm import bmo_norm
+    ws = workspace(cfg.d, cfg.L, cfg.J, cfg.wavelet_order, cfg.dictionary_size, cfg.refine)
+    rng = np.random.default_rng([cfg.seed, 3])
+    worst = 0.0
+    for i in range(50):
+        m = 1 + i % 3
+        tree = atom_tree(rng, ws.basis, count=8)
+        fs = [mixed_function(rng, ws.basis, kind=i + j) for j in range(m)]
+        g = mixed_function(rng, ws.basis, kind=i + m)
+        spec = ParaproductSpec(ws.basis, tree, arity=m)
+        out = apply_paraproduct(spec, fs)
+        lhs = pairing(out, g)
+        rhs = form_eval(duality_form(spec), GridFunction(ws.root, ws.basis.synthesize(tree)),
+                        [g] + fs)
+        pair_mass = float(np.sum(np.abs(out.samples * g.samples)) * ws.root.cell_measure)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), pair_mass, 1e-300))
+    max_ratio_by_j, dom_const_by_j, degenerate = [], [], 0
+    for J in cfg.sparse_j_sweep:
+        wsj = workspace(cfg.d, cfg.L, J - 1, cfg.wavelet_order, cfg.dictionary_size,
+                        cfg.refine)
+        rngj = np.random.default_rng([cfg.seed, 4])
+        ratios, dom = [], []
+        for i in range(30):
+            tree = atom_tree(rngj, wsj.basis, count=8)
+            bfunc = GridFunction(wsj.root, wsj.basis.synthesize(tree))
+            nb = bmo_norm(bfunc, wsj.dictionary)
+            if nb < 1e-12:
+                degenerate += 1
+                continue
+            tree = tree.scaled(1.0 / nb)
+            bfunc = GridFunction(wsj.root, bfunc.samples / nb)
+            spec = ParaproductSpec(wsj.basis, tree, arity=2)
+            fs = [mixed_function(rngj, wsj.basis, kind=i + j) for j in range(2)]
+            out = apply_paraproduct(spec, fs)
+            rhs = np.prod([lp_norm(f, 4.0) for f in fs])
+            if rhs > 1e-12:
+                ratios.append(lp_norm(out, 2.0) / rhs)
+            g = mixed_function(rngj, wsj.basis, kind=i + 2)
+            lam = abs(form_eval(duality_form(spec), bfunc, [g] + fs))
+            bound = min(bmo_norm(bfunc, wsj.dictionary) * lp_norm(maximal([g] + fs), 1.0),
+                        lp_norm(maximal([bfunc, g] + fs), 1.0))
+            if bound > 1e-12:
+                dom.append(lam / bound)
+        max_ratio_by_j.append(max(ratios))
+        dom_const_by_j.append(max(dom))
+    return worst, max_ratio_by_j, dom_const_by_j, degenerate
 
 
 def sparse_suite_values(cfg):

@@ -3,6 +3,8 @@ per member, compared with ``np.array_equal`` (bit for bit), the operator
 matrix of a paraproduct from one identity batch, and the batched suites
 against their one-trial-at-a-time references in ``oracles``."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from dyadica.paraproduct import (ParaproductSpec, adjoint_apply, apply_paraprodu
                                  duality_form, form_eval, intrinsic_form, localized_form)
 from dyadica.sparse import NodeStops, StoppingConfig, intest_stops, verify_domination
 from dyadica.tlnorm import NormSpec, TestDictionary, square_function, tl_norm, tl_norms
-from dyadica.wavelet import CoefficientTree
+from dyadica.wavelet import CoefficientTree, stack_trees
 
 SPECS = [NormSpec(0.0, 0.0, 2.0, 2.0), NormSpec(1.0, -1.0, 4.0, 2.0),
          NormSpec(0.0, 1.0, np.inf, np.inf), NormSpec(1.0, 0.0, 1.0, 1.0),
@@ -272,6 +274,79 @@ def test_paraproduct_layer(para_bases, d, size, kind):
         assert rep["count"] == size
 
 
+def _member_symbols(basis, kind, size, seed):
+    """One symbol per member, each with its own support (up to 12 cubes per
+    scale, so form sums reach numpy's pairwise blocks) and its own order of
+    first touching the scales; member 0 also holds an all-zero scale."""
+    root = basis.root
+    rng = np.random.default_rng(seed)
+    orders = list(itertools.permutations(range(root.J + 1, root.J + 4)))
+    trees = []
+    for i in range(size):
+        tree = CoefficientTree(root, dtype=complex if kind == "complex" else float)
+        if i == 0:
+            tree.data[root.J + 4] = np.zeros((root.positions_per_side(root.J + 4),) * root.d)
+        for scale in orders[i % len(orders)][:3 - (i % 4 == 3)]:
+            n = root.positions_per_side(scale)
+            arr = np.zeros(n ** root.d, dtype=tree.dtype)
+            cells = rng.choice(n ** root.d, size=min(int(rng.integers(1, 13)), n ** root.d),
+                               replace=False)
+            arr[cells] = rng.standard_normal(len(cells))
+            if kind == "complex":
+                arr[cells] += 1j * rng.standard_normal(len(cells))
+            tree.data[scale] = arr.reshape((n,) * root.d)
+        trees.append(tree)
+    return trees
+
+
+SYMBOL_CASES = [(d, arity, kind) for d in (1, 2) for arity in (1, 2, 3)
+                for kind in ("real", "complex")]
+
+
+@pytest.mark.parametrize("d, arity, kind", SYMBOL_CASES,
+                         ids=[f"d{d}-m{arity}-{kind}" for d, arity, kind in SYMBOL_CASES])
+def test_batch_of_symbols(para_bases, d, arity, kind):
+    """Member i of a batch of symbols is the call with symbol i alone, bit
+    for bit, though the members add their scales in different orders."""
+    basis = para_bases[d]
+    root = basis.root
+    size = 7
+    trees = _member_symbols(basis, kind, size, [d, arity])
+    assert len(stack_trees(trees)[1]) > 1  # more than one scale order
+    rng = np.random.default_rng([d, arity, 1])
+    b, g, *fs = (GridFunction(root, rng.standard_normal((size,) + root.shape))
+                 for _ in range(arity + 2))
+    spec = ParaproductSpec(basis, trees, arity=arity)
+
+    def alone(i):
+        return ParaproductSpec(basis, trees[i], arity=arity)
+
+    def rows(f, i):
+        return [x[i] for x in f]
+
+    # each value against the member's own call and its scale-by-scale
+    # reference, which adds the scales in the order its tree holds them
+    members = range(size)
+    ref = [oracles.scale_loop_apply(alone(i), rows(fs, i)) for i in members]
+    _equal(apply_paraproduct(spec, fs).samples, ref)
+    _equal([apply_paraproduct(alone(i), rows(fs, i)).samples for i in members], ref)
+    for j in range(1, arity + 1):
+        ref = [oracles.scale_loop_adjoint(alone(i), j, rows(fs, i)) for i in members]
+        _equal(adjoint_apply(spec, j, fs).samples, ref)
+        _equal([adjoint_apply(alone(i), j, rows(fs, i)).samples for i in members], ref)
+    ref = [oracles.scale_loop_form(duality_form(alone(i)), b[i], rows([g] + fs, i))
+           for i in members]
+    _equal(form_eval(duality_form(spec), b, [g] + fs), ref)
+    _equal([form_eval(duality_form(alone(i)), b[i], rows([g] + fs, i)) for i in members], ref)
+    # inputs without a batch axis broadcast against the symbols
+    shared = rows(fs, 0)
+    _equal(apply_paraproduct(spec, shared).samples,
+           [oracles.scale_loop_apply(alone(i), shared) for i in members])
+    _equal(form_eval(duality_form(spec), b[0], rows([g] + fs, 0)),
+           [oracles.scale_loop_form(duality_form(alone(i)), b[0], rows([g] + fs, 0))
+            for i in members])
+
+
 @pytest.mark.parametrize("arity", [1, 2])
 def test_operator_matrix_from_an_identity_batch(basis_small, arity):
     """Member i of the identity batch is the i-th unit vector, so one call
@@ -309,11 +384,31 @@ def test_theorem_probe_matches_member_loop(tmp_path):
 def test_suites_do_not_depend_on_the_render_batch(tmp_path, monkeypatch):
     # each draw rendered alone gives the same rows as the suites' batches
     cfg = _small(tmp_path, "[ensemble]\ncount = 6\n[sparse]\ntrials = 3\nj_sweep = -6, -7\n")
-    shipped = suites.suite_norms(cfg) + suites.suite_sparse(cfg)
+
+    def run():
+        return (suites.suite_wavelet(cfg) + suites.suite_norms(cfg)
+                + suites.suite_paraproduct(cfg) + suites.suite_sparse(cfg))
+
+    shipped = run()
     render = suites.render
     monkeypatch.setattr(suites, "render", lambda root, draws: GridFunction.stack(
         render(root, [draw])[0] for draw in draws))
-    assert suites.suite_norms(cfg) + suites.suite_sparse(cfg) == shipped
+    assert run() == shipped
+
+
+def test_paraproduct_suite_matches_trial_loop(tmp_path):
+    cfg = _small(tmp_path, "[root]\nJ = -6\n[sparse]\nj_sweep = -5, -6\n")
+    rows = {r.name: r for r in suites.suite_paraproduct(cfg, tmp_path)}
+    worst, ratios, consts, degenerate = oracles.paraproduct_suite_values(cfg)
+    assert degenerate == 0
+    assert rows["duality_identity"].value == worst
+    assert rows["lebesgue_ratio_growth"].value == suites._growth_factor(ratios)
+    assert rows["lebesgue_ratio_growth"].detail == f"max ratios {np.round(ratios, 4).tolist()}"
+    assert rows["maximal_domination_growth"].value == suites._growth_factor(consts)
+    assert rows["maximal_domination_growth"].detail == \
+        f"constants {np.round(consts, 4).tolist()}"
+    lines = (tmp_path / "paraproduct_lebesgue.dat").read_text().splitlines()
+    assert [float(line.split()[1]) for line in lines] == ratios
 
 
 @pytest.mark.parametrize("batch, text", [
