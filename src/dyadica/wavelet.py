@@ -257,12 +257,10 @@ def stack_trees(trees):
     if members is not trees:
         return dict(trees.data), groups, ()
     root = trees[0].root
-    dtype = np.result_type(float, *{arr.dtype for tree in trees for arr in tree.data.values()})
-    coeffs = {s: np.zeros((len(trees),) + (root.positions_per_side(s),) * root.d, dtype)
-              for order in rows_by_order for s in order}
-    for order, rows in rows_by_order.items():
-        for s in order:
-            coeffs[s][rows] = [trees[i].data[s] for i in rows]
+    coeffs = {}
+    for s in dict.fromkeys(s for order in rows_by_order for s in order):
+        zero = np.zeros((root.positions_per_side(s),) * root.d)
+        coeffs[s] = np.stack([tree.data.get(s, zero) for tree in trees])
     return coeffs, groups, (len(trees),)
 
 
