@@ -126,6 +126,8 @@ def _support_sums(prod: np.ndarray, support: np.ndarray, d: int) -> np.ndarray:
     support, as the 1-D sum of a single call (a sum over a shared mask would
     group numpy's pairwise sums differently): members with as many
     positions are the rows of one contiguous array."""
+    if support.ndim == d:  # one support for every member
+        return np.sum(np.ascontiguousarray(prod[(...,) + np.nonzero(support)]), axis=-1)
     shape = np.broadcast_shapes(prod.shape, support.shape)
     mask = np.broadcast_to(support != 0, shape).reshape(-1, np.prod(shape[-d:], dtype=int))
     prod = np.broadcast_to(prod, shape).reshape(mask.shape)
