@@ -123,20 +123,19 @@ def duality_form(spec: ParaproductSpec) -> WaveletFormSpec:
 
 def _support_sums(prod: np.ndarray, support: np.ndarray, d: int) -> np.ndarray:
     """Each member's sum of ``prod`` over the nonzero positions of its
-    support, as the 1-D sum of a single call (a sum over a shared mask would
-    group numpy's pairwise sums differently): members with as many
-    positions are the rows of one contiguous array."""
+    support, as the 1-D sum of a single call.  For a batch of supports, the
+    members with as many positions are the rows of one contiguous array: a
+    sum over a shared mask would group numpy's pairwise sums differently."""
     if support.ndim == d:  # one support for every member
         return np.sum(np.ascontiguousarray(prod[(...,) + np.nonzero(support)]), axis=-1)
-    shape = np.broadcast_shapes(prod.shape, support.shape)
-    mask = np.broadcast_to(support != 0, shape).reshape(-1, np.prod(shape[-d:], dtype=int))
-    prod = np.broadcast_to(prod, shape).reshape(mask.shape)
+    mask = (support != 0).reshape(len(support), -1)
+    prod = np.broadcast_to(prod, support.shape).reshape(mask.shape)
     counts = np.count_nonzero(mask, axis=1)
     sums = np.zeros(len(mask), prod.dtype)
     for k in np.unique(counts[counts > 0]):
         rows = np.flatnonzero(counts == k)
         sums[rows] = np.sum(prod[rows][mask[rows]].reshape(len(rows), k), axis=-1)
-    return sums.reshape(shape[:-d])
+    return sums
 
 
 def form_eval(form: WaveletFormSpec, f: GridFunction, fs):
