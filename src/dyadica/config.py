@@ -10,7 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dyadic import RootBox
+from .sparse import StoppingConfig
 from .tlnorm import check_dictionary_size
+from .wavelet import check_family
 
 DEFAULTS = {
     "root": {"d": "1", "L": "0", "J": "-8"},
@@ -187,7 +190,31 @@ class ExperimentConfig:
                     raise ValueError(f"[{section}] unknown key {key!r}")
         if self.L <= self.J:
             raise ValueError("root scale must exceed finest scale")
+        # the constructors' own checks, which would fail only inside a suite
+        for key, value, check in (
+                ("[root] d", self.d, lambda v: RootBox(d=v, L=1, J=0)),
+                ("[wavelet] refine", self.refine, lambda v: check_family(1, v)),
+                ("[wavelet] N", self.wavelet_order, lambda v: check_family(v, self.refine)),
+                ("[probe] N", self.probe_order, lambda v: check_family(v, self.refine)),
+                ("[sparse] theta", self.sparse_theta,
+                 lambda v: StoppingConfig(theta=v, theta_cap=np.inf)),
+                ("[sparse] theta_cap", self.sparse_theta_cap,
+                 lambda v: StoppingConfig(theta=self.sparse_theta, theta_cap=v)),
+                ("[sparse] packing_intest", self.packing_intest,
+                 lambda v: StoppingConfig(packing_target=v)),
+                ("[sparse] packing_mainiter", self.packing_mainiter,
+                 lambda v: StoppingConfig(packing_target=v))):
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"{key} = {value}: {exc}") from None
         check_dictionary_size(self.dictionary_size)
+        # an empty order set stacks nothing, and a zero cutoff radius gives NaN
+        if self.testbench_k < 0:
+            raise ValueError(f"[testbench] k = {self.testbench_k} must be at least 0")
+        if not self.truncation_scale > 0:
+            raise ValueError(f"[testbench] truncation_scale = {self.truncation_scale} "
+                             "must be positive")
         # an empty ensemble or a one-level sweep would pass its gate vacuously
         for key, count in (("[probe] members", self.probe_members),
                            ("[sparse] trials", self.sparse_trials),

@@ -196,25 +196,15 @@ def wbp_check(spec: KernelSpec, dictionary: TestDictionary,
     tuple covers every cube."""
     n_bumps = 3
     root = spec.root
-    placed = [(cube, [dictionary.bump_values(cube, member) for member in range(n_bumps)])
-              for cube in sample_cubes]
-    # a bump window misses the box for every member or for none
-    placed = [(cube, bumps) for cube, bumps in placed if bumps[0][0] is not None]
-    rows = np.zeros((n_bumps, len(placed)) + root.shape)
-    for i, (_, bumps) in enumerate(placed):
-        for member, (slices, vals) in enumerate(bumps):
-            rows[member, i][slices] = vals
+    rows = [dictionary.bump_family(member).grid(sample_cubes) for member in range(n_bumps)]
     vals = np.stack([spec.evaluate([GridFunction(root, rows[(c + slot) % n_bumps])
                                     for slot in range(spec.n + 1)])
                      for c in range(n_bumps)], axis=1)
-    best = 0.0
-    worst_cube = None
-    for (cube, _), row in zip(placed, vals):
-        for v in row:
-            val = cube.measure ** spec.n * abs(v)
-            if val > best:
-                best, worst_cube = val, cube
-    return {"constant": best, "cube": worst_cube}
+    consts = np.array([c.measure for c in sample_cubes]).reshape(-1, 1) ** spec.n * np.abs(vals)
+    best = float(np.max(consts, initial=0.0))
+    # the first cube that reaches the max, none when every value is zero
+    return {"constant": best,
+            "cube": sample_cubes[int(np.argmax(np.max(consts, axis=1)))] if best > 0 else None}
 
 
 def _radial_bumps(root: RootBox, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -289,24 +279,20 @@ def testing_symbols(spec: KernelSpec, basis: AtomBasis, k: int,
     for j in range(1, spec.n + 1):
         out.star[j] = CoefficientTree(root)
     monomials = {g: _monomial(root, g).samples for g in multi_indices_upto(root.d, k)}
-    placed = [(cube, *basis.atom_values(cube, "wavelet")) for cube in cubes]
-    placed = [p for p in placed if p[1] is not None]
-    for lo in range(0, len(placed), _STACK):
-        part = placed[lo:lo + _STACK]
-        phi = np.zeros((len(part),) + root.shape)
-        for row, (_, slices, vals) in zip(phi, part):
-            row[slices] = vals
-        phi = GridFunction(root, phi[:, None])
+    wavelets = basis.atoms("wavelet")
+    for lo in range(0, len(cubes), _STACK):
+        part = cubes[lo:lo + _STACK]
+        phi = GridFunction(root, wavelets.grid(part)[:, None])
         # nested cutoffs; the innermost truncates the monomials
-        cuts = _radial_bumps(root, np.array([c.center() for c, _, _ in part]),
-                             radii * np.array([[c.side] for c, _, _ in part]))
+        cuts = _radial_bumps(root, np.array([c.center() for c in part]),
+                             radii * np.array([[c.side] for c in part]))
         inputs = {g: monomials[g] * cuts[:, 0] for g in monomials}
         tree_vals = spec.evaluate([phi] + [
             GridFunction(root, np.stack([inputs[gamma[j]] for gamma in gammas], axis=1))
             for j in range(spec.n)])
         cut_fs = [phi] + [GridFunction(root, cuts)] * spec.n
         star_vals = {j: spec.evaluate_adjoint(j, cut_fs) for j in out.star}
-        for i, (cube, _, _) in enumerate(part):
+        for i, cube in enumerate(part):
             scale_k = cube.side ** k
             for gamma, val in zip(gammas, tree_vals[i]):
                 out.trees[gamma][cube] = scale_k * val

@@ -132,10 +132,6 @@ class RootBox:
         return (self.cells_per_side,) * self.d
 
     @property
-    def n_cells(self) -> int:
-        return self.cells_per_side ** self.d
-
-    @property
     def cell_width(self) -> float:
         return 2.0 ** self.J
 

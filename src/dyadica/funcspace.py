@@ -398,8 +398,10 @@ def load_gridfunction(path) -> GridFunction:
             raise ValueError(f"header has {len(head)} bytes, expected {_HEADER.size}")
         d, L, J, count = _HEADER.unpack(head)
         root = RootBox(d=int(d), L=int(L), J=int(J))
-        if count != root.n_cells:
-            raise ValueError(f"sample count {count} does not match box {root.shape}")
+        # a box of 2^(d (L - J)) cells, compared without building that number
+        if count < 1 or count & (count - 1) or count.bit_length() - 1 != d * (L - J):
+            raise ValueError(f"sample count {count} does not match a box of "
+                             f"2^{d * (L - J)} cells (d = {d}, L = {L}, J = {J})")
         need = 8 * count
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size - _HEADER.size < need:

@@ -19,7 +19,7 @@ from scipy.interpolate import BSpline
 from .cache import memo
 from .dyadic import DyadicCube
 from .funcspace import GridFunction, block_reduce, box_axes, expand_blocks
-from .wavelet import AtomBasis, AtomFamily, clipped_outer, strided_pairings
+from .wavelet import AtomBasis, AtomFamily, strided_pairings
 
 
 @dataclass(frozen=True)
@@ -237,16 +237,6 @@ class TestDictionary:
         vals = _bump_row(self.family.N, idx, 1 << (scale - self.root.J))
         return vals / self._bump_constants[idx] / 2.0 ** scale
 
-    # -- atom realizations --------------------------------------------------
-
-    def bump_values(self, cube: DyadicCube, member: int = 0):
-        """Noncancellative normalized bump adapted to the cube."""
-        m = 1 << (cube.scale - self.root.J)
-        half = (self.family.w - 1) // 2
-        template = self._bump_template(member, cube.scale)
-        return clipped_outer([(p - half) * m for p in cube.pos],
-                             [template] * self.root.d, self.root.cells_per_side)
-
     # -- atom families ------------------------------------------------------
 
     @memo
@@ -259,8 +249,9 @@ class TestDictionary:
 
     @memo
     def bump_family(self, member: int = 0, unit: bool = False) -> AtomFamily:
-        """``bump_values`` at every cube, a scale at a time; with ``unit``
-        each atom is divided by its discrete integral."""
+        """The noncancellative normalized bump ``member`` adapted to every
+        cube, centered on it on its w-window, a scale at a time; with
+        ``unit`` each atom is divided by its discrete integral."""
         return AtomFamily(self.root, lambda scale: self._bump_layout(scale, member, unit))
 
     def _member_layout(self, scale: int, member: int):
@@ -293,14 +284,10 @@ class TestDictionary:
     # -- intrinsic coefficients ----------------------------------------------
 
     def _canonical_mask(self, scale: int) -> np.ndarray:
-        npos = self.root.positions_per_side(scale)
-        t = scale - self.root.J
-        m = 1 << t
-        length = (2 * self.family.N - 1) * (m - 1) + 1
-        sh = self.family.N - 1
-        n = self.root.cells_per_side
-        p = np.arange(npos)
-        band = ((p - sh) * m >= 0) & ((p - sh) * m + length <= n)
+        """The positions whose canonical wavelet the box does not clip."""
+        m = 1 << (scale - self.root.J)
+        start = (np.arange(self.root.positions_per_side(scale)) - self.family.N + 1) * m
+        band = (start >= 0) & (start + self.family.w * (m - 1) + 1 <= self.root.cells_per_side)
         mask = band
         for _ in range(self.root.d - 1):
             mask = np.logical_and.outer(mask, band)

@@ -79,25 +79,24 @@ def cascade_table(h: np.ndarray, refine: int, cap: int = 500):
     x = np.arange(n) / step
     v = ((x >= 0.0) & (x < 1.0)).astype(float)
     base = 2 * np.arange(n)
+
+    def two_scale(filt, v):  # sum_k sqrt2 filt_k v(2x - k)
+        out = np.zeros_like(v)
+        for kk, fk in enumerate(filt):
+            idx = base - kk * step
+            m = (idx >= 0) & (idx < n)
+            out[m] += SQRT2 * fk * v[idx[m]]
+        return out
+
     residual = np.inf
     iterations = 0
     for iterations in range(1, cap + 1):
-        vn = np.zeros_like(v)
-        for kk, hk in enumerate(h):
-            idx = base - kk * step
-            m = (idx >= 0) & (idx < n)
-            vn[m] += SQRT2 * hk * v[idx[m]]
+        vn = two_scale(h, v)
         residual = float(np.max(np.abs(vn - v)))
         v = vn
         if residual < 1e-11:
             break
-    g = mirror_filter(h)
-    psi = np.zeros_like(v)
-    for kk, gk in enumerate(g):
-        idx = base - kk * step
-        m = (idx >= 0) & (idx < n)
-        psi[m] += SQRT2 * gk * v[idx[m]]
-    return x, v, psi, residual, iterations
+    return x, v, two_scale(mirror_filter(h), v), residual, iterations
 
 
 def _table_class_constant(x: np.ndarray, vals: np.ndarray, rho: float) -> float:
@@ -147,16 +146,21 @@ class WaveletFamily:
         return 2 * self.N - 1
 
 
+def check_family(N: int, refine: int) -> None:
+    """The order and refinement ``build_family`` accepts."""
+    if N < 1:
+        raise ValueError("order must be >= 1")
+    if refine < 6:
+        raise ValueError("refinement must be >= 6")
+
+
 @memo
 def build_family(N: int, refine: int = 8, cap: int = 500) -> WaveletFamily:
     """The order-N family with point values at resolution 2^-refine.
 
     Built once per argument tuple and shared by every caller in the process,
     so its arrays are read-only."""
-    if N < 1:
-        raise ValueError("order must be >= 1")
-    if refine < 6:
-        raise ValueError("refinement must be >= 6")
+    check_family(N, refine)
     h = daubechies_filter(N)
     g = mirror_filter(h)
     x, phi, psi, residual, iterations = cascade_table(h, refine, cap=cap)
@@ -293,15 +297,6 @@ class AtomBasis:
         self.family = family
         self.root = root
 
-    @staticmethod
-    def _refine(c: np.ndarray, filt: np.ndarray) -> np.ndarray:
-        """One filter refinement of the last axis of ``c``."""
-        width = c.shape[-1]
-        out = np.zeros(c.shape[:-1] + (2 * (width - 1) + len(filt),))
-        for n, fn in enumerate(filt):
-            out[..., n:n + 2 * width - 1:2] += fn * c
-        return out
-
     # -- geometry ---------------------------------------------------------
 
     def _shift(self, t: int, kind: str) -> int:
@@ -318,36 +313,22 @@ class AtomBasis:
         if t == 0:
             return np.array([1.0])
         first = kind == "wavelet" and t == 1
-        return self._refine(self._template(t - 1, "scaling" if first else kind),
-                            self.family.highpass if first else self.family.lowpass)
-
-    def atom_values(self, cube: DyadicCube, kind: str = "wavelet"):
-        """Clipped window slices plus the L^1-normalized values on them: the
-        layout of ``atoms(kind)`` at one cube."""
-        _, template, first, _, factor = self.atoms(kind).layout(cube.scale)
-        m = 1 << (cube.scale - self.root.J)
-        slices, vals = clipped_outer([first + p * m for p in cube.pos],
-                                     [template] * self.root.d, self.root.cells_per_side)
-        if slices is None:
-            return None, None
-        return slices, vals * factor
+        coarse = self._template(t - 1, "scaling" if first else kind)
+        filt = self.family.highpass if first else self.family.lowpass
+        out = np.zeros(2 * (len(coarse) - 1) + len(filt))
+        for n, fn in enumerate(filt):  # one filter refinement
+            out[n:n + 2 * len(coarse) - 1:2] += fn * coarse
+        return out
 
     def atom_grid(self, cube: DyadicCube, kind: str = "wavelet") -> np.ndarray:
-        out = np.zeros(self.root.shape)
-        slices, vals = self.atom_values(cube, kind)
-        if slices is not None:
-            out[slices] = vals
-        return out
+        return self.atoms(kind).grid([cube])[0]
 
     def interior_cubes(self, smin: int | None = None, smax: int | None = None):
         smin = self.root.J + 1 if smin is None else smin
         smax = self.root.L if smax is None else smax
-        out = []
-        for scale in range(smax, smin - 1, -1):
-            for cube in self.root.cubes_at_scale(scale):
-                if self.root.is_interior(cube, self.family.w):
-                    out.append(cube)
-        return out
+        return [cube for scale in range(smax, smin - 1, -1)
+                for cube in self.root.cubes_at_scale(scale)
+                if self.root.is_interior(cube, self.family.w)]
 
     # -- transforms -------------------------------------------------------
 
@@ -384,42 +365,12 @@ class AtomBasis:
 
     # -- multiresolution identities ----------------------------------------
 
-    @memo
-    def _tail_rows(self, scale: int, kind: str) -> np.ndarray:
-        """Rows on the box of the atoms of a scale above the root that meet
-        it, as orthonormal vectors up to h^{-1/2}.  All positions are refined
-        top down at once, each level clipped to a margin around the box, so
-        coarse scales stay O(box) work."""
-        root, N = self.root, self.family.N
-        n = root.cells_per_side
-        m = 1 << (scale - root.J)
-        # position k's atom starts at level-``scale`` index k - (N - 1)
-        start = -(((2 * N - 1) * (m - 1) + m) // m)
-        coeffs = np.eye((n + m - 1) // m - start + 1)
-        for level in range(scale, root.J, -1):
-            filt = self.family.highpass if (kind == "wavelet" and level == scale) \
-                else self.family.lowpass
-            nxt, nxt_start = self._refine(coeffs, filt), 2 * start
-            npos_level = 1 << max(root.depth - (level - 1 - root.J), 0)
-            a = max(nxt_start, -2 * N)
-            b = min(nxt_start + nxt.shape[-1], npos_level + 2 * N)
-            coeffs, start = nxt[:, a - nxt_start:max(a, b) - nxt_start], a
-        rows = np.zeros((len(coeffs), n))
-        a, b = max(start, 0), min(start + coeffs.shape[1], n)
-        rows[:, a:max(a, b)] = coeffs[:, a - start:max(a, b) - start]
-        # positions whose atom the clipping left off the box
-        return rows[np.any(rows, axis=1)]
-
     def _projection_1d(self, samples: np.ndarray, scale: int, kind: str) -> np.ndarray:
         """Sum of |Q| atom_Q(f) atom_Q over all scale-``scale`` positions
-        whose atom meets the box, d=1: a pairing and its overlap-add at
-        scales up to the root, two products with the cached tail rows above."""
+        whose atom meets the box, d=1, at a scale up to the root: a pairing
+        and its overlap-add."""
         n = self.root.cells_per_side
         t = scale - self.root.J
-        if t > self.root.depth:
-            rows = self._tail_rows(scale, kind)
-            # einsum keeps these small products off the threaded BLAS (see below)
-            return np.einsum("pc,p->c", rows, np.einsum("pc,c->p", rows, samples))
         template = self._template(t, kind)
         m = 1 << t
         # positions below the box whose atom still reaches into it
@@ -429,26 +380,20 @@ class AtomBasis:
         return strided_spread(coeffs, template[None], template, first, m, n)
 
     def high_low_residual(self, samples: np.ndarray, ell: int) -> float:
-        """L^2 residual between the coarse wavelet sum and the scaling sum.
+        """L^2 residual of the telescoped high-low identity
+        P_L f + sum_{s=ell+1}^{L} Q_s f = P_ell f, d = 1.
 
-        The wavelet side runs over all cubes with side > 2^ell meeting the
-        box; scales above the root are included, at most 64 of them, until
-        the remaining coarse tail is provably below 1e-9 relative to ||f||_2.
-        """
+        P_s and Q_s are the scaling and wavelet projections onto the cubes of
+        scale s whose atom meets the box.  The identity is exact for samples
+        over the whole box, so the residual is rounding."""
         if self.root.d != 1:
             raise NotImplementedError("high-low residual is implemented for d = 1")
         if not (self.root.J < ell <= self.root.L):
             raise ValueError("need J < ell <= L")
         samples = np.asarray(samples, dtype=float)
-        lhs = np.zeros_like(samples)
-        fnorm = l2_norm(samples, self.root)
-        smax = self.root.L + 64
-        for scale in range(ell + 1, smax + 1):
+        lhs = self._projection_1d(samples, self.root.L, "scaling")
+        for scale in range(ell + 1, self.root.L + 1):
             lhs += self._projection_1d(samples, scale, "wavelet")
-            if scale >= self.root.L:
-                tail = self._projection_1d(samples, scale, "scaling")
-                if l2_norm(tail, self.root) < 1e-9 * max(fnorm, 1e-300):
-                    break
         rhs = self._projection_1d(samples, ell, "scaling")
         return l2_norm(lhs - rhs, self.root)
 
@@ -479,21 +424,6 @@ class AtomBasis:
     def gram_residual(self, cubes) -> float:
         G = self.gram_matrix(cubes)
         return float(np.max(np.abs(G - np.eye(len(G)))))
-
-
-def clipped_outer(starts, templates, n: int):
-    """Box slices and tensor-product values of per-axis templates whose
-    windows start at cells ``starts``, clipped to [0, n); (None, None) when
-    a window misses the box."""
-    slices, vals = [], None
-    for s0, template in zip(starts, templates):
-        a, b = max(s0, 0), min(s0 + len(template), n)
-        if a >= b:
-            return None, None
-        slices.append(slice(a, b))
-        piece = template[a - s0:b - s0]
-        vals = piece if vals is None else np.multiply.outer(vals, piece)
-    return tuple(slices), vals
 
 
 def _pair_last_axis(x: np.ndarray, templates: np.ndarray, first: int,
@@ -662,6 +592,17 @@ class AtomFamily:
         return strided_spread((coeffs * weight)[..., None], bank, tail, first,
                               1 << (scale - self.root.J), self.root.cells_per_side,
                               boundary, d=self.root.d)
+
+    def grid(self, cubes) -> np.ndarray:
+        """The atoms of ``cubes`` on the grid, one row per cube: one
+        ``spread`` of unit coefficients per scale."""
+        out = np.zeros((len(cubes),) + self.root.shape)
+        for scale in {cube.scale for cube in cubes}:
+            rows = [i for i, cube in enumerate(cubes) if cube.scale == scale]
+            units = np.zeros((len(rows),) + (self.root.positions_per_side(scale),) * self.root.d)
+            units[(np.arange(len(rows)), *zip(*(cubes[i].pos for i in rows)))] = 1.0
+            out[rows] = self.spread(units, scale)
+        return out
 
 
 def l2_norm(samples: np.ndarray, root: RootBox) -> float:

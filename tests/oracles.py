@@ -35,18 +35,56 @@ from dyadica.funcspace import (GridFunction, block_reduce, expand_blocks, grad_n
 from dyadica.sparse import SparseCollection, ThetaCapError
 from dyadica.tlnorm import (TestDictionary, _bspline_profile, _bump_profile, _class_constant,
                             square_function)
-from dyadica.wavelet import CoefficientTree, clipped_outer
+from dyadica.wavelet import CoefficientTree
 
 # -- per-cube atom values ------------------------------------------------------
 
 
+def clipped_outer(starts, templates, n: int):
+    """Box slices and tensor-product values of per-axis templates whose
+    windows start at cells ``starts``, clipped to [0, n); (None, None) when
+    a window misses the box."""
+    slices, vals = [], None
+    for s0, template in zip(starts, templates):
+        a, b = max(s0, 0), min(s0 + len(template), n)
+        if a >= b:
+            return None, None
+        slices.append(slice(a, b))
+        piece = template[a - s0:b - s0]
+        vals = piece if vals is None else np.multiply.outer(vals, piece)
+    return tuple(slices), vals
+
+
+def atom_window(basis, cube, kind="wavelet"):
+    """Clipped window slices plus the L^1-normalized values on them of the
+    canonical atom of ``kind`` at one cube."""
+    root = basis.root
+    t = cube.scale - root.J
+    template = basis._template(t, kind)
+    first = -basis._shift(t, kind) * (1 << t)
+    slices, vals = clipped_outer([first + p * (1 << t) for p in cube.pos],
+                                 [template] * root.d, root.cells_per_side)
+    if slices is None:
+        return None, None
+    return slices, vals * 2.0 ** (-(root.J + cube.scale) * root.d / 2.0)
+
+
+def window_grid(values, cube, root) -> np.ndarray:
+    """Per-cube ``values`` at one cube on a full-box grid."""
+    out = np.zeros(root.shape)
+    slices, vals = values(cube)
+    if slices is not None:
+        out[slices] = vals
+    return out
+
+
 def canonical_values(basis, kind):
-    return lambda cube: basis.atom_values(cube, kind)
+    return lambda cube: atom_window(basis, cube, kind)
 
 
 def atom_pair(basis, samples, cube, kind="wavelet"):
     """L^1-normalized pairing atom_Q(f) by the grid quadrature."""
-    slices, vals = basis.atom_values(cube, kind)
+    slices, vals = atom_window(basis, cube, kind)
     if slices is None:
         return samples.dtype.type(0)
     return np.sum(samples[slices] * vals) * basis.root.cell_measure
@@ -79,7 +117,7 @@ def member_window(dictionary, cube, member):
     if member == 0 and cube.scale > root.J:
         if not canonical_admissible(dictionary, cube):
             return None, None
-        slices, vals = dictionary.basis.atom_values(cube, "wavelet")
+        slices, vals = atom_window(dictionary.basis, cube, "wavelet")
         return slices, vals / dictionary.family.class_constant
     idx = member - (1 if cube.scale > root.J else 0)
     temps = dictionary._templates[cube.scale]
@@ -115,15 +153,26 @@ def intrinsic_coeff(f: GridFunction, cube, dictionary) -> float:
     return best
 
 
+def bump_window(dictionary, cube, member=0):
+    """Window slices and values of the noncancellative normalized bump
+    ``member`` at one cube."""
+    root = dictionary.root
+    m = 1 << (cube.scale - root.J)
+    half = (dictionary.family.w - 1) // 2
+    template = dictionary._bump_template(member, cube.scale)
+    return clipped_outer([(p - half) * m for p in cube.pos], [template] * root.d,
+                         root.cells_per_side)
+
+
 def bump_values(dictionary, member):
-    return lambda cube: dictionary.bump_values(cube, member)
+    return lambda cube: bump_window(dictionary, cube, member)
 
 
 def unit_bump_values(dictionary, member):
     cell = dictionary.root.cell_measure
 
     def values(cube):
-        slices, vals = dictionary.bump_values(cube, member)
+        slices, vals = bump_window(dictionary, cube, member)
         if slices is None:
             return None, None
         mass = float(np.sum(vals)) * cell
@@ -204,54 +253,23 @@ def _positions_overlapping(basis, scale, kind):
     return range(sh - (length + m - 1) // m, sh + (n + m - 1) // m + 1)
 
 
-def _clipped_coeffs(basis, scale, k, kind):
-    """Atom coefficients on box cells for one position above the root scale,
-    refined top down with each level clipped to a margin around the box."""
-    root, fam = basis.root, basis.family
-    start = k - basis._shift(scale - root.J, kind)
-    coeffs = np.array([1.0])
-    level = scale
-    while level > root.J:
-        filt = fam.highpass if (kind == "wavelet" and level == scale) else fam.lowpass
-        nxt_start = 2 * start
-        nxt = np.zeros(2 * (len(coeffs) - 1) + len(filt))
-        for i, fi in enumerate(filt):
-            nxt[i:i + 2 * len(coeffs) - 1:2] += fi * coeffs
-        level -= 1
-        npos_level = 1 << max(root.depth - (level - root.J), 0)
-        a = max(nxt_start, -2 * fam.N)
-        b = min(nxt_start + len(nxt), npos_level + 2 * fam.N)
-        if a >= b:
-            return 0, np.zeros(0)
-        coeffs = nxt[a - nxt_start:b - nxt_start]
-        start = a
-    return start, coeffs
-
-
 def projection_1d(basis, samples, scale, kind) -> np.ndarray:
     """Sum of |Q| atom_Q(f) atom_Q over the positions whose atom meets the
-    box: a full correlation below the root, clipped refinements above."""
+    box, at a scale up to the root: a full correlation, then one window per
+    position."""
     n = basis.root.cells_per_side
     out = np.zeros(n, dtype=samples.dtype)
     t = scale - basis.root.J
-    if t <= basis.root.depth:
-        vals = basis._template(t, kind)
-        corr = np.correlate(samples, vals, mode="full")
-        m = 1 << t
-        sh = basis._shift(t, kind)
-        for k in _positions_overlapping(basis, scale, kind):
-            o = (k - sh) * m
-            c = corr[len(vals) - 1 + o] if 0 <= len(vals) - 1 + o < len(corr) else 0.0
-            a, b = max(o, 0), min(o + len(vals), n)
-            if a < b:
-                out[a:b] += c * vals[a - o:b - o]
-        return out
+    vals = basis._template(t, kind)
+    corr = np.correlate(samples, vals, mode="full")
+    m = 1 << t
+    sh = basis._shift(t, kind)
     for k in _positions_overlapping(basis, scale, kind):
-        start, coeffs = _clipped_coeffs(basis, scale, k, kind)
-        a, b = max(start, 0), min(start + len(coeffs), n)
+        o = (k - sh) * m
+        c = corr[len(vals) - 1 + o] if 0 <= len(vals) - 1 + o < len(corr) else 0.0
+        a, b = max(o, 0), min(o + len(vals), n)
         if a < b:
-            window = coeffs[a - start:b - start]
-            out[a:b] += np.sum(samples[a:b] * window) * window
+            out[a:b] += c * vals[a - o:b - o]
     return out
 
 
@@ -260,7 +278,8 @@ def projection_1d(basis, samples, scale, kind) -> np.ndarray:
 
 def gram_matrix(basis, cubes) -> np.ndarray:
     """Gram matrix of sqrt|Q| phi_Q from one full-box grid per cube."""
-    vecs = np.stack([np.sqrt(c.measure) * basis.atom_grid(c).ravel() for c in cubes])
+    vecs = np.stack([np.sqrt(c.measure) * window_grid(canonical_values(basis, "wavelet"), c,
+                                                      basis.root).ravel() for c in cubes])
     return (vecs @ vecs.T) * basis.root.cell_measure
 
 
@@ -275,7 +294,7 @@ def wbp_check(spec, dictionary, sample_cubes) -> dict:
             fs = []
             ok = True
             for slot in range(spec.n + 1):
-                slices, vals = dictionary.bump_values(cube, (combo + slot) % n_bumps)
+                slices, vals = bump_window(dictionary, cube, (combo + slot) % n_bumps)
                 if slices is None:
                     ok = False
                     break
@@ -319,7 +338,7 @@ def testing_symbols(spec, basis, k, truncation_scale=8.0, cubes=None):
         out.star[j] = CoefficientTree(root)
     monomials = {g: _monomial(root, g).samples for g in multi_indices_upto(root.d, k)}
     for cube in cubes:
-        slices, vals = basis.atom_values(cube, "wavelet")
+        slices, vals = atom_window(basis, cube, "wavelet")
         if slices is None:
             continue
         phi = GridFunction.zeros(root)

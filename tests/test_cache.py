@@ -37,7 +37,6 @@ def _tables(ws):
         "wavelet.build_family": lambda: build_family(N),
         "wavelet.AtomBasis._template": lambda: basis._template(3, "wavelet"),
         "wavelet.AtomBasis.atoms": lambda: basis.atoms("scaling"),
-        "wavelet.AtomBasis._tail_rows": lambda: basis._tail_rows(root.L + 2, "wavelet"),
         "wavelet.AtomFamily.layout": lambda: basis.atoms("wavelet").layout(root.J + 2),
         "tlnorm._recipe": lambda: tlnorm._recipe(N, True, 1),
         "tlnorm._sampled_row": lambda: tlnorm._sampled_row(N, 0, 8),

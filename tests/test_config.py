@@ -50,9 +50,33 @@ def test_rejects_one_level_sweep(tmp_path, section, key, value):
                                   "[kernel:k1]\ntype = planted\n",
                                   "[kernel:k1]\ntype = zero\narity = 3\n",
                                   "[dictionary]\nsize = 1\n",
-                                  "[dictionary]\nsize = 11\n"])
+                                  "[dictionary]\nsize = 11\n",
+                                  "[root]\nd = 2\n",
+                                  "[wavelet]\nN = 1\nrefine = 6\n",
+                                  "[probe]\nN = 1\nkappas = 0\nsplits = 0:0\n",
+                                  "[sparse]\ntheta = 1.01\ntheta_cap = 1.01\n",
+                                  "[sparse]\npacking_intest = 0.99\npacking_mainiter = 0.01\n",
+                                  "[testbench]\nk = 0\ntruncation_scale = 0.01\n"])
 def test_accepts_smallest_valid_values(tmp_path, text):
     _config(tmp_path, text)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("root", "d", "0", "dimension must be >= 1"),
+    ("wavelet", "N", "0", "order must be >= 1"),
+    ("wavelet", "refine", "3", "refinement must be >= 6"),
+    ("probe", "N", "0", "order must be >= 1"),
+    ("sparse", "theta", "0.5", "threshold must exceed 1"),
+    ("sparse", "theta_cap", "8", r"theta_cap 8\.0 is below theta 16\.0"),
+    ("sparse", "packing_intest", "1", r"packing target must lie in \(0, 1\)"),
+    ("sparse", "packing_mainiter", "0", r"packing target must lie in \(0, 1\)"),
+    ("testbench", "k", "-1", "must be at least 0"),
+    ("testbench", "truncation_scale", "0", "must be positive"),
+])
+def test_rejects_values_a_constructor_rejects_later(tmp_path, section, key, value, message):
+    # at load, naming the key, not inside a suite after its workspace is built
+    with pytest.raises(ValueError, match=rf"^\[{section}\] {key} = {value}(\.0)?:? {message}"):
+        _config(tmp_path, f"[{section}]\n{key} = {value}\n")
 
 
 @pytest.mark.parametrize("value", ["0", "40"])

@@ -194,7 +194,7 @@ def test_gridfunction_io_roundtrip(tmp_path, root8, rng):
     f = GridFunction(root8, rng.standard_normal(root8.shape))
     path = tmp_path / "f.gfn"
     save_gridfunction(path, f)
-    assert os.path.getsize(path) == 32 + 8 * root8.n_cells
+    assert os.path.getsize(path) == 32 + 8 * root8.cells_per_side
     g = load_gridfunction(path)
     assert g.root == root8
     assert np.array_equal(f.samples, g.samples)
@@ -226,7 +226,8 @@ def test_gridfunction_load_rejects_truncated_payload(tmp_path, root8, rng):
     save_gridfunction(path, GridFunction(root8, rng.standard_normal(root8.shape)))
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(ValueError, match=f"{8 * root8.n_cells} bytes.*{8 * root8.n_cells - 8}"):
+    need = 8 * root8.cells_per_side
+    with pytest.raises(ValueError, match=f"{need} bytes.*{need - 8}"):
         load_gridfunction(path)
     path.write_bytes(data[:20])
     with pytest.raises(ValueError, match="header"):
@@ -264,8 +265,8 @@ def test_gridfunction_load_from_pipe(tmp_path, root8, rng):
     data = (tmp_path / "f.gfn").read_bytes()
     g = _load_through_fifo(tmp_path / "whole.gfn", data)
     assert np.array_equal(g.samples, f.samples)
-    with pytest.raises(ValueError, match=f"{8 * root8.n_cells} bytes.*stream holds "
-                                         f"{8 * root8.n_cells - 8}"):
+    with pytest.raises(ValueError, match=f"{8 * root8.cells_per_side} bytes.*stream holds "
+                                         f"{8 * root8.cells_per_side - 8}"):
         _load_through_fifo(tmp_path / "short.gfn", data[:-8])
 
 
@@ -273,10 +274,26 @@ def test_gridfunction_load_rejects_huge_header_without_allocating(tmp_path):
     # a self-consistent header for 2^60 cells and no payload
     root = RootBox(d=3, L=0, J=-20)
     path = tmp_path / "huge.gfn"
-    path.write_bytes(struct.pack("<qqqq", 3, 0, -20, root.n_cells))
+    path.write_bytes(struct.pack("<qqqq", 3, 0, -20, root.cells_per_side ** 3))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"{8 * root.n_cells} bytes.* 0$"):
+        with pytest.raises(ValueError, match=f"{8 * root.cells_per_side ** 3} bytes.* 0$"):
+            load_gridfunction(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("J", [-2 ** 20, -2 ** 40])
+def test_gridfunction_load_rejects_a_huge_depth_before_building_the_box(tmp_path, J):
+    # 2^(L - J) cells would be a number of 2^20 or 2^40 bits
+    path = tmp_path / "deep.gfn"
+    path.write_bytes(struct.pack("<qqqq", 1, 0, J, 256))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"sample count 256 does not match a box of "
+                                             rf"2\^{-J} cells"):
             load_gridfunction(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -146,7 +146,7 @@ def test_tl_norm_dilation_covariance(dict8, basis8, family3, rng):
         fine_tree[DyadicCube(q.scale - 1, q.pos)] = c
     f = GridFunction(basis8.root, basis8.synthesize(tree))
     g = GridFunction(root_fine, basis_fine.synthesize(fine_tree))
-    assert np.array_equal(g.samples[:basis8.root.n_cells], f.samples)
+    assert np.array_equal(g.samples[:basis8.root.cells_per_side], f.samples)
     # m >= 0: the sup maps cube-for-cube and rescales by 2^{n+m} exactly.
     # m < 0: the sup pins at the root cube, where the dilate fills half the
     # box, so the exact factor is 2^{n - 1/p} instead.

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadica import AtomBasis, CascadeError, DyadicCube, RootBox, build_family
+from dyadica.ensembles import random_interior_function
+from dyadica.tlnorm import TestDictionary
 from dyadica.wavelet import CoefficientTree, daubechies_filter, l2_norm, mirror_filter
-from oracles import atom_pair, gram_matrix, n_nonzero, table_moment, table_values
+from oracles import (atom_pair, bump_values, canonical_values, gram_matrix, n_nonzero,
+                     table_moment, table_values, window_grid)
 
 
 def test_filter_order2_matches_closed_form():
@@ -76,8 +81,9 @@ def test_gram_identity_property(N, d, depth):
 @settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 4), depth=st.integers(3, 9), data=st.data())
 def test_high_low_identity_property(N, depth, data):
-    # sum over cubes coarser than 2^ell of the wavelet projections equals the
-    # scale-ell scaling projection, for samples over the whole box
+    # the scale-L scaling projection plus the wavelet projections at scales
+    # ell+1..L equals the scale-ell scaling projection, for samples over the
+    # whole box
     root = RootBox(d=1, L=0, J=-depth)
     basis = AtomBasis(build_family(N), root)
     ell = data.draw(st.integers(root.J + 1, root.L), label="ell")
@@ -180,6 +186,27 @@ def test_high_low_random_interior(basis8, rng):
     assert rel < 1e-6
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_high_low_sees_a_planted_filter_defect(N):
+    # the suite's check on its own inputs: rounding for the family, above the
+    # 1e-6 gate once lowpass tap 0 moves by 1e-5 (highpass rebuilt from it)
+    root = RootBox(d=1, L=0, J=-8)
+    family = build_family(N)
+    h = family.lowpass.copy()
+    h[0] += 1e-5
+    planted = dataclasses.replace(family, lowpass=h, highpass=mirror_filter(h))
+    worst = {}
+    for fam in (family, planted):
+        basis = AtomBasis(fam, root)
+        rng = np.random.default_rng([N, 1])
+        worst[fam is planted] = max(
+            basis.high_low_residual(f.samples, ell) / l2_norm(f.samples, root)
+            for f in (random_interior_function(rng, basis) for _ in range(5))
+            for ell in range(root.J + 2, root.L))
+    assert worst[False] < 1e-13
+    assert worst[True] > 1e-6
+
+
 def test_high_low_validation(basis8):
     with pytest.raises(ValueError):
         basis8.high_low_residual(np.zeros(basis8.root.shape), ell=-8)
@@ -233,3 +260,25 @@ def test_analyze_matches_per_cube_pair(d, J, N, rng):
             slow[cube.pos] = atom_pair(basis, f, cube, "wavelet")
         np.testing.assert_allclose(arr, slow, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(slow)))
+
+
+@pytest.mark.parametrize("d, J, N", [(1, -6, 3), (2, -4, 2), (3, -3, 2)])
+def test_atom_grid_rows_match_per_cube_windows(d, J, N):
+    # every cube of the box, boundary cubes included, several per scale and
+    # out of order; at d = 1 and for the bumps (unit coefficients, one factor
+    # per cell) the values are the same IEEE products
+    root = RootBox(d=d, L=0, J=J)
+    basis = AtomBasis(build_family(N), root)
+    dictionary = TestDictionary(basis, size=2)
+    cubes = [c for c in root.all_cubes() if c.scale > J][::-3]
+    cases = [(basis.atoms(kind), canonical_values(basis, kind), d == 1)
+             for kind in ("wavelet", "scaling")]
+    cases += [(dictionary.bump_family(m), bump_values(dictionary, m), True) for m in (0, 2)]
+    for family, values, exact in cases:
+        got = family.grid(cubes)
+        ref = np.stack([window_grid(values, c, root) for c in cubes])
+        if exact:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14 * np.max(np.abs(ref)))
+    assert np.array_equal(basis.atom_grid(cubes[0]), basis.atoms("wavelet").grid(cubes)[0])
